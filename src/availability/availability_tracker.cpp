@@ -91,20 +91,6 @@ void AvailabilityTracker::on_link_recover(std::uint32_t link, double now) {
   links_.on_recover(link, now);
 }
 
-void AvailabilityTracker::on_group_fail(
-    const std::vector<std::uint32_t>& hosts,
-    const std::vector<std::uint32_t>& links, double now) {
-  for (std::uint32_t h : hosts) on_node_fail(h, now);
-  for (std::uint32_t l : links) on_link_fail(l, now);
-}
-
-void AvailabilityTracker::on_group_recover(
-    const std::vector<std::uint32_t>& hosts,
-    const std::vector<std::uint32_t>& links, double now) {
-  for (std::uint32_t h : hosts) on_node_recover(h, now);
-  for (std::uint32_t l : links) on_link_recover(l, now);
-}
-
 std::vector<double> AvailabilityTracker::node_weights() const {
   std::vector<double> w(nodes_.size(), 1.0);
   if (!has_history_) return w;

@@ -1,9 +1,10 @@
 // Per-element availability estimation from the observed failure history.
 //
-// The orchestrator feeds every substrate transition (fail / recover, for
-// hosts, links, and blast groups) into an AvailabilityTracker; admission
-// then asks "how reliable has this element been lately?" and biases
-// placement away from flaky regions (ROADMAP: repair-aware admission).
+// The orchestrator feeds every substrate transition (fail / recover) into
+// an AvailabilityTracker one node or link at a time — a blast or power
+// group arrives as its member elements; admission then asks "how reliable
+// has this element been lately?" and biases placement away from flaky
+// regions (ROADMAP: repair-aware admission).
 //
 // The estimate is an interval-weighted EWMA of the element's up fraction:
 // whenever element e transitions at time t, the elapsed interval
@@ -104,14 +105,6 @@ class AvailabilityTracker {
   void on_node_recover(std::uint32_t node, double now);
   void on_link_fail(std::uint32_t link, double now);
   void on_link_recover(std::uint32_t link, double now);
-
-  /// Correlated-group convenience for blast/power events whose `element`
-  /// is not itself a tracker element (a power-domain id): folds every
-  /// member host and link in canonical (ascending-id) event order.
-  void on_group_fail(const std::vector<std::uint32_t>& hosts,
-                     const std::vector<std::uint32_t>& links, double now);
-  void on_group_recover(const std::vector<std::uint32_t>& hosts,
-                        const std::vector<std::uint32_t>& links, double now);
 
   [[nodiscard]] double node_availability(std::uint32_t node) const {
     return nodes_.availability(node);

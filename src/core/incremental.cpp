@@ -9,26 +9,6 @@
 #include "util/timer.h"
 
 namespace hmn::core {
-namespace {
-
-/// Rebuilds the residual state of the base mapping, treating only the
-/// guests/links `base` covers.
-ResidualState base_residuals(const model::PhysicalCluster& cluster,
-                             const model::VirtualEnvironment& grown,
-                             const Mapping& base) {
-  ResidualState state(cluster);
-  for (std::size_t g = 0; g < base.guest_host.size(); ++g) {
-    state.place(grown.guest(GuestId{static_cast<GuestId::underlying_type>(g)}),
-                base.guest_host[g]);
-  }
-  for (std::size_t l = 0; l < base.link_paths.size(); ++l) {
-    const auto id = VirtLinkId{static_cast<VirtLinkId::underlying_type>(l)};
-    state.reserve_bw(base.link_paths[l], grown.link(id).bandwidth_mbps);
-  }
-  return state;
-}
-
-}  // namespace
 
 MapOutcome extend_mapping(const model::PhysicalCluster& cluster,
                           const model::VirtualEnvironment& grown,
@@ -45,7 +25,8 @@ MapOutcome extend_mapping(const model::PhysicalCluster& cluster,
         "base mapping is larger than the grown environment");
   }
 
-  ResidualState state = base_residuals(cluster, grown, base);
+  // The residuals of the base mapping: only the guests/links it covers.
+  ResidualState state(cluster, grown, base);
   Mapping mapping = base;
   mapping.guest_host.resize(grown.guest_count(), NodeId::invalid());
   mapping.link_paths.resize(grown.link_count());

@@ -1,13 +1,13 @@
 #include "emulator/session.h"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "core/hmn_mapper.h"
 #include "core/incremental.h"
 #include "core/repair.h"
 #include "core/validator.h"
+#include "io/json.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -205,33 +205,15 @@ std::string EmulationSession::report() const {
 }
 
 std::string to_json(const std::vector<PhaseRecord>& timeline) {
-  const auto num = [](double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  const auto quoted = [](const std::string& s) {
-    std::string out = "\"";
-    for (const char ch : s) {
-      switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        default: out += ch;
-      }
-    }
-    out += '"';
-    return out;
-  };
   std::ostringstream out;
   out << '[';
   for (std::size_t i = 0; i < timeline.size(); ++i) {
     const PhaseRecord& r = timeline[i];
     if (i > 0) out << ',';
-    out << "{\"phase\":" << quoted(r.phase)
-        << ",\"wall_seconds\":" << num(r.wall_seconds)
-        << ",\"simulated_seconds\":" << num(r.simulated_seconds)
-        << ",\"note\":" << quoted(r.note) << '}';
+    out << "{\"phase\":" << io::json_string(r.phase)
+        << ",\"wall_seconds\":" << io::json_number(r.wall_seconds)
+        << ",\"simulated_seconds\":" << io::json_number(r.simulated_seconds)
+        << ",\"note\":" << io::json_string(r.note) << '}';
   }
   out << ']';
   return out.str();

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
-#include <string_view>
+
+#include "io/json.h"
 
 namespace hmn::expfw {
 namespace {
@@ -29,26 +29,6 @@ bool workload_boundary(const std::vector<workload::Scenario>& scenarios,
                        std::size_t index) {
   return index > 0 &&
          scenarios[index].workload != scenarios[index - 1].workload;
-}
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string quoted(std::string_view s) {
-  std::string out = "\"";
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += ch;
-    }
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -156,15 +136,17 @@ std::string to_json(const std::vector<RunRecord>& records) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     const RunRecord& r = records[i];
     if (i > 0) out << ',';
-    out << "{\"scenario\":" << r.scenario_index << ",\"cluster\":"
-        << quoted(to_string(r.cluster)) << ",\"mapper\":" << quoted(r.mapper)
+    out << "{\"scenario\":" << r.scenario_index
+        << ",\"cluster\":" << io::json_string(to_string(r.cluster))
+        << ",\"mapper\":" << io::json_string(r.mapper)
         << ",\"rep\":" << r.repetition << ",\"ok\":"
-        << (r.ok ? "true" : "false") << ",\"objective\":" << num(r.objective)
-        << ",\"map_seconds\":" << num(r.stats.total_seconds)
+        << (r.ok ? "true" : "false")
+        << ",\"objective\":" << io::json_number(r.objective)
+        << ",\"map_seconds\":" << io::json_number(r.stats.total_seconds)
         << ",\"links_routed\":" << r.stats.links_routed
         << ",\"guests\":" << r.guests << ",\"virtual_links\":"
         << r.virtual_links << ",\"experiment_seconds\":"
-        << num(r.experiment_seconds) << '}';
+        << io::json_number(r.experiment_seconds) << '}';
   }
   out << ']';
   return out.str();

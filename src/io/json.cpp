@@ -4,29 +4,34 @@
 #include <sstream>
 
 namespace hmn::io {
-namespace {
 
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
+std::string json_string(std::string_view s) {
   std::string out = "\"";
   for (const char ch : s) {
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
-      default: out += ch;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
+          out += buf;
+        } else {
+          out += ch;
+        }
     }
   }
   out += '"';
   return out;
 }
 
-}  // namespace
+std::string json_number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
 
 std::string to_json(const model::PhysicalCluster& cluster) {
   std::ostringstream out;
@@ -38,9 +43,9 @@ std::string to_json(const model::PhysicalCluster& cluster) {
         << (cluster.is_host(n) ? "\"host\"" : "\"switch\"");
     if (cluster.is_host(n)) {
       const auto& cap = cluster.capacity(n);
-      out << ",\"proc_mips\":" << num(cap.proc_mips)
-          << ",\"mem_mb\":" << num(cap.mem_mb)
-          << ",\"stor_gb\":" << num(cap.stor_gb);
+      out << ",\"proc_mips\":" << json_number(cap.proc_mips)
+          << ",\"mem_mb\":" << json_number(cap.mem_mb)
+          << ",\"stor_gb\":" << json_number(cap.stor_gb);
     }
     out << '}';
   }
@@ -50,8 +55,8 @@ std::string to_json(const model::PhysicalCluster& cluster) {
     const auto ep = cluster.graph().endpoints(id);
     if (e > 0) out << ',';
     out << "{\"a\":" << ep.a.value() << ",\"b\":" << ep.b.value()
-        << ",\"bw_mbps\":" << num(cluster.link(id).bandwidth_mbps)
-        << ",\"lat_ms\":" << num(cluster.link(id).latency_ms) << '}';
+        << ",\"bw_mbps\":" << json_number(cluster.link(id).bandwidth_mbps)
+        << ",\"lat_ms\":" << json_number(cluster.link(id).latency_ms) << '}';
   }
   out << "]}";
   return out.str();
@@ -63,9 +68,9 @@ std::string to_json(const model::VirtualEnvironment& venv) {
   for (std::size_t g = 0; g < venv.guest_count(); ++g) {
     const auto& req = venv.guest(GuestId{static_cast<GuestId::underlying_type>(g)});
     if (g > 0) out << ',';
-    out << "{\"id\":" << g << ",\"vproc_mips\":" << num(req.proc_mips)
-        << ",\"vmem_mb\":" << num(req.mem_mb)
-        << ",\"vstor_gb\":" << num(req.stor_gb) << '}';
+    out << "{\"id\":" << g << ",\"vproc_mips\":" << json_number(req.proc_mips)
+        << ",\"vmem_mb\":" << json_number(req.mem_mb)
+        << ",\"vstor_gb\":" << json_number(req.stor_gb) << '}';
   }
   out << "],\"links\":[";
   for (std::size_t l = 0; l < venv.link_count(); ++l) {
@@ -73,8 +78,8 @@ std::string to_json(const model::VirtualEnvironment& venv) {
     const auto ep = venv.endpoints(id);
     if (l > 0) out << ',';
     out << "{\"src\":" << ep.src.value() << ",\"dst\":" << ep.dst.value()
-        << ",\"vbw_mbps\":" << num(venv.link(id).bandwidth_mbps)
-        << ",\"vlat_ms\":" << num(venv.link(id).max_latency_ms) << '}';
+        << ",\"vbw_mbps\":" << json_number(venv.link(id).bandwidth_mbps)
+        << ",\"vlat_ms\":" << json_number(venv.link(id).max_latency_ms) << '}';
   }
   out << "]}";
   return out.str();
@@ -104,12 +109,12 @@ std::string to_json(const core::Mapping& mapping) {
 std::string to_json(const core::MapOutcome& outcome) {
   std::ostringstream out;
   out << "{\"ok\":" << (outcome.ok() ? "true" : "false")
-      << ",\"error\":" << quoted(core::to_string(outcome.error))
-      << ",\"detail\":" << quoted(outcome.detail) << ",\"stats\":{"
-      << "\"hosting_s\":" << num(outcome.stats.hosting_seconds)
-      << ",\"migration_s\":" << num(outcome.stats.migration_seconds)
-      << ",\"networking_s\":" << num(outcome.stats.networking_seconds)
-      << ",\"total_s\":" << num(outcome.stats.total_seconds)
+      << ",\"error\":" << json_string(core::to_string(outcome.error))
+      << ",\"detail\":" << json_string(outcome.detail) << ",\"stats\":{"
+      << "\"hosting_s\":" << json_number(outcome.stats.hosting_seconds)
+      << ",\"migration_s\":" << json_number(outcome.stats.migration_seconds)
+      << ",\"networking_s\":" << json_number(outcome.stats.networking_seconds)
+      << ",\"total_s\":" << json_number(outcome.stats.total_seconds)
       << ",\"migrations\":" << outcome.stats.migrations
       << ",\"links_routed\":" << outcome.stats.links_routed
       << ",\"tries\":" << outcome.stats.tries << '}';

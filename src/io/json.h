@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "core/map_result.h"
 #include "core/mapping.h"
@@ -14,6 +15,12 @@
 #include "model/virtual_environment.h"
 
 namespace hmn::io {
+
+/// `s` as a JSON string literal (RFC 8259 §7): `"`, `\` and newline are
+/// written `\"`, `\\` and `\n`, every other byte below 0x20 `\u00XX`.
+[[nodiscard]] std::string json_string(std::string_view s);
+/// `v` printed with %.17g, which reads back as the same double.
+[[nodiscard]] std::string json_number(double v);
 
 [[nodiscard]] std::string to_json(const model::PhysicalCluster& cluster);
 [[nodiscard]] std::string to_json(const model::VirtualEnvironment& venv);

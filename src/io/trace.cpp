@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -10,20 +9,16 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "io/json.h"
 #include "io/json_parser.h"
 
 namespace hmn::io {
 namespace {
 
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 void write_range(std::ostringstream& out, const char* name,
                  const workload::Range& r) {
-  out << '"' << name << "\":[" << num(r.lo) << ',' << num(r.hi) << ']';
+  out << '"' << name << "\":[" << json_number(r.lo) << ','
+      << json_number(r.hi) << ']';
 }
 
 TraceParseError err(std::size_t line, std::string message) {
@@ -146,11 +141,11 @@ std::string write_trace(const workload::ChurnTrace& trace) {
   out << ',';
   write_range(out, "link_lat_ms", trace.profile.link_lat_ms);
   out << ",\"critical_link_fraction\":"
-      << num(trace.profile.critical_link_fraction);
+      << json_number(trace.profile.critical_link_fraction);
   out << "}}\n";
 
   for (const workload::TenantEvent& ev : trace.events) {
-    out << "{\"t\":" << num(ev.time) << ",\"ev\":\""
+    out << "{\"t\":" << json_number(ev.time) << ",\"ev\":\""
         << workload::to_string(ev.kind) << '"';
     if (ev.kind == workload::EventKind::kBlastFail ||
         ev.kind == workload::EventKind::kBlastRecover ||
@@ -177,8 +172,8 @@ std::string write_trace(const workload::ChurnTrace& trace) {
     switch (ev.kind) {
       case workload::EventKind::kArrive:
         out << ",\"guests\":" << ev.guest_count
-            << ",\"density\":" << num(ev.density) << ",\"seed\":\"" << ev.seed
-            << '"';
+            << ",\"density\":" << json_number(ev.density)
+            << ",\"seed\":\"" << ev.seed << '"';
         // v4 additions, written only when non-default so a tier-less,
         // replica-less trace stays byte-identical to its v3 body.
         if (ev.sla_tier != model::SlaTier::kStandard) {

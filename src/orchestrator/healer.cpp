@@ -305,6 +305,7 @@ std::vector<HealRecord> Healer::retry_parked(emulator::TenancyManager& mgr,
         /*reserve_headroom=*/spare_reserve);
     HealRecord r;
     r.key = entry.key;
+    r.tier = entry.tier();
     if (res.ok()) {
       live[entry.key] = *res.tenant;
       r.action = HealAction::kReadmitted;
@@ -349,143 +350,64 @@ std::vector<HealRecord> Healer::on_event(emulator::TenancyManager& mgr,
                                          LiveMap& live,
                                          const workload::TenantEvent& ev) {
   const model::PhysicalCluster& cluster = mgr.cluster();
-  switch (ev.kind) {
-    case workload::EventKind::kHostFail: {
-      if (ev.element >= cluster.node_count()) return {};
-      const NodeId node{ev.element};
-      mgr.set_node_down(node, true);
-      std::vector<std::uint32_t> impacted;
-      for (const auto& [key, id] : live) {
-        const emulator::Tenant* t = mgr.tenant(id);
-        if (t != nullptr &&
-            !core::mapping_avoids_node(cluster, t->mapping, node)) {
-          impacted.push_back(key);
-        }
-      }
-      return heal_all(mgr, live, std::move(impacted), ev.time);
-    }
-    case workload::EventKind::kLinkFail: {
-      if (ev.element >= cluster.link_count()) return {};
-      const EdgeId edge{ev.element};
-      mgr.set_link_down(edge, true);
-      std::vector<std::uint32_t> impacted;
-      for (const auto& [key, id] : live) {
-        const emulator::Tenant* t = mgr.tenant(id);
-        if (t != nullptr && !core::mapping_avoids_edge(t->mapping, edge)) {
-          impacted.push_back(key);
-        }
-      }
-      return heal_all(mgr, live, std::move(impacted), ev.time);
-    }
-    case workload::EventKind::kBlastFail: {
-      if (ev.element >= cluster.node_count()) return {};
-      // A correlated group is one transaction: every mask flips *before*
-      // any tenant is healed, or a repair mid-group would route around one
-      // corpse straight through the next; the per-event invariant audit
-      // then runs once for the whole group, not once per element.
-      mgr.set_node_down(NodeId{ev.element}, true);
-      for (const std::uint32_t h : ev.group_hosts) {
-        if (h < cluster.node_count()) mgr.set_node_down(NodeId{h}, true);
-      }
-      for (const std::uint32_t l : ev.group_links) {
-        if (l < cluster.link_count()) mgr.set_link_down(EdgeId{l}, true);
-      }
-      // Union impacted set: each tenant touched by *any* group member is
-      // repaired exactly once, against the full failure set.
-      std::vector<std::uint32_t> impacted;
-      for (const auto& [key, id] : live) {
-        const emulator::Tenant* t = mgr.tenant(id);
-        if (t == nullptr) continue;
-        bool hit =
-            !core::mapping_avoids_node(cluster, t->mapping, NodeId{ev.element});
-        for (std::size_t i = 0; !hit && i < ev.group_hosts.size(); ++i) {
-          if (ev.group_hosts[i] >= cluster.node_count()) continue;
-          hit = !core::mapping_avoids_node(cluster, t->mapping,
-                                           NodeId{ev.group_hosts[i]});
-        }
-        for (std::size_t i = 0; !hit && i < ev.group_links.size(); ++i) {
-          if (ev.group_links[i] >= cluster.link_count()) continue;
-          hit = !core::mapping_avoids_edge(t->mapping,
-                                           EdgeId{ev.group_links[i]});
-        }
-        if (hit) impacted.push_back(key);
-      }
-      return heal_all(mgr, live, std::move(impacted), ev.time);
-    }
-    case workload::EventKind::kPowerFail: {
-      // ev.element is the power-domain id, NOT a node id: only the group
-      // member lists carry the dead elements.  Same one-transaction rule
-      // as a blast: every mask flips before any tenant is healed.
-      for (const std::uint32_t h : ev.group_hosts) {
-        if (h < cluster.node_count()) mgr.set_node_down(NodeId{h}, true);
-      }
-      for (const std::uint32_t l : ev.group_links) {
-        if (l < cluster.link_count()) mgr.set_link_down(EdgeId{l}, true);
-      }
-      std::vector<std::uint32_t> impacted;
-      for (const auto& [key, id] : live) {
-        const emulator::Tenant* t = mgr.tenant(id);
-        if (t == nullptr) continue;
-        bool hit = false;
-        for (std::size_t i = 0; !hit && i < ev.group_hosts.size(); ++i) {
-          if (ev.group_hosts[i] >= cluster.node_count()) continue;
-          hit = !core::mapping_avoids_node(cluster, t->mapping,
-                                           NodeId{ev.group_hosts[i]});
-        }
-        for (std::size_t i = 0; !hit && i < ev.group_links.size(); ++i) {
-          if (ev.group_links[i] >= cluster.link_count()) continue;
-          hit = !core::mapping_avoids_edge(t->mapping,
-                                           EdgeId{ev.group_links[i]});
-        }
-        if (hit) impacted.push_back(key);
-      }
-      return heal_all(mgr, live, std::move(impacted), ev.time);
-    }
-    case workload::EventKind::kPowerRecover: {
-      for (const std::uint32_t h : ev.group_hosts) {
-        if (h < cluster.node_count()) mgr.set_node_down(NodeId{h}, false);
-      }
-      for (const std::uint32_t l : ev.group_links) {
-        if (l < cluster.link_count()) mgr.set_link_down(EdgeId{l}, false);
-      }
-      // One opportunistic pass for the whole restored domain.
-      return on_capacity_freed(mgr, live, ev.time);
-    }
-    case workload::EventKind::kBlastRecover: {
-      if (ev.element >= cluster.node_count()) return {};
-      mgr.set_node_down(NodeId{ev.element}, false);
-      for (const std::uint32_t h : ev.group_hosts) {
-        if (h < cluster.node_count()) mgr.set_node_down(NodeId{h}, false);
-      }
-      for (const std::uint32_t l : ev.group_links) {
-        if (l < cluster.link_count()) mgr.set_link_down(EdgeId{l}, false);
-      }
-      // One opportunistic pass for the whole restored subtree.
-      return on_capacity_freed(mgr, live, ev.time);
-    }
-    case workload::EventKind::kHostRecover: {
-      if (ev.element >= cluster.node_count()) return {};
-      mgr.set_node_down(NodeId{ev.element}, false);
-      return on_capacity_freed(mgr, live, ev.time);
-    }
-    case workload::EventKind::kLinkRecover: {
-      if (ev.element >= cluster.link_count()) return {};
-      mgr.set_link_down(EdgeId{ev.element}, false);
-      return on_capacity_freed(mgr, live, ev.time);
-    }
-    default:
-      return {};
+  // A host, link or blast event whose own element is out of range is
+  // ignored whole; a power event's element is a domain id, not a node.
+  const bool link_event = ev.kind == workload::EventKind::kLinkFail ||
+                          ev.kind == workload::EventKind::kLinkRecover;
+  const bool power_event = ev.kind == workload::EventKind::kPowerFail ||
+                           ev.kind == workload::EventKind::kPowerRecover;
+  if (!power_event && ev.element >= (link_event ? cluster.link_count()
+                                                : cluster.node_count())) {
+    return {};
   }
+  // Out-of-range group members are skipped.
+  const workload::EventElements elements = workload::event_elements(ev);
+  std::vector<NodeId> nodes;
+  std::vector<EdgeId> edges;
+  for (const std::uint32_t n : elements.nodes) {
+    if (n < cluster.node_count()) nodes.push_back(NodeId{n});
+  }
+  for (const std::uint32_t l : elements.links) {
+    if (l < cluster.link_count()) edges.push_back(EdgeId{l});
+  }
+  // A correlated group is one transaction: every mask flips *before* any
+  // tenant is healed, or a repair mid-group would route around one corpse
+  // straight through the next; the per-event invariant audit then runs
+  // once for the whole group, not once per element.
+  const bool down = !workload::is_recover_event(ev.kind);
+  for (const NodeId n : nodes) mgr.set_node_down(n, down);
+  for (const EdgeId e : edges) mgr.set_link_down(e, down);
+  // One opportunistic pass for everything a recovery restored.
+  if (!down) return on_capacity_freed(mgr, live, ev.time);
+
+  // Union impacted set: each tenant touched by *any* element is repaired
+  // exactly once, against the full failure set.
+  std::vector<std::uint32_t> impacted;
+  for (const auto& [key, id] : live) {
+    const emulator::Tenant* t = mgr.tenant(id);
+    if (t == nullptr) continue;
+    const auto touches_node = [&](NodeId n) {
+      return !core::mapping_avoids_node(cluster, t->mapping, n);
+    };
+    const auto touches_edge = [&](EdgeId e) {
+      return !core::mapping_avoids_edge(t->mapping, e);
+    };
+    if (std::any_of(nodes.begin(), nodes.end(), touches_node) ||
+        std::any_of(edges.begin(), edges.end(), touches_edge)) {
+      impacted.push_back(key);
+    }
+  }
+  return heal_all(mgr, live, std::move(impacted), ev.time);
 }
 
-std::optional<double> Healer::abandon_parked(std::uint32_t key, double now) {
+std::optional<ParkedTenant> Healer::abandon_parked(std::uint32_t key) {
   const auto it = std::find_if(
       parked_.begin(), parked_.end(),
       [key](const ParkedTenant& p) { return p.key == key; });
   if (it == parked_.end()) return std::nullopt;
-  const double outage = now - it->parked_at;
+  ParkedTenant parked = std::move(*it);
   parked_.erase(it);
-  return outage;
+  return parked;
 }
 
 std::vector<std::string> Healer::audit(const emulator::TenancyManager& mgr,

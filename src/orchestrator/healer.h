@@ -107,6 +107,7 @@ struct HealRecord {
   std::size_t links_rerouted = 0;
   std::size_t dark_links = 0;
   double outage = 0.0;  // kReadmitted/kDropped: event time spent parked
+  model::SlaTier tier = model::SlaTier::kStandard;  // kReadmitted/kDropped
   double latency_us = 0.0;
 };
 
@@ -129,11 +130,12 @@ class Healer {
   explicit Healer(HealerOptions opts = {}) : opts_(opts) {}
 
   /// Handles one failure/recovery event (is_failure_event(ev.kind) must
-  /// hold): flips the element's mask on `mgr`, then heals every impacted
-  /// tenant (failures) or opportunistically re-heals Degraded tenants and
-  /// retries the parked queue (recoveries).  Evicted tenants leave `live`;
-  /// re-admitted ones re-enter it.  Records are in deterministic
-  /// (ascending-key, queue-FIFO) order.
+  /// hold): flips the mask of every element workload::event_elements
+  /// names on `mgr`, then heals every impacted tenant (failures) or
+  /// opportunistically re-heals Degraded tenants and retries the parked
+  /// queue (recoveries).  Evicted tenants leave `live`; re-admitted ones
+  /// re-enter it.  Records are in deterministic (ascending-key,
+  /// queue-FIFO) order.
   std::vector<HealRecord> on_event(emulator::TenancyManager& mgr,
                                    LiveMap& live,
                                    const workload::TenantEvent& ev);
@@ -149,9 +151,9 @@ class Healer {
     deferred_.erase(key);
   }
 
-  /// A parked tenant departed before re-admission; returns its outage
-  /// (now - parked_at) when it was indeed parked.
-  std::optional<double> abandon_parked(std::uint32_t key, double now);
+  /// A parked tenant departed before re-admission; removes and returns its
+  /// parked entry when it was indeed parked.
+  std::optional<ParkedTenant> abandon_parked(std::uint32_t key);
 
   [[nodiscard]] bool is_degraded(std::uint32_t key) const {
     return degraded_.count(key) != 0;

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "core/objective.h"
@@ -39,6 +38,17 @@ std::string tenant_name(std::uint32_t key) {
   return "t" + std::to_string(key);
 }
 
+/// Writes the canonical form of one decision into `buf` and returns its
+/// length — the one format decision_signature() concatenates and the run
+/// fingerprint chain folds, so run_fingerprint() == fnv1a(signature).
+std::size_t format_decision(const EventDecision& d, char (&buf)[128]) {
+  const int n = std::snprintf(
+      buf, sizeof(buf), "%.17g|%d|%u|%d|%d|%016" PRIx64 ";", d.time,
+      static_cast<int>(d.kind), d.tenant, static_cast<int>(d.decision),
+      static_cast<int>(d.error), d.placement_hash);
+  return static_cast<std::size_t>(n);
+}
+
 }  // namespace
 
 double OrchestratorReport::acceptance_rate() const {
@@ -48,24 +58,29 @@ double OrchestratorReport::acceptance_rate() const {
 }
 
 double OrchestratorReport::mean_queue_wait() const {
-  return util::mean(queue_waits);
+  std::vector<double> waits;
+  for (const EventDecision& d : decisions) {
+    if (d.decision == Decision::kAdmittedFromQueue) {
+      waits.push_back(d.queue_wait);
+    }
+  }
+  return util::mean(waits);
 }
 
 double OrchestratorReport::latency_percentile_us(double p) const {
-  return util::percentile(decision_latencies_us, p);
+  std::vector<double> latencies;
+  latencies.reserve(decisions.size());
+  for (const EventDecision& d : decisions) latencies.push_back(d.latency_us);
+  return util::percentile(latencies, p);
 }
 
 std::string OrchestratorReport::decision_signature() const {
-  std::ostringstream out;
+  std::string out;
   char buf[128];
   for (const EventDecision& d : decisions) {
-    std::snprintf(buf, sizeof(buf), "%.17g|%d|%u|%d|%d|%016" PRIx64 ";",
-                  d.time, static_cast<int>(d.kind), d.tenant,
-                  static_cast<int>(d.decision), static_cast<int>(d.error),
-                  d.placement_hash);
-    out << buf;
+    out.append(buf, format_decision(d, buf));
   }
-  return out.str();
+  return out;
 }
 
 Orchestrator::Orchestrator(model::PhysicalCluster cluster,
@@ -88,47 +103,23 @@ Orchestrator::Orchestrator(model::PhysicalCluster cluster,
              opts.availability) {}
 
 void Orchestrator::observe_failure_event(const workload::TenantEvent& ev) {
-  switch (ev.kind) {
-    case workload::EventKind::kHostFail:
-      avail_.on_node_fail(ev.element, ev.time);
-      break;
-    case workload::EventKind::kHostRecover:
-      avail_.on_node_recover(ev.element, ev.time);
-      break;
-    case workload::EventKind::kLinkFail:
-      avail_.on_link_fail(ev.element, ev.time);
-      break;
-    case workload::EventKind::kLinkRecover:
-      avail_.on_link_recover(ev.element, ev.time);
-      break;
-    case workload::EventKind::kBlastFail:
-      avail_.on_node_fail(ev.element, ev.time);
-      for (const std::uint32_t h : ev.group_hosts) {
-        avail_.on_node_fail(h, ev.time);
-      }
-      for (const std::uint32_t l : ev.group_links) {
-        avail_.on_link_fail(l, ev.time);
-      }
-      break;
-    case workload::EventKind::kBlastRecover:
-      avail_.on_node_recover(ev.element, ev.time);
-      for (const std::uint32_t h : ev.group_hosts) {
-        avail_.on_node_recover(h, ev.time);
-      }
-      for (const std::uint32_t l : ev.group_links) {
-        avail_.on_link_recover(l, ev.time);
-      }
-      break;
-    case workload::EventKind::kPowerFail:
-      // ev.element is the power-domain id, not a node id — only the group
-      // member lists name real tracker elements.
-      avail_.on_group_fail(ev.group_hosts, ev.group_links, ev.time);
-      break;
-    case workload::EventKind::kPowerRecover:
-      avail_.on_group_recover(ev.group_hosts, ev.group_links, ev.time);
-      break;
-    default:
-      return;
+  // Every id the event names, nodes first; the tracker ignores
+  // out-of-range ids itself.
+  const workload::EventElements elements = workload::event_elements(ev);
+  const bool recover = workload::is_recover_event(ev.kind);
+  for (const std::uint32_t n : elements.nodes) {
+    if (recover) {
+      avail_.on_node_recover(n, ev.time);
+    } else {
+      avail_.on_node_fail(n, ev.time);
+    }
+  }
+  for (const std::uint32_t l : elements.links) {
+    if (recover) {
+      avail_.on_link_recover(l, ev.time);
+    } else {
+      avail_.on_link_fail(l, ev.time);
+    }
   }
   // Install the bias only once the tracker has history — before the first
   // failure nothing is set, so an aware failure-free run stays
@@ -145,19 +136,10 @@ std::uint64_t Orchestrator::placement_hash(emulator::TenantId id) const {
 }
 
 void Orchestrator::record(EventDecision decision) {
-  // Fold the decision into the running fingerprint chain using exactly the
-  // canonical per-decision string of decision_signature(), so
-  // run_fingerprint() == fnv1a(decision_signature()) at all times without
-  // retaining the vector across a checkpoint.
+  // The fingerprint chain survives a checkpoint; the vector does not.
   char buf[128];
-  const int n = std::snprintf(
-      buf, sizeof(buf), "%.17g|%d|%u|%d|%d|%016" PRIx64 ";", decision.time,
-      static_cast<int>(decision.kind), decision.tenant,
-      static_cast<int>(decision.decision), static_cast<int>(decision.error),
-      decision.placement_hash);
   run_fingerprint_ =
-      fnv1a_bytes(buf, static_cast<std::size_t>(n), run_fingerprint_);
-  report_.decision_latencies_us.push_back(decision.latency_us);
+      fnv1a_bytes(buf, format_decision(decision, buf), run_fingerprint_);
   report_.decisions.push_back(std::move(decision));
 }
 
@@ -235,7 +217,6 @@ void Orchestrator::drain_queue(double now) {
     d.latency_us = latencies[entry.key];
     d.placement_hash = placement_hash(live_.at(entry.key));
     ++report_.admitted_from_queue;
-    report_.queue_waits.push_back(d.queue_wait);
     record(d);
     emit_txn(TxnKind::kBackfillCommit, now, entry.key, d.placement_hash);
   }
@@ -266,11 +247,8 @@ void Orchestrator::drain_queue(double now) {
   }
 }
 
-void Orchestrator::add_lost(std::uint32_t key, double amount) {
+void Orchestrator::add_lost(model::SlaTier tier, double amount) {
   report_.tenant_minutes_lost += amount;
-  const auto it = tier_of_.find(key);
-  const model::SlaTier tier =
-      it == tier_of_.end() ? model::SlaTier::kStandard : it->second;
   switch (tier) {
     case model::SlaTier::kGold:
       report_.tenant_minutes_lost_gold += amount;
@@ -324,14 +302,14 @@ void Orchestrator::record_heals(const std::vector<HealRecord>& records,
         d.decision = Decision::kReadmitted;
         ++report_.readmitted;
         d.queue_wait = r.outage;
-        add_lost(r.key, r.outage);
+        add_lost(r.tier, r.outage);
         break;
       case HealAction::kDropped:
         d.decision = Decision::kHealDropped;
         ++report_.heal_dropped;
         d.queue_wait = r.outage;
         // The loss keeps accruing until the tenant's own DEPART event.
-        lost_since_[r.key] = now - r.outage;
+        lost_since_[r.key] = LostWindow{now - r.outage, r.tier};
         break;
       case HealAction::kReplicaDeferred:
         d.decision = Decision::kReplicaDeferred;
@@ -343,10 +321,6 @@ void Orchestrator::record_heals(const std::vector<HealRecord>& records,
         r.action != HealAction::kDropped) {
       d.placement_hash = placement_hash(lit->second);
     }
-    if (r.action == HealAction::kHealed || r.action == HealAction::kDegraded ||
-        r.action == HealAction::kRestored) {
-      report_.heal_latencies_us.push_back(r.latency_us);
-    }
     record(d);
     emit_txn(TxnKind::kHealAction, now, r.key,
              static_cast<std::uint64_t>(r.action) << 32 |
@@ -355,7 +329,6 @@ void Orchestrator::record_heals(const std::vector<HealRecord>& records,
 }
 
 void Orchestrator::run_audit(double now) {
-  if (!opts_.audit_invariants) return;
   for (std::string& v : healer_.audit(mgr_, live_)) {
     report_.invariant_violations.push_back(std::to_string(now) + ": " +
                                            std::move(v));
@@ -376,7 +349,6 @@ EventDecision Orchestrator::handle(const workload::TenantEvent& ev) {
   switch (ev.kind) {
     case workload::EventKind::kArrive: {
       ++report_.arrivals;
-      tier_of_[ev.tenant] = ev.sla_tier;
       model::VirtualEnvironment venv = workload::make_event_venv(profile_, ev);
       const auto result =
           mgr_.admit(tenant_name(ev.tenant), venv, ev.seed);
@@ -449,16 +421,16 @@ EventDecision Orchestrator::handle(const workload::TenantEvent& ev) {
         d.queue_wait = ev.time - entry->enqueued_at;
         ++report_.abandoned;
         emit_txn(TxnKind::kQueueAbandon, ev.time, ev.tenant, 0);
-      } else if (auto outage = healer_.abandon_parked(ev.tenant, ev.time)) {
+      } else if (auto parked = healer_.abandon_parked(ev.tenant)) {
         // Departed while evicted: the whole parked window is lost time.
         d.decision = Decision::kAbandoned;
-        d.queue_wait = *outage;
-        add_lost(ev.tenant, *outage);
+        d.queue_wait = ev.time - parked->parked_at;
+        add_lost(parked->tier(), d.queue_wait);
         ++report_.abandoned;
         emit_txn(TxnKind::kQueueAbandon, ev.time, ev.tenant, 1);
       } else if (const auto lost = lost_since_.find(ev.tenant);
                  lost != lost_since_.end()) {
-        add_lost(ev.tenant, ev.time - lost->second);
+        add_lost(lost->second.tier, ev.time - lost->second.since);
         lost_since_.erase(lost);
         d.decision = Decision::kNoOp;
       } else {
@@ -475,6 +447,8 @@ EventDecision Orchestrator::handle(const workload::TenantEvent& ev) {
     case workload::EventKind::kPowerFail:
     case workload::EventKind::kPowerRecover: {
       d.tenant = ev.element;  // the signature covers *which* element
+      recovered = workload::is_recover_event(ev.kind);
+      if (recovered) ++report_.recoveries;
       switch (ev.kind) {
         case workload::EventKind::kHostFail:
           d.decision = Decision::kHostFailed;
@@ -494,23 +468,15 @@ EventDecision Orchestrator::handle(const workload::TenantEvent& ev) {
           break;
         case workload::EventKind::kHostRecover:
           d.decision = Decision::kHostRecovered;
-          ++report_.recoveries;
-          recovered = true;
           break;
         case workload::EventKind::kBlastRecover:
           d.decision = Decision::kBlastRecovered;
-          ++report_.recoveries;
-          recovered = true;
           break;
         case workload::EventKind::kPowerRecover:
           d.decision = Decision::kPowerRecovered;
-          ++report_.recoveries;
-          recovered = true;
           break;
         default:
           d.decision = Decision::kLinkRecovered;
-          ++report_.recoveries;
-          recovered = true;
           break;
       }
       observe_failure_event(ev);
@@ -556,19 +522,10 @@ Orchestrator::State Orchestrator::export_state() const {
   state.live = live_;
   state.degraded_since = degraded_since_;
   state.lost_since = lost_since_;
-  state.tier_of = tier_of_;
   state.departures = departures_;
   state.events_handled = event_index_;
   state.run_fingerprint = run_fingerprint_;
-  state.report = report_;
-  // Scalars only: the longitudinal vectors would make checkpoint size (and
-  // with it recovery time) grow with run length.
-  state.report.decisions.clear();
-  state.report.timeline.clear();
-  state.report.invariant_violations.clear();
-  state.report.queue_waits.clear();
-  state.report.decision_latencies_us.clear();
-  state.report.heal_latencies_us.clear();
+  state.report = static_cast<const ReportCounters&>(report_);
   return state;
 }
 
@@ -580,11 +537,11 @@ void Orchestrator::restore_state(State state) {
   live_ = std::move(state.live);
   degraded_since_ = std::move(state.degraded_since);
   lost_since_ = std::move(state.lost_since);
-  tier_of_ = std::move(state.tier_of);
   departures_ = state.departures;
   event_index_ = state.events_handled;
   run_fingerprint_ = state.run_fingerprint;
-  report_ = std::move(state.report);
+  report_ = {};
+  static_cast<ReportCounters&>(report_) = state.report;
 }
 
 }  // namespace hmn::orchestrator

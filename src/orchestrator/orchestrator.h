@@ -146,9 +146,8 @@ struct DefragSummary {
   double total_seconds = 0.0;  // wall clock spent defragmenting
 };
 
-struct OrchestratorReport {
-  std::vector<EventDecision> decisions;
-  std::vector<UtilizationSample> timeline;
+/// The report's scalar counters: everything a checkpoint carries of it.
+struct ReportCounters {
   DefragSummary defrag;
 
   std::size_t arrivals = 0;
@@ -186,17 +185,22 @@ struct OrchestratorReport {
   double tenant_minutes_lost_best_effort = 0.0;
   /// Event time tenants spent in the Degraded state.
   double degraded_minutes = 0.0;
+};
+
+struct OrchestratorReport : ReportCounters {
+  /// One record per decision — the only per-decision series; latencies,
+  /// queue waits and heal latencies are read from here.
+  std::vector<EventDecision> decisions;
+  std::vector<UtilizationSample> timeline;
   /// One message per invariant-auditor violation ("<time>: <what>");
   /// empty on a healthy run.
   std::vector<std::string> invariant_violations;
 
-  std::vector<double> queue_waits;            // of backfill admissions
-  std::vector<double> decision_latencies_us;  // one per decision
-  std::vector<double> heal_latencies_us;      // per in-place heal attempt
-
   /// Fraction of arrivals eventually admitted (immediately or backfilled).
   [[nodiscard]] double acceptance_rate() const;
+  /// Mean queue_wait of the kAdmittedFromQueue decisions.
   [[nodiscard]] double mean_queue_wait() const;
+  /// Percentile of every decision's latency_us.
   [[nodiscard]] double latency_percentile_us(double p) const;
 
   /// Canonical string over (time, kind, tenant, decision, error,
@@ -204,6 +208,13 @@ struct OrchestratorReport {
   /// workload identically iff their signatures match.  Latencies are
   /// deliberately excluded.
   [[nodiscard]] std::string decision_signature() const;
+};
+
+/// A heal-dropped tenant's loss window: open from `since` until the
+/// tenant's own DEPART, and accrued to its SLA tier then.
+struct LostWindow {
+  double since = 0.0;
+  model::SlaTier tier = model::SlaTier::kStandard;
 };
 
 struct OrchestratorOptions {
@@ -223,10 +234,6 @@ struct OrchestratorOptions {
   QueuePolicy queue_policy = QueuePolicy::kFifo;
   /// Healing policy and backoff (see Healer).
   HealerOptions healer;
-  /// Run the independent invariant auditor after every event, appending
-  /// violations to the report.  Cheap on bench-scale clusters; disable
-  /// for large production sweeps.
-  bool audit_invariants = true;
 
   /// Availability-aware admission (ROADMAP: repair-aware admission).  When
   /// true, the orchestrator keeps a per-element EWMA AvailabilityTracker
@@ -344,12 +351,12 @@ class Orchestrator {
   }
 
   /// Checkpoint support (src/recovery): the orchestrator's complete
-  /// logical state as plain values.  The report travels with its scalar
-  /// counters only — the decision/timeline/latency vectors are
-  /// deliberately excluded (with them a checkpoint would grow with run
-  /// length and recovery time would stop being bounded by the journal
-  /// tail); a recovered report therefore carries post-recovery vectors
-  /// only, while run_fingerprint covers the full history.
+  /// logical state as plain values.  The report travels as its scalar
+  /// counters only — with the decision/timeline vectors a checkpoint
+  /// would grow with run length and recovery time would stop being
+  /// bounded by the journal tail; a recovered report therefore carries
+  /// post-recovery vectors only, while run_fingerprint covers the full
+  /// history.
   struct State {
     emulator::TenancyManager::State tenancy;
     Healer::State healer;
@@ -357,12 +364,11 @@ class Orchestrator {
     availability::AvailabilityTracker::Snapshot availability;
     std::map<std::uint32_t, emulator::TenantId> live;
     std::map<std::uint32_t, double> degraded_since;
-    std::map<std::uint32_t, double> lost_since;
-    std::map<std::uint32_t, model::SlaTier> tier_of;
+    std::map<std::uint32_t, LostWindow> lost_since;
     std::uint64_t departures = 0;
     std::uint64_t events_handled = 0;
     std::uint64_t run_fingerprint = kFingerprintSeed;
-    OrchestratorReport report;  // scalar counters only; vectors empty
+    ReportCounters report;
   };
   [[nodiscard]] State export_state() const;
   /// Restores into an orchestrator constructed with the same cluster,
@@ -382,8 +388,8 @@ class Orchestrator {
   void close_degraded_window(std::uint32_t key, double now);
   void run_audit(double now);
   [[nodiscard]] std::uint64_t placement_hash(emulator::TenantId id) const;
-  /// Accrues lost time to the total and to the tenant's tier bucket.
-  void add_lost(std::uint32_t key, double amount);
+  /// Accrues lost time to the total and to the tier's bucket.
+  void add_lost(model::SlaTier tier, double amount);
 
   emulator::TenancyManager mgr_;
   workload::GuestProfile profile_;
@@ -393,8 +399,7 @@ class Orchestrator {
   availability::AvailabilityTracker avail_;
   std::map<std::uint32_t, emulator::TenantId> live_;  // churn key -> tenant
   std::map<std::uint32_t, double> degraded_since_;    // key -> entry time
-  std::map<std::uint32_t, double> lost_since_;        // dropped key -> park time
-  std::map<std::uint32_t, model::SlaTier> tier_of_;   // key -> declared tier
+  std::map<std::uint32_t, LostWindow> lost_since_;    // heal-dropped key
   std::size_t departures_ = 0;
   std::uint64_t event_index_ = 0;
   std::uint64_t run_fingerprint_ = kFingerprintSeed;

@@ -333,9 +333,9 @@ std::vector<availability::ElementSnapshot> take_elements(io::BinReader& r,
   return v;
 }
 
-void put_report(std::string& out, const orchestrator::OrchestratorReport& rep) {
-  // Scalar counters only, fixed order; the longitudinal vectors and the
-  // wall-clock defrag.total_seconds stay out of the format by design.
+void put_report(std::string& out, const orchestrator::ReportCounters& rep) {
+  // Fixed order; the wall-clock defrag.total_seconds stays out of the
+  // format by design.
   for (const std::size_t c :
        {rep.arrivals, rep.admitted_immediately, rep.admitted_from_queue,
         rep.rejected, rep.dropped, rep.preempted, rep.abandoned, rep.growths,
@@ -358,8 +358,8 @@ void put_report(std::string& out, const orchestrator::OrchestratorReport& rep) {
   io::put_f64(out, rep.defrag.lbf_reduction);
 }
 
-orchestrator::OrchestratorReport take_report(io::BinReader& r) {
-  orchestrator::OrchestratorReport rep;
+orchestrator::ReportCounters take_report(io::BinReader& r) {
+  orchestrator::ReportCounters rep;
   for (std::size_t* c :
        {&rep.arrivals, &rep.admitted_immediately, &rep.admitted_from_queue,
         &rep.rejected, &rep.dropped, &rep.preempted, &rep.abandoned,
@@ -406,14 +406,10 @@ std::string encode_state(const Orchestrator::State& state) {
     io::put_f64(out, t);
   }
   io::put_u64(out, state.lost_since.size());
-  for (const auto& [key, t] : state.lost_since) {
+  for (const auto& [key, window] : state.lost_since) {
     io::put_u32(out, key);
-    io::put_f64(out, t);
-  }
-  io::put_u64(out, state.tier_of.size());
-  for (const auto& [key, tier] : state.tier_of) {
-    io::put_u32(out, key);
-    io::put_u8(out, static_cast<std::uint8_t>(tier));
+    io::put_f64(out, window.since);
+    io::put_u8(out, static_cast<std::uint8_t>(window.tier));
   }
   io::put_u64(out, state.departures);
   io::put_u64(out, state.events_handled);
@@ -450,16 +446,13 @@ Orchestrator::State decode_state(std::string_view payload) {
   const std::uint64_t lost = need(r.take_u64(), r, "lost_since.count");
   for (std::uint64_t i = 0; i < lost; ++i) {
     const std::uint32_t key = need(r.take_u32(), r, "lost_since.key");
-    state.lost_since[key] = need(r.take_f64(), r, "lost_since.time");
-  }
-  const std::uint64_t tiers = need(r.take_u64(), r, "tier_of.count");
-  for (std::uint64_t i = 0; i < tiers; ++i) {
-    const std::uint32_t key = need(r.take_u32(), r, "tier_of.key");
-    const std::uint8_t tier = need(r.take_u8(), r, "tier_of.tier");
+    orchestrator::LostWindow& window = state.lost_since[key];
+    window.since = need(r.take_f64(), r, "lost_since.time");
+    const std::uint8_t tier = need(r.take_u8(), r, "lost_since.tier");
     if (tier > static_cast<std::uint8_t>(model::SlaTier::kBestEffort)) {
-      fail(r, "tier_of value out of range");
+      fail(r, "lost_since tier out of range");
     }
-    state.tier_of[key] = static_cast<model::SlaTier>(tier);
+    window.tier = static_cast<model::SlaTier>(tier);
   }
   state.departures = need(r.take_u64(), r, "departures");
   state.events_handled = need(r.take_u64(), r, "events_handled");

@@ -8,11 +8,11 @@
 // restored orchestrator is *bit*-equal to the one that exported it (the
 // byte-identical-fingerprint recovery gate depends on exactly this).
 //
-// The longitudinal report vectors (decisions, timeline, latencies) are
-// deliberately not part of the format: with them a checkpoint would grow
-// with run length, and recovery time would stop being bounded by the
-// journal tail.  DefragSummary::total_seconds is also excluded — it is
-// wall clock, the one thing replay is allowed to change.
+// Orchestrator::State holds the report's scalar counters only, never its
+// per-decision vectors, and no entry outlives its tenant, so a checkpoint
+// grows with live state, not with run length, and recovery time stays
+// bounded by the journal tail.  DefragSummary::total_seconds is excluded —
+// it is wall clock, the one thing replay is allowed to change.
 //
 // Versioned: the payload leads with kCheckpointVersion and decode rejects
 // anything else loudly (a crash must never be "recovered" through a codec
@@ -26,7 +26,7 @@
 
 namespace hmn::recovery {
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Serializes a state export.  Total size is O(committed state), never
 /// O(run length).

@@ -117,21 +117,6 @@ JournalRecord decode_record(std::string_view payload, std::size_t index) {
   return rec;
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 }  // namespace
 
 void JournalWriter::append(std::string_view payload) {

@@ -52,6 +52,35 @@ int kind_rank(EventKind k) {
 
 }  // namespace
 
+EventElements event_elements(const TenantEvent& ev) {
+  EventElements out;
+  switch (ev.kind) {
+    case EventKind::kHostFail:
+    case EventKind::kHostRecover:
+      out.nodes.push_back(ev.element);
+      break;
+    case EventKind::kLinkFail:
+    case EventKind::kLinkRecover:
+      out.links.push_back(ev.element);
+      break;
+    case EventKind::kBlastFail:
+    case EventKind::kBlastRecover:
+      out.nodes.push_back(ev.element);
+      [[fallthrough]];
+    case EventKind::kPowerFail:
+    case EventKind::kPowerRecover:
+      out.nodes.insert(out.nodes.end(), ev.group_hosts.begin(),
+                       ev.group_hosts.end());
+      out.links = ev.group_links;
+      break;
+    case EventKind::kArrive:
+    case EventKind::kGrow:
+    case EventKind::kDepart:
+      break;
+  }
+  return out;
+}
+
 bool event_before(const TenantEvent& a, const TenantEvent& b) {
   if (a.time != b.time) return a.time < b.time;
   if (a.tenant != b.tenant) return a.tenant < b.tenant;

@@ -120,6 +120,19 @@ struct TenantEvent {
   friend bool operator==(const TenantEvent&, const TenantEvent&) = default;
 };
 
+/// The substrate elements a failure or recovery event takes down or brings
+/// back, in the order the event names them.
+struct EventElements {
+  std::vector<std::uint32_t> nodes;
+  std::vector<std::uint32_t> links;
+};
+
+/// A host or link event names its one `element`; a blast names its switch
+/// `element`, then group_hosts and group_links; a power event names only
+/// its groups, because its `element` is a power-domain id.  Ids are not
+/// range-checked.  Tenant events name nothing.
+[[nodiscard]] EventElements event_elements(const TenantEvent& ev);
+
 /// Canonical event order: time, then tenant key, then a fixed kind rank
 /// (ARRIVE < GROW < DEPART, recoveries before failures), then the failed
 /// element.  Shared by the churn generator and merge_events so that any

@@ -76,6 +76,27 @@ TEST(JsonRoundTrip, SessionTimelineParses) {
   EXPECT_EQ(root.as_array()[2].find("phase")->as_string(), "run");
 }
 
+TEST(JsonRoundTrip, ControlCharactersAreEscaped) {
+  // RFC 8259 §7: no byte below 0x20 may appear raw inside a string.
+  const std::string tricky = "a\tb\x01-c\nd";
+  const std::vector<emulator::PhaseRecord> timeline{
+      {"map", 0.5, 0.0, tricky}};
+  const core::MapOutcome outcome =
+      core::MapOutcome::failure(core::MapErrorCode::kInvalidInput, tricky);
+
+  for (const std::string& json :
+       {emulator::to_json(timeline), io::to_json(outcome)}) {
+    for (const char ch : json) {
+      EXPECT_GE(static_cast<unsigned char>(ch), 0x20) << json;
+    }
+    const JsonValue root = parse_json_or_throw(json);
+    const JsonValue& record = root.is_array() ? root.as_array()[0] : root;
+    const JsonValue* text = record.find(root.is_array() ? "note" : "detail");
+    ASSERT_NE(text, nullptr);
+    EXPECT_EQ(text->as_string(), tricky);
+  }
+}
+
 TEST(JsonRoundTrip, ClusterVenvMappingTripleConsistent) {
   // The full artifact set a tool exchange consists of: parse all three and
   // cross-check the shape relationships.

@@ -280,10 +280,10 @@ TEST(HealerTest, AbandonParkedReturnsOutage) {
       mgr, live, element_event(EventKind::kHostFail, 1.0, victim.value()));
   ASSERT_EQ(healer.parked_count(), 1u);
 
-  EXPECT_FALSE(healer.abandon_parked(99, 5.0).has_value());
-  const auto outage = healer.abandon_parked(2, 5.0);
-  ASSERT_TRUE(outage.has_value());
-  EXPECT_DOUBLE_EQ(*outage, 4.0);
+  EXPECT_FALSE(healer.abandon_parked(99).has_value());
+  const auto parked = healer.abandon_parked(2);
+  ASSERT_TRUE(parked.has_value());
+  EXPECT_DOUBLE_EQ(5.0 - parked->parked_at, 4.0);
   EXPECT_EQ(healer.parked_count(), 0u);
 }
 
@@ -314,6 +314,24 @@ TEST(HealerTest, OutOfRangeElementIsIgnored) {
       healer.on_event(mgr, live, element_event(EventKind::kLinkFail, 1.0, 99))
           .empty());
   EXPECT_FALSE(mgr.has_failed_elements());
+
+  // A blast whose own switch id is out of range is ignored whole, even
+  // though every group member is valid.
+  TenantEvent blast = element_event(EventKind::kBlastFail, 1.0, 99);
+  blast.group_hosts = {0, 1};
+  blast.group_links = {0};
+  EXPECT_TRUE(healer.on_event(mgr, live, blast).empty());
+  EXPECT_FALSE(mgr.has_failed_elements());
+
+  // A power event's element is a domain id: its out-of-range group member
+  // is skipped and the valid one still goes down.
+  TenantEvent power = element_event(EventKind::kPowerFail, 1.0, 7);
+  power.group_hosts = {1, 99};
+  EXPECT_TRUE(healer.on_event(mgr, live, power).empty());
+  EXPECT_TRUE(mgr.is_node_down(NodeId{1}));
+  EXPECT_FALSE(mgr.is_node_down(NodeId{0}));
+  EXPECT_EQ(mgr.failed_elements().nodes.size(), 1u);
+  EXPECT_TRUE(mgr.failed_elements().links.empty());
 }
 
 /// Churn + failures on the paper's switched cluster.
