@@ -254,6 +254,38 @@ TEST(Repair, UnroutableLinkGoesDarkOnlyWhenAllowed) {
   EXPECT_TRUE(core::validate_mapping(cluster, venv, *rerouted.mapping).ok());
 }
 
+TEST(Repair, ZeroBandwidthLinkNeverCrossesDeadEdge) {
+  // A 0-Mbps virtual link (the default demand) passes the bandwidth test
+  // on every edge, including a dead one whose residual reads as zero; only
+  // the dead edge's infinite latency keeps the search off it.
+  const auto cluster = line_cluster(2);
+  model::VirtualEnvironment venv;
+  const GuestId a = venv.add_guest({10, 100, 100});
+  const GuestId b = venv.add_guest({10, 100, 100});
+  venv.add_link(a, b, {0.0, 60.0});
+  core::Mapping m;
+  m.guest_host = {n(0), n(1)};
+  m.link_paths = {{EdgeId{0}}};
+  ASSERT_TRUE(core::validate_mapping(cluster, venv, m).ok());
+
+  core::RepairOptions lenient;
+  lenient.failed.links = {EdgeId{0}};
+  lenient.allow_dark_links = true;
+  RepairStats stats;
+  const auto out = repair_mapping(cluster, venv, m, lenient, &stats);
+  ASSERT_TRUE(out.ok()) << out.detail;
+  ASSERT_EQ(stats.dark_links.size(), 1u);
+  EXPECT_EQ(stats.dark_links[0], vl(0));
+  EXPECT_TRUE(out.mapping->link_paths[0].empty());
+  EXPECT_TRUE(core::mapping_avoids_edge(*out.mapping, EdgeId{0}));
+
+  core::RepairOptions strict = lenient;
+  strict.allow_dark_links = false;
+  const auto refused = repair_mapping(cluster, venv, m, strict);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error, core::MapErrorCode::kNetworkingFailed);
+}
+
 TEST(Repair, CriticalLinkNeverGoesDark) {
   // Same stranding as above, but the virtual link carries the critical
   // SLA flag: allow_dark_links must NOT excuse it — the repair fails and

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "core/hmn_mapper.h"
+#include "core/incremental.h"
+#include "core/repair.h"
 #include "extensions/replica_spread.h"
 #include "io/trace.h"
 #include "orchestrator/orchestrator.h"
@@ -337,6 +339,127 @@ TEST(PinnedDecisions, ShardedMultilevelRouterSignature) {
   }
   EXPECT_GT(router.tenant_count(), 0u);
   EXPECT_EQ(fnv1a(router.decision_signature()), 0xe5aed5371f2194ddULL);
+}
+
+// The growth and repair values below were captured from the code as it
+// stood before extend_mapping and repair_mapping moved onto the Networking
+// stage's link router and the Hosting stage's single-guest rule.  Like the
+// values above, they hold for x86-64 builds without -ffast-math.
+
+/// What ExtendAndRepairMappings folds per cluster, plus counts that prove
+/// the battery reached the paths it pins.
+struct GrowthRepairDigest {
+  std::uint64_t hash = hmn::orchestrator::kFingerprintSeed;
+  std::size_t growths_ok = 0;
+  std::size_t repairs_ok = 0;
+  std::size_t repairs_refused = 0;
+  std::size_t dark_links = 0;
+
+  void mix(std::uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ULL;
+  }
+};
+
+/// Growth and repair over one paper cluster: HMN base mappings of the
+/// high-level scenarios at ratios 2.5, 5 and 10 (density 0.02), each
+/// extended by five seeded 10-guest growths, repaired after every
+/// single-host failure, and repaired after 30 seeded failure sets with
+/// allow_dark_links alternating.  A third of the sets kill a node, a third
+/// cut every link of a node (its guests stay, their links lose the
+/// fabric), and every set kills up to six random links.
+GrowthRepairDigest growth_repair_digest(hmn::workload::ClusterKind kind) {
+  namespace core = hmn::core;
+  const auto cluster = hmn::workload::make_paper_cluster(kind, 1);
+  const hmn::graph::Graph& g = cluster.graph();
+  auto random_node = [&](hmn::util::Rng& rng) {
+    return hmn::NodeId{static_cast<hmn::NodeId::underlying_type>(
+        rng.index(cluster.node_count()))};
+  };
+  GrowthRepairDigest d;
+  const double ratios[] = {2.5, 5.0, 10.0};
+  for (std::uint64_t r = 0; r < 3; ++r) {
+    hmn::workload::Scenario scenario;
+    scenario.ratio = ratios[r];
+    scenario.density = 0.02;
+    scenario.workload = hmn::workload::WorkloadKind::kHighLevel;
+    const auto venv = hmn::workload::make_scenario_venv(scenario, cluster, 2);
+    const auto base = core::HmnMapper().map(cluster, venv, 1);
+    EXPECT_TRUE(base.ok()) << base.detail;
+    if (!base.ok()) continue;
+    auto fold = [&](const core::MapOutcome& out) {
+      d.mix(out.ok() ? core::fingerprint(*out.mapping)
+                     : static_cast<std::uint64_t>(out.error));
+    };
+
+    for (std::uint64_t s = 0; s < 5; ++s) {
+      hmn::workload::TenantEvent grow;
+      grow.kind = hmn::workload::EventKind::kGrow;
+      grow.add_guests = 10;
+      grow.add_links = 5;
+      grow.seed = hmn::util::derive_seed(21, r, s);
+      const auto grown = hmn::workload::apply_growth(
+          venv, hmn::workload::high_level_profile(), grow);
+      const auto out = core::extend_mapping(cluster, grown, *base.mapping);
+      fold(out);
+      if (out.ok()) ++d.growths_ok;
+    }
+
+    for (const hmn::NodeId host : cluster.hosts()) {
+      core::RepairStats stats;
+      const auto out =
+          core::repair_mapping(cluster, venv, *base.mapping, host, &stats);
+      fold(out);
+      d.mix(stats.guests_moved);
+      d.mix(stats.links_rerouted);
+      if (out.ok()) ++d.repairs_ok;
+    }
+
+    hmn::util::Rng rng(hmn::util::derive_seed(22, r));
+    for (std::size_t i = 0; i < 30; ++i) {
+      core::RepairOptions opts;
+      opts.allow_dark_links = i % 2 == 1;
+      if (i % 3 == 0) opts.failed.nodes.push_back(random_node(rng));
+      if (i % 3 == 1) {
+        for (const hmn::graph::Adjacency& adj : g.neighbors(random_node(rng))) {
+          opts.failed.links.push_back(adj.edge);
+        }
+      }
+      const std::size_t links = rng.index(7);
+      for (std::size_t k = 0; k < links; ++k) {
+        opts.failed.links.push_back(
+            hmn::EdgeId{static_cast<hmn::EdgeId::underlying_type>(
+                rng.index(cluster.link_count()))});
+      }
+      core::RepairStats stats;
+      const auto out =
+          core::repair_mapping(cluster, venv, *base.mapping, opts, &stats);
+      fold(out);
+      for (const hmn::VirtLinkId l : stats.dark_links) d.mix(l.value());
+      if (out.ok()) {
+        ++d.repairs_ok;
+        d.dark_links += stats.dark_links.size();
+      } else {
+        ++d.repairs_refused;
+      }
+    }
+  }
+  return d;
+}
+
+TEST(PinnedDecisions, ExtendAndRepairMappings) {
+  const GrowthRepairDigest torus =
+      growth_repair_digest(hmn::workload::ClusterKind::kTorus2D);
+  const GrowthRepairDigest switched =
+      growth_repair_digest(hmn::workload::ClusterKind::kSwitched);
+  for (const GrowthRepairDigest* d : {&torus, &switched}) {
+    EXPECT_GT(d->growths_ok, 0u);
+    EXPECT_GT(d->repairs_ok, 0u);
+    EXPECT_GT(d->repairs_refused, 0u);
+    EXPECT_GT(d->dark_links, 0u);
+  }
+  EXPECT_EQ(torus.hash, 0x900dbd5bcc4b55ccULL);
+  EXPECT_EQ(switched.hash, 0x6747903f5a13e89fULL);
 }
 
 }  // namespace
