@@ -78,6 +78,39 @@ std::vector<VirtLinkId> ordered_links(const model::VirtualEnvironment& venv,
   return links;
 }
 
+PlacedNeighbor heaviest_placed_neighbor(const model::VirtualEnvironment& venv,
+                                        const std::vector<NodeId>& guest_host,
+                                        GuestId guest) {
+  PlacedNeighbor best;
+  for (const VirtLinkId l : venv.links_of(guest)) {
+    const GuestId other = venv.endpoints(l).other(guest);
+    if (other == guest || !guest_host[other.index()].valid()) continue;
+    if (venv.link(l).bandwidth_mbps > best.bandwidth_mbps) {
+      best.bandwidth_mbps = venv.link(l).bandwidth_mbps;
+      best.host = guest_host[other.index()];
+    }
+  }
+  return best;
+}
+
+NodeId affinity_host(const model::VirtualEnvironment& venv,
+                     const ResidualState& state,
+                     const std::vector<NodeId>& guest_host, GuestId guest,
+                     const std::vector<bool>* down) {
+  const model::GuestRequirements& req = venv.guest(guest);
+  auto up = [&](NodeId h) { return down == nullptr || !(*down)[h.index()]; };
+  const NodeId peer = heaviest_placed_neighbor(venv, guest_host, guest).host;
+  if (peer.valid() && up(peer) && state.fits(req, peer)) return peer;
+  NodeId best = NodeId::invalid();
+  for (const NodeId h : state.cluster().hosts()) {
+    if (!up(h) || !state.fits(req, h)) continue;
+    if (!best.valid() || state.residual_proc(h) > state.residual_proc(best)) {
+      best = h;
+    }
+  }
+  return best;
+}
+
 HostingResult run_hosting(const model::VirtualEnvironment& venv,
                           ResidualState& state, const HostingOptions& opts) {
   HostingResult result;

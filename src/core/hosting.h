@@ -63,6 +63,30 @@ struct HostingResult {
                                         ResidualState& state,
                                         const HostingOptions& opts = {});
 
+/// The heaviest-bandwidth virtual link from `guest` to an already placed
+/// guest (one with a valid `guest_host` entry): its bandwidth and the
+/// neighbour's host.  The first such link in venv.links_of order wins ties;
+/// {-1, invalid} when no neighbour is placed.
+struct PlacedNeighbor {
+  double bandwidth_mbps = -1.0;
+  NodeId host = NodeId::invalid();
+};
+[[nodiscard]] PlacedNeighbor heaviest_placed_neighbor(
+    const model::VirtualEnvironment& venv,
+    const std::vector<NodeId>& guest_host, GuestId guest);
+
+/// The Hosting stage's affinity rule for one guest placed alone next to an
+/// existing placement (mapping growth and repair): the host of its
+/// heaviest-bandwidth placed neighbour when that host is up and fits;
+/// otherwise the up host with the most residual CPU that fits, first in
+/// cluster.hosts() order on ties.  `down`, when non-null, is indexed by
+/// NodeId and flags dead nodes.  Returns invalid() when no up host fits.
+[[nodiscard]] NodeId affinity_host(const model::VirtualEnvironment& venv,
+                                   const ResidualState& state,
+                                   const std::vector<NodeId>& guest_host,
+                                   GuestId guest,
+                                   const std::vector<bool>* down = nullptr);
+
 /// The link processing order used by Hosting/Networking for the given
 /// policy (exposed for tests and for the Networking stage to share).
 [[nodiscard]] std::vector<VirtLinkId> ordered_links(

@@ -9,11 +9,12 @@
 // an existing valid mapping:
 //
 //   * existing guests keep their hosts, existing links keep their paths;
-//   * new guests are placed with the Hosting stage's affinity rule
-//     (co-locate with the heaviest-bandwidth already-placed neighbor when
-//     possible, else the most-available-CPU host that fits);
-//   * new links are routed with the Networking stage over residual
-//     bandwidth.
+//   * new guests are placed with the Hosting stage's single-guest
+//     affinity rule (core::affinity_host: co-locate with the
+//     heaviest-bandwidth already-placed neighbor when possible, else the
+//     most-available-CPU host that fits);
+//   * new links are routed with the Networking stage's link router
+//     (core::LinkRouter) over residual bandwidth.
 //
 // This is the library's own extension of the paper (its "fully-automated
 // emulator" project would need exactly this step); it reuses the paper's

@@ -10,6 +10,7 @@
 #include "graph/graph.h"
 #include "model/physical_cluster.h"
 #include "model/virtual_environment.h"
+#include "util/fnv1a.h"
 
 namespace hmn::core {
 
@@ -68,15 +69,11 @@ struct Mapping {
 /// fingerprints match — the determinism gates (bench_multilevel, the
 /// regression harness) compare these across repeated runs.
 [[nodiscard]] inline std::uint64_t fingerprint(const Mapping& m) {
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  for (const NodeId host : m.guest_host) mix(host.value());
+  std::uint64_t h = util::kFnv1aBasis;
+  for (const NodeId host : m.guest_host) h = util::fnv1a_mix(h, host.value());
   for (const graph::Path& path : m.link_paths) {
-    mix(path.size());
-    for (const EdgeId e : path) mix(e.value());
+    h = util::fnv1a_mix(h, path.size());
+    for (const EdgeId e : path) h = util::fnv1a_mix(h, e.value());
   }
   return h;
 }

@@ -2,12 +2,55 @@
 
 #include <limits>
 
-#include "graph/astar_prune.h"
 #include "graph/dfs_path.h"
-#include "graph/dijkstra.h"
 #include "util/rng.h"
 
 namespace hmn::core {
+
+LinkRouter::LinkRouter(const ResidualState& state,
+                       const std::vector<bool>* dead_edges)
+    : state_(&state),
+      dead_edges_(dead_edges),
+      ar_cache_(state.cluster().graph().node_count()) {}
+
+double LinkRouter::residual_bw(EdgeId e) const {
+  return dead(e) ? 0.0 : state_->residual_bw(e);
+}
+
+double LinkRouter::latency(EdgeId e) const {
+  return dead(e) ? std::numeric_limits<double>::infinity()
+                 : state_->cluster().link(e).latency_ms;
+}
+
+const std::vector<double>& LinkRouter::lat_to_dest(NodeId dest) {
+  // Physical latencies (and the dead-edge mask) never change during the
+  // router's life, so the Dijkstra latency-to-destination arrays
+  // (Algorithm 1's ar[]) are computed once per distinct destination host
+  // and reused across virtual links.  The cache is a flat vector indexed by
+  // destination node id (an empty slot means "not computed yet"):
+  // destination lookup is the innermost per-virtual-link operation, and
+  // hashing NodeIds dominated the stage on large fabrics.  One Dijkstra
+  // result/heap scratch is shared by every run so the per-link allocation
+  // churn disappears.
+  std::vector<double>& slot = ar_cache_[dest.index()];
+  if (slot.empty()) {
+    graph::dijkstra_into(
+        state_->cluster().graph(), dest,
+        [this](EdgeId e) { return latency(e); }, sp_scratch_, heap_scratch_);
+    slot = sp_scratch_.dist;
+  }
+  return slot;
+}
+
+std::optional<graph::ConstrainedPath> LinkRouter::route(
+    NodeId src, NodeId dst, const model::VirtualLinkDemand& demand) {
+  graph::AStarPruneOptions ap;
+  ap.lat_to_dest = &lat_to_dest(dst);
+  return graph::astar_prune_bottleneck(
+      state_->cluster().graph(), src, dst, demand.bandwidth_mbps,
+      demand.max_latency_ms, [this](EdgeId e) { return residual_bw(e); },
+      [this](EdgeId e) { return latency(e); }, ap);
+}
 
 NetworkingResult run_networking(const model::VirtualEnvironment& venv,
                                 ResidualState& state,
@@ -21,26 +64,9 @@ NetworkingResult run_networking(const model::VirtualEnvironment& venv,
   auto residual_bw = [&](EdgeId e) { return state.residual_bw(e); };
   auto latency = [&](EdgeId e) { return cluster.link(e).latency_ms; };
 
-  // Physical latencies never change during the stage, so the Dijkstra
-  // latency-to-destination arrays (Algorithm 1's ar[]) are computed once
-  // per distinct destination host and reused across virtual links.  The
-  // cache is a flat vector indexed by destination node id (an empty slot
-  // means "not computed yet"): destination lookup is the innermost
-  // per-virtual-link operation, and hashing NodeIds dominated the stage on
-  // large fabrics.  One Dijkstra result/heap scratch is shared by every run
-  // in the stage so the per-link allocation churn disappears.
-  std::vector<std::vector<double>> ar_cache(g.node_count());
-  graph::ShortestPaths sp_scratch;
+  LinkRouter router(state);
+  graph::ShortestPaths sp_scratch;  // kMinLatency's Dijkstra, reused per link
   graph::DijkstraScratch heap_scratch;
-  auto ar_for = [&](NodeId dest) -> const std::vector<double>& {
-    std::vector<double>& slot = ar_cache[dest.index()];
-    if (slot.empty()) {
-      graph::dijkstra_into(g, dest, latency, sp_scratch, heap_scratch);
-      slot = sp_scratch.dist;
-    }
-    return slot;
-  };
-
   util::Rng dfs_rng(opts.shuffle_seed);
 
   for (const VirtLinkId l :
@@ -53,14 +79,9 @@ NetworkingResult run_networking(const model::VirtualEnvironment& venv,
     const model::VirtualLinkDemand& demand = venv.link(l);
     std::optional<graph::ConstrainedPath> path;
     switch (opts.algorithm) {
-      case PathAlgorithm::kAStarPrune: {
-        graph::AStarPruneOptions ap;
-        ap.lat_to_dest = &ar_for(d);
-        path = graph::astar_prune_bottleneck(g, s, d, demand.bandwidth_mbps,
-                                             demand.max_latency_ms,
-                                             residual_bw, latency, ap);
+      case PathAlgorithm::kAStarPrune:
+        path = router.route(s, d, demand);
         break;
-      }
       case PathAlgorithm::kMinLatency: {
         // Dijkstra over edges with enough residual bandwidth; the result is
         // latency-optimal for this link but ignores bottleneck headroom.

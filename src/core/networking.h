@@ -11,11 +11,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/hosting.h"  // LinkOrder
 #include "core/residual.h"
+#include "graph/astar_prune.h"
+#include "graph/dijkstra.h"
 #include "graph/graph.h"
 #include "model/virtual_environment.h"
 
@@ -60,6 +63,46 @@ struct NetworkingResult {
   std::string detail;                   // failure explanation when !ok
   std::vector<graph::Path> link_paths;  // per virtual link, when ok
   std::size_t links_routed = 0;         // inter-host links actually routed
+};
+
+/// Algorithm 1's per-link step: routes one virtual link with the modified
+/// A*Prune over `state`, reading residual bandwidth live, so reservations
+/// made between calls constrain later links.  The Networking stage, mapping
+/// growth (extend_mapping) and repair (repair_mapping) all route through
+/// this one object.
+///
+/// `dead_edges`, when non-null, is indexed by EdgeId: a flagged edge reads
+/// as zero residual bandwidth and infinite latency, both in the search and
+/// in the latency-to-destination Dijkstra.  The infinite latency is what
+/// keeps a 0-Mbps virtual link, which passes any bandwidth test, off a dead
+/// edge.  The mask and `state` must outlive the router, and the mask must
+/// not change while it lives.
+class LinkRouter {
+ public:
+  explicit LinkRouter(const ResidualState& state,
+                      const std::vector<bool>* dead_edges = nullptr);
+
+  /// A feasible path from host `src` to host `dst` (src != dst) for
+  /// `demand`, maximizing bottleneck residual bandwidth under the latency
+  /// bound; nullopt when none exists.  Reserves nothing: the caller
+  /// reserves `demand` along the path it keeps.
+  [[nodiscard]] std::optional<graph::ConstrainedPath> route(
+      NodeId src, NodeId dst, const model::VirtualLinkDemand& demand);
+
+ private:
+  [[nodiscard]] bool dead(EdgeId e) const {
+    return dead_edges_ != nullptr && (*dead_edges_)[e.index()];
+  }
+  [[nodiscard]] double residual_bw(EdgeId e) const;
+  [[nodiscard]] double latency(EdgeId e) const;
+  /// Algorithm 1's ar[] for `dest`, computed on first use.
+  [[nodiscard]] const std::vector<double>& lat_to_dest(NodeId dest);
+
+  const ResidualState* state_;
+  const std::vector<bool>* dead_edges_;
+  std::vector<std::vector<double>> ar_cache_;  // per destination node id
+  graph::ShortestPaths sp_scratch_;
+  graph::DijkstraScratch heap_scratch_;
 };
 
 /// Runs the Networking stage over a completed placement, reserving

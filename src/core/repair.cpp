@@ -1,13 +1,10 @@
 #include "core/repair.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
-#include <unordered_map>
 
+#include "core/networking.h"
 #include "core/residual.h"
-#include "graph/astar_prune.h"
-#include "graph/dijkstra.h"
 #include "util/timer.h"
 
 namespace hmn::core {
@@ -71,96 +68,44 @@ MapOutcome repair_mapping(const model::PhysicalCluster& cluster,
     edge_dead[e.index()] = true;
   }
 
-  // --- Identify the damage.
+  // --- Identify and strip the damage: evicted guests lose their host and
+  // affected links their path; the residuals are those of what survives.
+  auto on_dead_host = [&](NodeId h) {
+    return h.valid() && node_dead[h.index()];
+  };
+  Mapping repaired = mapping;
   std::vector<GuestId> evicted;
   for (std::size_t gi = 0; gi < mapping.guest_host.size(); ++gi) {
-    const NodeId h = mapping.guest_host[gi];
-    if (h.valid() && node_dead[h.index()]) {
+    if (on_dead_host(mapping.guest_host[gi])) {
       evicted.push_back(GuestId{static_cast<GuestId::underlying_type>(gi)});
+      repaired.guest_host[gi] = NodeId::invalid();
     }
   }
+  auto crosses_dead_edge = [&](const graph::Path& path) {
+    return std::any_of(path.begin(), path.end(),
+                       [&](EdgeId e) { return edge_dead[e.index()]; });
+  };
   std::vector<bool> link_affected(venv.link_count(), false);
   for (std::size_t li = 0; li < venv.link_count(); ++li) {
-    const auto id = VirtLinkId{static_cast<VirtLinkId::underlying_type>(li)};
-    const auto ep = venv.endpoints(id);
+    const auto ep = venv.endpoints(
+        VirtLinkId{static_cast<VirtLinkId::underlying_type>(li)});
     const NodeId hs = mapping.guest_host[ep.src.index()];
     const NodeId hd = mapping.guest_host[ep.dst.index()];
-    if ((hs.valid() && node_dead[hs.index()]) ||
-        (hd.valid() && node_dead[hd.index()])) {
-      link_affected[li] = true;
-      continue;
-    }
+    const graph::Path& path = mapping.link_paths[li];
     // A dark link (empty path between distinct surviving hosts) is damage
     // from an earlier degraded repair — re-attempt it, which makes repair
     // idempotent and lets recoveries heal degraded tenants.
-    if (mapping.link_paths[li].empty()) {
-      link_affected[li] = hs != hd;
-      continue;
-    }
-    for (const EdgeId e : mapping.link_paths[li]) {
-      if (edge_dead[e.index()]) {
-        link_affected[li] = true;
-        break;
-      }
-    }
+    link_affected[li] = on_dead_host(hs) || on_dead_host(hd) ||
+                        (path.empty() ? hs != hd : crosses_dead_edge(path));
+    if (link_affected[li]) repaired.link_paths[li].clear();
   }
+  ResidualState state(cluster, venv, repaired);
 
-  // --- Rebuild residual state of the *surviving* part.
-  Mapping repaired = mapping;
-  ResidualState state(cluster);
-  for (std::size_t gi = 0; gi < mapping.guest_host.size(); ++gi) {
-    const NodeId h = mapping.guest_host[gi];
-    if (!h.valid() || node_dead[h.index()]) {
-      repaired.guest_host[gi] = NodeId::invalid();
-      continue;
-    }
-    state.place(venv.guest(GuestId{static_cast<GuestId::underlying_type>(gi)}),
-                h);
-  }
-  for (std::size_t li = 0; li < venv.link_count(); ++li) {
-    if (link_affected[li]) {
-      repaired.link_paths[li].clear();
-      continue;
-    }
-    state.reserve_bw(mapping.link_paths[li],
-                     venv.link(VirtLinkId{
-                         static_cast<VirtLinkId::underlying_type>(li)})
-                         .bandwidth_mbps);
-  }
-
-  // --- Re-place evicted guests: strongest surviving-neighbor affinity
-  // first, then the most-available-CPU host that fits; never a dead host.
-  auto placed = [&](GuestId guest) {
-    return repaired.guest_host[guest.index()].valid();
-  };
-  auto strongest_neighbor_host = [&](GuestId guest) {
-    double best_bw = -1.0;
-    NodeId best = NodeId::invalid();
-    for (const VirtLinkId l : venv.links_of(guest)) {
-      const GuestId other = venv.endpoints(l).other(guest);
-      if (other == guest || !placed(other)) continue;
-      if (venv.link(l).bandwidth_mbps > best_bw) {
-        best_bw = venv.link(l).bandwidth_mbps;
-        best = repaired.guest_host[other.index()];
-      }
-    }
-    return best;
-  };
+  // --- Re-place evicted guests with the Hosting stage's affinity rule,
+  // never on a dead host.
   for (const GuestId guest : evicted) {
-    const auto& req = venv.guest(guest);
-    NodeId target = strongest_neighbor_host(guest);
-    if (!target.valid() || node_dead[target.index()] ||
-        !state.fits(req, target)) {
-      target = NodeId::invalid();
-      double best_proc = 0.0;
-      for (const NodeId h : cluster.hosts()) {
-        if (node_dead[h.index()] || !state.fits(req, h)) continue;
-        if (!target.valid() || state.residual_proc(h) > best_proc) {
-          target = h;
-          best_proc = state.residual_proc(h);
-        }
-      }
-    }
+    const NodeId target =
+        affinity_host(venv, state, repaired.guest_host, guest, &node_dead);
     if (!target.valid()) {
       MapOutcome out = MapOutcome::failure(
           MapErrorCode::kHostingFailed,
@@ -169,55 +114,23 @@ MapOutcome repair_mapping(const model::PhysicalCluster& cluster,
       out.stats.total_seconds = total.elapsed_seconds();
       return out;
     }
-    state.place(req, target);
+    state.place(venv.guest(guest), target);
     repaired.guest_host[guest.index()] = target;
   }
 
   // --- Re-route affected links over the surviving fabric, heaviest first.
-  std::vector<VirtLinkId> to_route;
-  for (std::size_t li = 0; li < venv.link_count(); ++li) {
-    if (link_affected[li]) {
-      to_route.push_back(
-          VirtLinkId{static_cast<VirtLinkId::underlying_type>(li)});
-    }
-  }
-  std::stable_sort(to_route.begin(), to_route.end(),
-                   [&](VirtLinkId a, VirtLinkId b) {
-                     return venv.link(a).bandwidth_mbps >
-                            venv.link(b).bandwidth_mbps;
-                   });
-
-  auto residual_bw = [&](EdgeId e) {
-    return edge_dead[e.index()] ? 0.0 : state.residual_bw(e);
-  };
-  auto latency = [&](EdgeId e) {
-    return edge_dead[e.index()] ? std::numeric_limits<double>::infinity()
-                                : cluster.link(e).latency_ms;
-  };
-  // hmn-lint: allow(unordered-iter, per-destination A* bound cache; keyed find/emplace only and never iterated — results are consumed in virtual-link order)
-  std::unordered_map<NodeId, std::vector<double>> ar_cache;
-  auto ar_for = [&](NodeId dest) -> const std::vector<double>& {
-    auto it = ar_cache.find(dest);
-    if (it == ar_cache.end()) {
-      it = ar_cache.emplace(dest, graph::dijkstra(g, dest, latency).dist)
-               .first;
-    }
-    return it->second;
-  };
-
+  LinkRouter router(state, &edge_dead);
   std::size_t rerouted = 0;
   std::vector<VirtLinkId> dark;
-  for (const VirtLinkId l : to_route) {
+  for (const VirtLinkId l :
+       ordered_links(venv, LinkOrder::kBandwidthDescending, 0)) {
+    if (!link_affected[l.index()]) continue;
     const auto ep = venv.endpoints(l);
     const NodeId s = repaired.guest_host[ep.src.index()];
     const NodeId d = repaired.guest_host[ep.dst.index()];
     if (s == d) continue;  // refugees co-located: intra-host now
     const auto& demand = venv.link(l);
-    graph::AStarPruneOptions ap;
-    ap.lat_to_dest = &ar_for(d);
-    auto path = graph::astar_prune_bottleneck(
-        g, s, d, demand.bandwidth_mbps, demand.max_latency_ms, residual_bw,
-        latency, ap);
+    auto path = router.route(s, d, demand);
     if (!path.has_value()) {
       // Degraded SLA: only *best-effort* links may go dark.  A critical
       // link with no surviving path fails the repair outright, whatever

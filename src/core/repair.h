@@ -6,11 +6,12 @@
 // VM.  `repair_mapping` instead performs the minimal surgery:
 //
 //   * guests on a failed host are evicted and re-placed on surviving
-//     hosts (affinity first, then most-available-CPU, as in the
-//     incremental extension);
+//     hosts with the Hosting stage's single-guest affinity rule
+//     (core::affinity_host, as in the incremental extension);
 //   * virtual links whose physical path traverses a failed element — plus
-//     all links of evicted guests — are re-routed with the modified
-//     A*Prune over the surviving fabric;
+//     all links of evicted guests — are re-routed with the Networking
+//     stage's link router (core::LinkRouter, the modified A*Prune) over
+//     the surviving fabric;
 //   * every other guest and path is untouched.
 //
 // A failed *link* alone never evicts a guest: only its transit paths are

@@ -170,10 +170,8 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
     m.guest_host = project_guest_host(*it, m.guest_host);
     m.link_paths = project_link_paths(*it, m.link_paths);
   }
-  if (opts_.validate_levels) {
-    const auto report = core::validate_mapping(
-        top, venv, {m.guest_host, m.link_paths});
-    if (!report.ok()) return fallback("coarsest-level validation");
+  if (!core::validate_mapping(top, venv, {m.guest_host, m.link_paths}).ok()) {
+    return fallback("coarsest-level validation");
   }
 
   // ---- Physical descent: project one level at a time and refine. ----
@@ -353,10 +351,9 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
     if (!routed_ok) return fallback("level networking");
     m.guest_host = std::move(fine_gh);
 
-    if (opts_.validate_levels) {
-      const auto report = core::validate_mapping(
-          fine, venv, {m.guest_host, m.link_paths});
-      if (!report.ok()) return fallback("level validation");
+    if (!core::validate_mapping(fine, venv, {m.guest_host, m.link_paths})
+             .ok()) {
+      return fallback("level validation");
     }
     notify("refine", k - 1, fine.graph().node_count(), venv.guest_count());
   }

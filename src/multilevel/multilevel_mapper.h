@@ -58,10 +58,6 @@ struct MultilevelOptions {
   /// Below this host count the pyramid adds nothing over a flat solve:
   /// delegate to the flat mapper directly.
   std::size_t min_hosts = 256;
-  /// Validate the mapping after the coarse solve and after every
-  /// refinement level (linear cost; any violation triggers the flat
-  /// fallback instead of shipping a bad mapping).
-  bool validate_levels = true;
   /// Stage options for the coarse solve, the per-level refinement, and the
   /// flat fallback mapper.
   core::HmnOptions flat;

@@ -19,15 +19,11 @@ DefragResult run_defrag(emulator::TenancyManager& mgr,
     result.detail = "no tenants";
     return result;
   }
-  if (!opts.reroute_links) {
-    result.detail = "rerouting disabled";
-    return result;
-  }
 
   // Aggregate every tenant into one environment; guests and links keep
   // their per-tenant order, offset by the tenants before them.
   model::VirtualEnvironment combined;
-  std::vector<NodeId> guest_host;
+  core::Mapping placement;  // guest hosts only; every link is routed afresh
   struct Slice {
     emulator::TenantId id;
     std::size_t guest_begin = 0, guest_end = 0;
@@ -46,7 +42,7 @@ DefragResult run_defrag(emulator::TenancyManager& mgr,
     for (std::size_t g = 0; g < tenant->venv.guest_count(); ++g) {
       combined.add_guest(tenant->venv.guest(
           GuestId{static_cast<GuestId::underlying_type>(g)}));
-      guest_host.push_back(tenant->mapping.guest_host[g]);
+      placement.guest_host.push_back(tenant->mapping.guest_host[g]);
     }
     for (std::size_t l = 0; l < tenant->venv.link_count(); ++l) {
       const auto lid = VirtLinkId{static_cast<VirtLinkId::underlying_type>(l)};
@@ -62,25 +58,15 @@ DefragResult run_defrag(emulator::TenancyManager& mgr,
 
   // Migration stage over the aggregate placement (memory/storage fits are
   // enforced per move; bandwidth is resolved by the global re-route below).
-  core::ResidualState state(mgr.cluster());
-  for (std::size_t g = 0; g < guest_host.size(); ++g) {
-    state.place(
-        combined.guest(GuestId{static_cast<GuestId::underlying_type>(g)}),
-        guest_host[g]);
-  }
-  const core::MigrationResult moved =
-      core::run_migration(combined, state, guest_host, opts.migration);
+  core::ResidualState state(mgr.cluster(), combined, placement);
+  const core::MigrationResult moved = core::run_migration(
+      combined, state, placement.guest_host, opts.migration);
   result.migrations = moved.migrations;
 
   // Global routing pass: every inter-host link afresh, heaviest first.
-  core::ResidualState net_state(mgr.cluster());
-  for (std::size_t g = 0; g < guest_host.size(); ++g) {
-    net_state.place(
-        combined.guest(GuestId{static_cast<GuestId::underlying_type>(g)}),
-        guest_host[g]);
-  }
+  core::ResidualState net_state(mgr.cluster(), combined, placement);
   const core::NetworkingResult net =
-      core::run_networking(combined, net_state, guest_host);
+      core::run_networking(combined, net_state, placement.guest_host);
   if (!net.ok) {
     result.detail = "re-route failed: " + net.detail;
     return result;
@@ -92,8 +78,10 @@ DefragResult run_defrag(emulator::TenancyManager& mgr,
   for (const Slice& slice : slices) {
     core::Mapping mapping;
     mapping.guest_host.assign(
-        guest_host.begin() + static_cast<std::ptrdiff_t>(slice.guest_begin),
-        guest_host.begin() + static_cast<std::ptrdiff_t>(slice.guest_end));
+        placement.guest_host.begin() +
+            static_cast<std::ptrdiff_t>(slice.guest_begin),
+        placement.guest_host.begin() +
+            static_cast<std::ptrdiff_t>(slice.guest_end));
     mapping.link_paths.assign(
         net.link_paths.begin() + static_cast<std::ptrdiff_t>(slice.link_begin),
         net.link_paths.begin() + static_cast<std::ptrdiff_t>(slice.link_end));

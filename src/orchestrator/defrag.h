@@ -32,10 +32,6 @@ namespace hmn::orchestrator {
 struct DefragOptions {
   core::MigrationOptions migration{
       .victim = core::VictimPolicy::kBestImprovement};
-  /// Re-route all virtual links globally after the moves.  Disabling this
-  /// also disables guest moves (a moved guest's links must be re-routed),
-  /// turning the pass into a no-op — exposed for ablations.
-  bool reroute_links = true;
 };
 
 struct DefragResult {

@@ -6,33 +6,13 @@
 #include <utility>
 
 #include "core/objective.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/timer.h"
 
 namespace hmn::orchestrator {
 namespace {
-
-std::uint64_t fnv1a(const std::vector<NodeId>& hosts) {
-  std::uint64_t h = kFingerprintSeed;
-  for (const NodeId n : hosts) {
-    h ^= n.value();
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Byte-wise FNV-1a continuation — the run-fingerprint chain folds each
-/// decision's canonical string into the previous chain value.
-std::uint64_t fnv1a_bytes(const char* data, std::size_t len,
-                          std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::string tenant_name(std::uint32_t key) {
   return "t" + std::to_string(key);
@@ -132,14 +112,19 @@ void Orchestrator::observe_failure_event(const workload::TenantEvent& ev) {
 
 std::uint64_t Orchestrator::placement_hash(emulator::TenantId id) const {
   const emulator::Tenant* tenant = mgr_.tenant(id);
-  return tenant == nullptr ? 0 : fnv1a(tenant->mapping.guest_host);
+  if (tenant == nullptr) return 0;
+  std::uint64_t h = util::kFnv1aBasis;
+  for (const NodeId n : tenant->mapping.guest_host) {
+    h = util::fnv1a_mix(h, n.value());
+  }
+  return h;
 }
 
 void Orchestrator::record(EventDecision decision) {
   // The fingerprint chain survives a checkpoint; the vector does not.
   char buf[128];
-  run_fingerprint_ =
-      fnv1a_bytes(buf, format_decision(decision, buf), run_fingerprint_);
+  run_fingerprint_ = util::fnv1a_bytes(
+      run_fingerprint_, {buf, format_decision(decision, buf)});
   report_.decisions.push_back(std::move(decision));
 }
 

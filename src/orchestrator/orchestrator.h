@@ -42,6 +42,7 @@
 #include "orchestrator/defrag.h"
 #include "orchestrator/healer.h"
 #include "orchestrator/retry_queue.h"
+#include "util/fnv1a.h"
 #include "workload/churn.h"
 
 namespace hmn::orchestrator {
@@ -250,7 +251,7 @@ struct OrchestratorOptions {
 
 /// FNV-1a offset basis — the run fingerprint of an orchestrator that has
 /// recorded no decisions yet.
-inline constexpr std::uint64_t kFingerprintSeed = 14695981039346656037ULL;
+inline constexpr std::uint64_t kFingerprintSeed = util::kFnv1aBasis;
 
 /// State-mutating transaction classes the orchestrator announces to its
 /// TxnObserver.  One txn record per committed (or explicitly aborted)

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "extensions/replica_spread.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -33,10 +34,9 @@ namespace {
 /// hash comparably.
 std::uint64_t parent_placement_hash(const topology::ClusterShard& shard,
                                     const std::vector<NodeId>& local_hosts) {
-  std::uint64_t h = 14695981039346656037ULL;
+  std::uint64_t h = util::kFnv1aBasis;
   for (const NodeId local : local_hosts) {
-    h ^= shard.parent_node(local).value();
-    h *= 1099511628211ULL;
+    h = util::fnv1a_mix(h, shard.parent_node(local).value());
   }
   return h;
 }

@@ -10,7 +10,7 @@
 namespace hmn::recovery {
 
 RecoveredRun recover(orchestrator::Orchestrator& orch,
-                     std::string_view journal, const RecoveryOptions& opts) {
+                     std::string_view journal) {
   JournalParse parse = parse_journal(journal);
   RecoveredRun out;
   out.next_seq = parse.records.size();
@@ -33,8 +33,7 @@ RecoveredRun recover(orchestrator::Orchestrator& orch,
           " events but its state encodes " +
           std::to_string(state.events_handled));
     }
-    if (opts.verify_fingerprints &&
-        state.run_fingerprint != newest_checkpoint->fingerprint) {
+    if (state.run_fingerprint != newest_checkpoint->fingerprint) {
       throw RecoveryError("checkpoint fingerprint mismatch: header says " +
                           std::to_string(newest_checkpoint->fingerprint) +
                           ", state says " +
@@ -94,8 +93,7 @@ RecoveredRun recover(orchestrator::Orchestrator& orch,
         orch.handle(*pending_event);
         pending_event.reset();
         ++out.replayed_events;
-        if (opts.verify_fingerprints &&
-            orch.run_fingerprint() != rec.fingerprint) {
+        if (orch.run_fingerprint() != rec.fingerprint) {
           throw RecoveryError(
               "replay diverged at event " + std::to_string(rec.event_index) +
               ": journal fingerprint " + std::to_string(rec.fingerprint) +

@@ -31,13 +31,6 @@
 
 namespace hmn::recovery {
 
-struct RecoveryOptions {
-  /// Verify the replayed fingerprint against every journaled EVENT_END
-  /// (and the checkpoint's).  Leave on; exists so a forensic tool can
-  /// deliberately replay a diverging journal to inspect the divergence.
-  bool verify_fingerprints = true;
-};
-
 struct RecoveredRun {
   /// Index of the next event to feed — everything before it is replayed.
   std::uint64_t next_event_index = 0;
@@ -57,7 +50,6 @@ struct RecoveredRun {
 /// replay divergence; on return the orchestrator is byte-equivalent to the
 /// uninterrupted run through `next_event_index` events.
 [[nodiscard]] RecoveredRun recover(orchestrator::Orchestrator& orch,
-                                   std::string_view journal,
-                                   const RecoveryOptions& opts = {});
+                                   std::string_view journal);
 
 }  // namespace hmn::recovery

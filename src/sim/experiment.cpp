@@ -57,19 +57,21 @@ ExperimentResult run_experiment(const model::PhysicalCluster& cluster,
   std::uint64_t messages = 0;
 
   // Forward declaration dance: the three closures are mutually recursive
-  // through the event queue, so they capture a shared struct of callbacks.
+  // through the event queue, so they live in one local struct that every
+  // closure captures by reference.  engine.run() drains every event before
+  // this function returns, so no closure outlives the struct.
   struct Hooks {
     std::function<void(std::size_t)> start_iteration;
     std::function<void(std::size_t)> on_compute_done;
     std::function<void(std::size_t)> try_advance;
   };
-  auto hooks = std::make_shared<Hooks>();
+  Hooks hooks;
 
-  hooks->start_iteration = [&, hooks](std::size_t g) {
-    engine.schedule(compute_time[g], [g, hooks] { hooks->on_compute_done(g); });
+  hooks.start_iteration = [&](std::size_t g) {
+    engine.schedule(compute_time[g], [g, &hooks] { hooks.on_compute_done(g); });
   };
 
-  hooks->on_compute_done = [&, hooks](std::size_t g) {
+  hooks.on_compute_done = [&](std::size_t g) {
     GuestState& st = state[g];
     st.compute_done = true;
     // Send this iteration's message to every neighbor.
@@ -79,18 +81,18 @@ ExperimentResult run_experiment(const model::PhysicalCluster& cluster,
       const GuestId peer = venv.endpoints(l).other(id);
       const double delay = net.transfer_seconds(l, spec.message_kb);
       const std::size_t peer_idx = peer.index();
-      engine.schedule(delay, [&, hooks, peer_idx, iter] {
+      engine.schedule(delay, [&, peer_idx, iter] {
         ++messages;
         if (iter < state[peer_idx].arrived.size()) {
           ++state[peer_idx].arrived[iter];
         }
-        hooks->try_advance(peer_idx);
+        hooks.try_advance(peer_idx);
       });
     }
-    hooks->try_advance(g);
+    hooks.try_advance(g);
   };
 
-  hooks->try_advance = [&, hooks](std::size_t g) {
+  hooks.try_advance = [&](std::size_t g) {
     GuestState& st = state[g];
     if (st.finished || !st.compute_done) return;
     if (st.arrived[st.iteration] < st.expected) return;
@@ -102,10 +104,10 @@ ExperimentResult run_experiment(const model::PhysicalCluster& cluster,
       st.finish_time = engine.now();
       return;
     }
-    hooks->start_iteration(g);
+    hooks.start_iteration(g);
   };
 
-  for (std::size_t g = 0; g < n; ++g) hooks->start_iteration(g);
+  for (std::size_t g = 0; g < n; ++g) hooks.start_iteration(g);
   result.makespan_seconds = engine.run();
   result.events_processed = engine.events_processed();
   result.messages_delivered = messages;

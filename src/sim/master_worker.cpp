@@ -40,11 +40,10 @@ MasterWorkerResult run_master_worker(const model::PhysicalCluster& cluster,
   std::size_t dispatched = 0;
   std::size_t completed = 0;
 
-  // Mutually recursive through the event queue, as in experiment.cpp.
-  struct Hooks {
-    std::function<void(std::size_t)> dispatch;  // -> worker index
-  };
-  auto hooks = std::make_shared<Hooks>();
+  // Recursive through the event queue, as in experiment.cpp: the closure
+  // reaches itself through a local captured by reference, which outlives
+  // every event because engine.run() drains the queue before returning.
+  std::function<void(std::size_t)> dispatch;  // -> worker index
 
   auto task_duration = [&](const Worker& worker) {
     const double jitter = rng.uniform(1.0 - spec.jitter_fraction,
@@ -55,21 +54,21 @@ MasterWorkerResult run_master_worker(const model::PhysicalCluster& cluster,
     return spec.task_seconds * jitter * slowdown;
   };
 
-  hooks->dispatch = [&, hooks](std::size_t w) {
+  dispatch = [&](std::size_t w) {
     if (dispatched >= total_tasks) return;
     ++dispatched;
     const Worker& worker = workers[w];
     const double send = net.transfer_seconds(worker.link, spec.task_kb);
     const double compute = task_duration(worker);
     const double reply = net.transfer_seconds(worker.link, spec.result_kb);
-    engine.schedule(send + compute + reply, [&, hooks, w] {
+    engine.schedule(send + compute + reply, [&, w] {
       ++completed;
       ++result.tasks_per_worker[w];
-      hooks->dispatch(w);  // next task for the now-idle worker
+      dispatch(w);  // next task for the now-idle worker
     });
   };
 
-  for (std::size_t w = 0; w < workers.size(); ++w) hooks->dispatch(w);
+  for (std::size_t w = 0; w < workers.size(); ++w) dispatch(w);
   result.makespan_seconds = engine.run();
   result.tasks_completed = completed;
   return result;

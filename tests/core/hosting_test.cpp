@@ -296,4 +296,22 @@ TEST(Hosting, HighBandwidthPairsGetPriorityForCoLocation) {
   EXPECT_EQ(r.guest_host[c.index()], r.guest_host[d.index()]);
 }
 
+TEST(AffinityHost, DownNeighborHostFallsBackToMostResidualCpu) {
+  // Hosts 0 and 1 tie on residual CPU once host 2 is down: the first in
+  // cluster.hosts() order wins.
+  const auto cluster = line_cluster(3);
+  VirtualEnvironment venv;
+  const GuestId a = venv.add_guest({10, 100, 100});
+  const GuestId b = venv.add_guest({10, 100, 100});
+  venv.add_link(a, b, {5.0, 60.0});
+  const std::vector<NodeId> placed{NodeId::invalid(), n(2)};
+  const ResidualState st(cluster, venv, core::Mapping{placed, {}});
+  const std::vector<bool> down{false, false, true};
+  EXPECT_EQ(core::affinity_host(venv, st, placed, a), n(2));
+  EXPECT_EQ(core::affinity_host(venv, st, placed, a, &down), n(0));
+
+  const std::vector<bool> all_down(3, true);
+  EXPECT_FALSE(core::affinity_host(venv, st, placed, a, &all_down).valid());
+}
+
 }  // namespace

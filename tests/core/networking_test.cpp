@@ -1,6 +1,8 @@
 // Tests for the Networking stage (Section 4.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/networking.h"
 #include "testing/fixtures.h"
 
@@ -293,6 +295,26 @@ TEST(Networking, EmptyVenvTrivialSuccess) {
   const auto r = run_networking(venv, st, {});
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.links_routed, 0u);
+}
+
+TEST(LinkRouter, DeadEdgesAreAvoidedEvenAtZeroBandwidth) {
+  // A dead edge reads as zero bandwidth, which a 0-Mbps demand accepts;
+  // its infinite latency is what sends the search around the ring.
+  const auto cluster = ring_cluster(4);
+  const ResidualState st(cluster);
+  std::vector<bool> dead(cluster.link_count(), false);
+  dead[0] = true;  // edge 0-1
+  core::LinkRouter router(st, &dead);
+  const model::VirtualLinkDemand zero{0.0, 60.0};
+  const auto detour = router.route(n(0), n(1), zero);
+  ASSERT_TRUE(detour.has_value());
+  EXPECT_EQ(detour->edges.size(), 3u);  // 0-3-2-1
+  EXPECT_EQ(std::count(detour->edges.begin(), detour->edges.end(), EdgeId{0}),
+            0);
+
+  dead[3] = true;  // edge 3-0 as well: node 0 is cut off
+  core::LinkRouter stranded(st, &dead);
+  EXPECT_FALSE(stranded.route(n(0), n(1), zero).has_value());
 }
 
 }  // namespace

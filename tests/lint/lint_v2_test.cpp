@@ -195,9 +195,10 @@ TEST(HotPathAlloc, ReservedGrowthAndMultilineSignatureAreClean) {
   EXPECT_EQ(unsuppressed_count(f), 0u);
   // And the multi-line-signature annotation really attached (the fixture
   // would pass trivially if it had not).
-  const auto lexed =
-      hmn::lint::lex(read_file(fs::path(HMN_LINT_FIXTURES) / "core" /
-                               "hot_clean.cpp"));
+  // lex() returns views into its input, so the source must outlive them.
+  const std::string source =
+      read_file(fs::path(HMN_LINT_FIXTURES) / "core" / "hot_clean.cpp");
+  const auto lexed = hmn::lint::lex(source);
   const auto fns = hmn::lint::scan_functions(lexed);
   bool multiline_hot = false;
   for (const auto& fn : fns) {
