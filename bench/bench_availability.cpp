@@ -31,7 +31,7 @@
 // admission.  The failure stream is blast-only (a switch and its attached
 // subtree fail atomically, Weibull MTTF) and both orchestrators heal with
 // the same repair policy; they differ only in admission: *aware* biases
-// placement by per-element EWMA availability and reserves spare-capacity
+// placement by per-host EWMA availability and reserves spare-capacity
 // headroom for healing, *blind* is the stock admission path.  Under
 // repeated blasts the flaky racks accumulate low availability, aware
 // admission routes new tenants around them, and the next blast strands
@@ -166,7 +166,6 @@ orchestrator::OrchestratorOptions e15_options(bool aware) {
   orchestrator::OrchestratorOptions opts;
   opts.healer.policy = orchestrator::HealPolicy::kRepair;
   opts.availability_aware = aware;
-  opts.spare_headroom = 0.1;
   return opts;
 }
 

@@ -105,10 +105,6 @@ CellResult run_cell(const model::PhysicalCluster& fabric,
   orchestrator::RouterOptions opts;
   opts.shards = shards;
   opts.threads = threads;
-  // Finer buckets than the default: shard-local admissions sit well under
-  // a millisecond, and the p99 gate needs resolution there.
-  opts.latency_histogram_upper_us = 2e5;
-  opts.latency_histogram_buckets = 4096;
   orchestrator::PlacementRouter router(fabric, opts);
 
   constexpr std::size_t kBatch = 16;

@@ -117,11 +117,7 @@ MapOutcome HostingSearchMapper::map(const model::PhysicalCluster& cluster,
   for (std::size_t attempt = 0; attempt < opts_.max_tries; ++attempt) {
     // Bandwidth reservations must restart fresh each attempt, but guest
     // placements persist: rebuild the residual state from the placement.
-    ResidualState state(cluster);
-    for (std::size_t g = 0; g < venv.guest_count(); ++g) {
-      state.place(venv.guest(GuestId{static_cast<GuestId::underlying_type>(g)}),
-                  hosted.guest_host[g]);
-    }
+    ResidualState state(cluster, venv, Mapping{hosted.guest_host, {}});
     stage.restart();
     core::NetworkingResult routed = core::run_networking(
         venv, state, hosted.guest_host,

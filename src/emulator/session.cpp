@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/hmn_mapper.h"
 #include "core/incremental.h"
 #include "core/repair.h"
 #include "core/validator.h"
@@ -16,13 +15,10 @@ namespace hmn::emulator {
 
 EmulationSession::EmulationSession(model::PhysicalCluster cluster,
                                    SessionConfig config)
-    : cluster_(std::move(cluster)), config_(config) {
+    : cluster_(std::move(cluster)),
+      config_(config),
+      pool_(extensions::default_pool()) {
   cluster_.deduct_vmm_overhead(config_.vmm_overhead);
-  if (config_.use_fallback_pool) {
-    pool_ = extensions::default_pool();
-  } else {
-    pool_.add(std::make_unique<core::HmnMapper>());
-  }
 }
 
 GuestId EmulationSession::add_guest(const model::GuestRequirements& req) {

@@ -12,8 +12,8 @@
 //             back to a full remap only when the increment does not fit)
 //
 // Every stage is simulated and deterministic: map() invokes the heuristic
-// pool (HMN with an RA fallback by default), deploy() uses the image-
-// transfer model, run() executes the BSP application on the DES.  The
+// pool (HMN with an RA fallback), deploy() uses the image-transfer
+// model, run() executes the BSP application on the DES.  The
 // session keeps a timeline of phase durations — wall-clock for mapping
 // (the cost the paper measures) and simulated seconds for deployment and
 // execution (the costs the paper argues dominate).
@@ -58,9 +58,6 @@ struct SessionConfig {
   model::HostCapacity vmm_overhead{};
   sim::DeploymentSpec deployment;
   sim::ExperimentSpec experiment;
-  /// When false, only HMN is tried; when true, the default pool's RA
-  /// fallback rescues instances HMN cannot host.
-  bool use_fallback_pool = true;
 };
 
 /// One entry of the session timeline.

@@ -96,11 +96,7 @@ core::MapOutcome ReplicaSpreadMapper::map(
   // Residual hard-constraint (mem/stor) bookkeeping over the placement
   // alone; links are re-routed from scratch afterwards, so bandwidth is
   // not tracked here.
-  core::ResidualState state(cluster);
-  for (std::size_t g = 0; g < guest_host.size(); ++g) {
-    state.place(venv.guest(GuestId{static_cast<GuestId::underlying_type>(g)}),
-                guest_host[g]);
-  }
+  core::ResidualState state(cluster, venv, core::Mapping{guest_host, {}});
 
   bool moved = false;
   for (const model::ReplicaGroup& group : venv.replica_groups()) {
@@ -143,12 +139,8 @@ core::MapOutcome ReplicaSpreadMapper::map(
   // Re-route every virtual link over the adjusted placement.  Any failure
   // falls back to the inner mapping: the spread must never reject an
   // instance the inner mapper accepted.
-  core::ResidualState route_state(cluster);
-  for (std::size_t g = 0; g < guest_host.size(); ++g) {
-    route_state.place(
-        venv.guest(GuestId{static_cast<GuestId::underlying_type>(g)}),
-        guest_host[g]);
-  }
+  core::ResidualState route_state(cluster, venv,
+                                  core::Mapping{guest_host, {}});
   core::NetworkingResult net =
       core::run_networking(venv, route_state, guest_host);
   if (!net.ok) return base;

@@ -45,7 +45,7 @@ void put_u32_vec(std::string& out, const std::vector<std::uint32_t>& v) {
 }
 
 std::optional<std::string_view> BinReader::raw(std::size_t n) {
-  if (n > data_.size() - pos_) return std::nullopt;
+  if (n > remaining()) return std::nullopt;
   const std::string_view view = data_.substr(pos_, n);
   pos_ += n;
   return view;
@@ -79,13 +79,13 @@ std::optional<double> BinReader::take_f64() {
 
 std::optional<std::string_view> BinReader::take_bytes() {
   const auto n = take_u64();
-  if (!n || *n > data_.size() - pos_) return std::nullopt;
+  if (!n || *n > remaining()) return std::nullopt;
   return raw(static_cast<std::size_t>(*n));
 }
 
 std::optional<std::vector<std::uint32_t>> BinReader::take_u32_vec() {
   const auto n = take_u64();
-  if (!n || *n > (data_.size() - pos_) / 4) return std::nullopt;
+  if (!n || *n > remaining() / 4) return std::nullopt;
   std::vector<std::uint32_t> v;
   v.reserve(static_cast<std::size_t>(*n));
   for (std::uint64_t i = 0; i < *n; ++i) {

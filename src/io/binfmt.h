@@ -72,6 +72,8 @@ class BinReader {
 
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
   [[nodiscard]] std::size_t position() const { return pos_; }
+  /// Bytes not yet read.
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   [[nodiscard]] std::optional<std::string_view> raw(std::size_t n);

@@ -32,7 +32,7 @@ bool route_region(const model::PhysicalCluster& fine,
                   const std::vector<NodeId>& region_nodes,
                   const model::VirtualEnvironment& venv,
                   const std::vector<NodeId>& fine_guest_host,
-                  const core::NetworkingOptions& net_opts, LevelMapping& m) {
+                  LevelMapping& m) {
   const topology::SubCluster sub =
       topology::induced_subcluster(fine, region_nodes);
   std::vector<NodeId> local_of(fine.graph().node_count(), NodeId::invalid());
@@ -46,8 +46,7 @@ bool route_region(const model::PhysicalCluster& fine,
     if (!local_gh[g].valid()) return false;  // guest outside the region
   }
   core::ResidualState state(sub.cluster);
-  core::NetworkingResult routed =
-      core::run_networking(venv, state, local_gh, net_opts);
+  core::NetworkingResult routed = core::run_networking(venv, state, local_gh);
   if (!routed.ok) return false;
   m.link_paths.assign(venv.link_count(), {});
   for (std::size_t l = 0; l < venv.link_count(); ++l) {
@@ -67,13 +66,9 @@ MultilevelMapper::MultilevelMapper(MultilevelOptions opts)
 
 MultilevelMapper::MultilevelMapper(
     MultilevelOptions opts, std::shared_ptr<const PhysicalHierarchy> hierarchy)
-    : opts_(std::move(opts)),
-      hierarchy_(std::move(hierarchy)),
-      flat_(opts_.flat) {}
+    : opts_(std::move(opts)), hierarchy_(std::move(hierarchy)) {}
 
-std::string MultilevelMapper::name() const {
-  return opts_.display_name.empty() ? "ML" : opts_.display_name;
-}
+std::string MultilevelMapper::name() const { return "ML"; }
 
 core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
                                        const model::VirtualEnvironment& venv,
@@ -128,35 +123,20 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
   core::MapOutcome outcome;
   outcome.stats.levels_used = hier->level_count();
 
-  // Stage options mirror HmnMapper's seed plumbing; the defaults are the
-  // paper's deterministic bandwidth-descending orders.
-  core::HostingOptions hosting_opts = opts_.flat.hosting;
-  if (hosting_opts.order == core::LinkOrder::kRandom) {
-    hosting_opts.shuffle_seed = seed;
-  }
-  core::NetworkingOptions net_opts = opts_.flat.networking;
-  if (net_opts.order == core::LinkOrder::kRandom) {
-    net_opts.shuffle_seed = seed;
-  }
-
   // ---- Coarse solve: the HMN stages on the smallest level. ----
   const model::PhysicalCluster& top = levels.back();
   util::Timer stage;
   core::ResidualState top_state(top);
-  core::HostingResult hosted = core::run_hosting(top_venv, top_state,
-                                                 hosting_opts);
+  core::HostingResult hosted = core::run_hosting(top_venv, top_state);
   outcome.stats.hosting_seconds += stage.elapsed_seconds();
   if (!hosted.ok) return fallback("coarse hosting");
-  if (opts_.flat.enable_migration) {
-    stage.restart();
-    const core::MigrationResult migrated = core::run_migration(
-        top_venv, top_state, hosted.guest_host, opts_.flat.migration);
-    outcome.stats.migration_seconds += stage.elapsed_seconds();
-    outcome.stats.migrations += migrated.migrations;
-  }
+  stage.restart();
+  outcome.stats.migrations +=
+      core::run_migration(top_venv, top_state, hosted.guest_host).migrations;
+  outcome.stats.migration_seconds += stage.elapsed_seconds();
   stage.restart();
   core::NetworkingResult routed =
-      core::run_networking(top_venv, top_state, hosted.guest_host, net_opts);
+      core::run_networking(top_venv, top_state, hosted.guest_host);
   outcome.stats.networking_seconds += stage.elapsed_seconds();
   if (!routed.ok) return fallback("coarse networking");
   notify("coarse-solve", hier->contractions.size(),
@@ -246,17 +226,13 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
         const NodeId at = local_of[fine_gh[g].index()];
         if (at.valid()) st.place(venv.guest(gid(g)), at);
       }
-      core::HostingResult sub_hosted = core::run_hosting(sub_venv, st,
-                                                         hosting_opts);
+      core::HostingResult sub_hosted = core::run_hosting(sub_venv, st);
       outcome.stats.hosting_seconds += stage.elapsed_seconds();
       if (!sub_hosted.ok) return false;
-      if (opts_.flat.enable_migration) {
-        stage.restart();
-        const core::MigrationResult migrated = core::run_migration(
-            sub_venv, st, sub_hosted.guest_host, opts_.flat.migration);
-        outcome.stats.migration_seconds += stage.elapsed_seconds();
-        outcome.stats.migrations += migrated.migrations;
-      }
+      stage.restart();
+      outcome.stats.migrations +=
+          core::run_migration(sub_venv, st, sub_hosted.guest_host).migrations;
+      outcome.stats.migration_seconds += stage.elapsed_seconds();
       for (std::size_t i = 0; i < guests.size(); ++i) {
         fine_gh[guests[i].index()] =
             sub.to_parent_node[sub_hosted.guest_host[i].index()];
@@ -326,8 +302,7 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
       return nodes;
     };
     stage.restart();
-    bool routed_ok = route_region(fine, region_nodes(), venv, fine_gh,
-                                  net_opts, m);
+    bool routed_ok = route_region(fine, region_nodes(), venv, fine_gh, m);
     if (!routed_ok) {
       std::vector<char> widened = in_region;
       for (std::size_t grp = 0; grp < c.group_count(); ++grp) {
@@ -335,13 +310,11 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
         for (const std::size_t nb : c.adjacency[grp]) widened[nb] = 1;
       }
       in_region = std::move(widened);
-      routed_ok = route_region(fine, region_nodes(), venv, fine_gh, net_opts,
-                               m);
+      routed_ok = route_region(fine, region_nodes(), venv, fine_gh, m);
     }
     if (!routed_ok) {
       core::ResidualState st(fine);
-      core::NetworkingResult full =
-          core::run_networking(venv, st, fine_gh, net_opts);
+      core::NetworkingResult full = core::run_networking(venv, st, fine_gh);
       if (full.ok) {
         m.link_paths = std::move(full.link_paths);
         routed_ok = true;

@@ -52,19 +52,16 @@ struct LevelEvent {
 };
 using LevelObserver = std::function<void(const LevelEvent&)>;
 
+/// The coarse solve, the per-level refinement and the flat fallback all
+/// run the paper's stage choices (HmnOptions defaults).
 struct MultilevelOptions {
   VirtualCoarsenOptions virt;
   PhysicalCoarsenOptions phys;
   /// Below this host count the pyramid adds nothing over a flat solve:
   /// delegate to the flat mapper directly.
   std::size_t min_hosts = 256;
-  /// Stage options for the coarse solve, the per-level refinement, and the
-  /// flat fallback mapper.
-  core::HmnOptions flat;
   /// Optional progress observer (display only).
   LevelObserver observer;
-  /// Table name; defaults to "ML".
-  std::string display_name;
 };
 
 class MultilevelMapper final : public core::Mapper {

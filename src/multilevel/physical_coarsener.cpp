@@ -13,8 +13,9 @@ PhysicalHierarchy build_hierarchy(const model::PhysicalCluster& base,
 
   model::PhysicalCluster owned;  // materialized intermediate levels
   const model::PhysicalCluster* cur = &base;
+  constexpr std::size_t kMaxLevels = 8;
   while (cur->graph().node_count() > opts.target_nodes &&
-         h.contractions.size() < opts.max_levels) {
+         h.contractions.size() < kMaxLevels) {
     topology::Contraction c = h.contractions.empty()
                                   ? topology::contract_rack_units(*cur)
                                   : topology::contract_heavy_matching(*cur);

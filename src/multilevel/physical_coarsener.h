@@ -21,11 +21,10 @@
 namespace hmn::multilevel {
 
 struct PhysicalCoarsenOptions {
-  /// Stop contracting once a level has this few nodes; the coarse solve
-  /// runs the full HMN stages there, so this bounds its cost.
+  /// Stop contracting once a level has this few nodes (or after 8
+  /// levels); the coarse solve runs the full HMN stages there, so this
+  /// bounds its cost.
   std::size_t target_nodes = 96;
-  /// Hard cap on contraction levels.
-  std::size_t max_levels = 8;
 };
 
 /// The structural pyramid.  contractions[i] maps level-i nodes onto

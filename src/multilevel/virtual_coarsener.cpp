@@ -21,7 +21,6 @@ VirtLinkId lid(std::size_t i) {
 /// One coarsening round over `venv`.  `weight[g]` is the number of base
 /// guests inside g.  Returns false when nothing merged (fixpoint).
 bool coarsen_round(const model::VirtualEnvironment& venv,
-                   const VirtualCoarsenOptions& opts,
                    std::vector<std::size_t>& weight, VirtualLevel& out) {
   const std::size_t guests = venv.guest_count();
   const std::size_t links = venv.link_count();
@@ -52,19 +51,19 @@ bool coarsen_round(const model::VirtualEnvironment& venv,
     const std::size_t ga = group_of[a];
     const std::size_t gb = group_of[b];
     if (ga == kNone && gb == kNone) {
-      if (weight[a] + weight[b] > opts.max_members) continue;
+      if (weight[a] + weight[b] > kMaxMembers) continue;
       group_of[a] = group_of[b] = group_weight.size();
       group_weight.push_back(weight[a] + weight[b]);
       group_members.push_back({a, b});
       merged = true;
     } else if (ga != kNone && gb == kNone) {
-      if (group_weight[ga] + weight[b] > opts.max_members) continue;
+      if (group_weight[ga] + weight[b] > kMaxMembers) continue;
       group_of[b] = ga;
       group_weight[ga] += weight[b];
       group_members[ga].push_back(b);
       merged = true;
     } else if (ga == kNone && gb != kNone) {
-      if (group_weight[gb] + weight[a] > opts.max_members) continue;
+      if (group_weight[gb] + weight[a] > kMaxMembers) continue;
       group_of[a] = gb;
       group_weight[gb] += weight[a];
       group_members[gb].push_back(a);
@@ -159,10 +158,11 @@ VirtualHierarchy coarsen_virtual(const model::VirtualEnvironment& base,
   VirtualHierarchy h;
   std::vector<std::size_t> weight(base.guest_count(), 1);
   const model::VirtualEnvironment* cur = &base;
+  constexpr std::size_t kMaxLevels = 8;
   while (cur->guest_count() > opts.target_guests &&
-         h.levels.size() < opts.max_levels) {
+         h.levels.size() < kMaxLevels) {
     VirtualLevel level;
-    if (!coarsen_round(*cur, opts, weight, level)) break;
+    if (!coarsen_round(*cur, weight, level)) break;
     h.levels.push_back(std::move(level));
     cur = &h.levels.back().coarse;
   }

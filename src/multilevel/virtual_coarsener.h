@@ -24,15 +24,15 @@
 
 namespace hmn::multilevel {
 
+/// Maximum number of *base* guests a super-guest may absorb; keeps the
+/// coarse solve from collapsing the whole tenant into one unsplittable
+/// blob that no single coarse node could ever balance.
+inline constexpr std::size_t kMaxMembers = 8;
+
 struct VirtualCoarsenOptions {
-  /// Stop coarsening once the coarse environment has this few guests.
+  /// Stop coarsening once the coarse environment has this few guests (or
+  /// after 8 rounds).
   std::size_t target_guests = 12;
-  /// Hard cap on coarsening rounds.
-  std::size_t max_levels = 8;
-  /// Maximum number of *base* guests a super-guest may absorb; keeps the
-  /// coarse solve from collapsing the whole tenant into one unsplittable
-  /// blob that no single coarse node could ever balance.
-  std::size_t max_members = 8;
 };
 
 /// One coarsening step: a finer venv (implicit — the one the step was built

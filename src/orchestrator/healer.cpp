@@ -51,20 +51,13 @@ std::vector<HealRecord> Healer::heal_all(emulator::TenancyManager& mgr,
   return records;
 }
 
-double Healer::backoff_delay(std::size_t failed_attempts) const {
-  // Bounded-exponential by capped repeated multiplication: the schedule
-  // saturates at backoff_max and *stops multiplying* there, so an
-  // unbounded attempt budget on a long outage can neither overflow to
-  // infinity nor spend attempt-count work in pow().  A non-growing factor
-  // (<= 1) degenerates to the flat base delay.
-  double delay = opts_.backoff_base;
-  if (opts_.backoff_factor > 1.0) {
-    for (std::size_t i = 1; i < failed_attempts; ++i) {
-      if (delay >= opts_.backoff_max) break;
-      delay *= opts_.backoff_factor;
-    }
+double backoff_delay(std::size_t failed_attempts) {
+  constexpr double kBackoffMax = 32.0;
+  double delay = 1.0;
+  for (std::size_t i = 1; i < failed_attempts && delay < kBackoffMax; ++i) {
+    delay *= 2.0;
   }
-  return std::min(opts_.backoff_max, delay);
+  return delay;
 }
 
 Healer::State Healer::export_state() const {

@@ -62,16 +62,6 @@ struct HealerOptions {
   /// Re-admission attempts for a parked tenant before it is dropped
   /// (0 = unbounded).
   std::size_t max_heal_attempts = 6;
-  /// Bounded-exponential backoff between re-admission attempts, in event
-  /// time: delay(n) = min(backoff_max, backoff_base * backoff_factor^(n-1)),
-  /// computed by capped repeated multiplication — the doubling stops the
-  /// moment the cap is reached, so a long outage with an unbounded attempt
-  /// budget can never overflow to infinity or degrade into an
-  /// attempt-count-sized pow() (the schedule is deterministic and flat at
-  /// backoff_max from the saturation point on).
-  double backoff_base = 1.0;
-  double backoff_factor = 2.0;
-  double backoff_max = 32.0;
   /// SLA-aware healing.  When set:
   ///   * impacted tenants heal in tier order (gold, standard, best-effort;
   ///     ascending key within a tier), so gold gets first claim on whatever
@@ -122,6 +112,15 @@ struct ParkedTenant {
 
   [[nodiscard]] model::SlaTier tier() const { return venv.sla_tier(); }
 };
+
+/// Bounded-exponential backoff between re-admission attempts of a parked
+/// tenant, in event time: after `failed_attempts` (>= 1) failures the
+/// delay is min(32, 2^(failed_attempts-1)), computed by capped repeated
+/// doubling — the doubling stops the moment the cap is reached, so a long
+/// outage with an unbounded attempt budget can never overflow to infinity
+/// or degrade into an attempt-count-sized pow() (the schedule is flat at
+/// 32 from the saturation point on).
+[[nodiscard]] double backoff_delay(std::size_t failed_attempts);
 
 class Healer {
  public:
@@ -187,13 +186,6 @@ class Healer {
   [[nodiscard]] State export_state() const;
   void restore_state(State state);
 
-  /// Exposed for the bounded-backoff regression tests: the re-admission
-  /// delay after `failed_attempts` failures (>= 1).
-  [[nodiscard]] double backoff_delay_for_testing(
-      std::size_t failed_attempts) const {
-    return backoff_delay(failed_attempts);
-  }
-
   /// Independent invariant audit: recomputes everything from the committed
   /// tenants and returns one message per violation (empty = healthy).
   /// Checks: no guest on a down node (unless it is a declared-dead replica
@@ -205,7 +197,6 @@ class Healer {
       const emulator::TenancyManager& mgr, const LiveMap& live) const;
 
  private:
-  [[nodiscard]] double backoff_delay(std::size_t failed_attempts) const;
   std::optional<HealRecord> heal_one(emulator::TenancyManager& mgr,
                                      LiveMap& live, std::uint32_t key,
                                      double now);

@@ -14,6 +14,10 @@
 namespace hmn::orchestrator {
 namespace {
 
+/// Share of every host's memory/storage an availability-aware
+/// orchestrator withholds from new tenants once failures have been seen.
+constexpr double kSpareHeadroom = 0.1;
+
 std::string tenant_name(std::uint32_t key) {
   return "t" + std::to_string(key);
 }
@@ -79,12 +83,11 @@ Orchestrator::Orchestrator(model::PhysicalCluster cluster,
       queue_(opts.retry_max_attempts, opts.max_queue, opts.queue_policy,
              opts.retry_max_passovers),
       healer_(opts.healer),
-      avail_(mgr_.cluster().node_count(), mgr_.cluster().link_count(),
-             opts.availability) {}
+      avail_(mgr_.cluster().node_count()) {}
 
 void Orchestrator::observe_failure_event(const workload::TenantEvent& ev) {
-  // Every id the event names, nodes first; the tracker ignores
-  // out-of-range ids itself.
+  // Every node the event names; the tracker ignores out-of-range ids
+  // itself.  A failed link only starts the history.
   const workload::EventElements elements = workload::event_elements(ev);
   const bool recover = workload::is_recover_event(ev.kind);
   for (const std::uint32_t n : elements.nodes) {
@@ -94,19 +97,13 @@ void Orchestrator::observe_failure_event(const workload::TenantEvent& ev) {
       avail_.on_node_fail(n, ev.time);
     }
   }
-  for (const std::uint32_t l : elements.links) {
-    if (recover) {
-      avail_.on_link_recover(l, ev.time);
-    } else {
-      avail_.on_link_fail(l, ev.time);
-    }
-  }
+  if (!recover && !elements.links.empty()) avail_.on_link_fail();
   // Install the bias only once the tracker has history — before the first
   // failure nothing is set, so an aware failure-free run stays
   // byte-identical to a blind one (the E15 tie gate).
   if (opts_.availability_aware && avail_.has_history()) {
     mgr_.set_host_weights(avail_.node_weights());
-    mgr_.set_admission_headroom(opts_.spare_headroom);
+    mgr_.set_admission_headroom(kSpareHeadroom);
   }
 }
 

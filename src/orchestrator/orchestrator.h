@@ -237,16 +237,14 @@ struct OrchestratorOptions {
   HealerOptions healer;
 
   /// Availability-aware admission (ROADMAP: repair-aware admission).  When
-  /// true, the orchestrator keeps a per-element EWMA AvailabilityTracker
-  /// from the observed failure stream, scales each host's admission weight
-  /// by its availability, and withholds `spare_headroom` of every host's
-  /// memory/storage from new-tenant admissions so healing has somewhere to
-  /// land.  Strictly invisible until the first failure: the bias is only
-  /// installed once the tracker has history, so a failure-free run is
-  /// byte-identical to availability_aware = false.
+  /// true, the orchestrator scales each host's admission weight by the
+  /// per-host EWMA availability it tracks from the observed failure
+  /// stream, and withholds 10 % of every host's memory/storage from
+  /// new-tenant admissions so healing has somewhere to land.  Strictly
+  /// invisible until the first failure: the bias is only installed once
+  /// the tracker has history, so a failure-free run is byte-identical to
+  /// availability_aware = false.
   bool availability_aware = false;
-  double spare_headroom = 0.1;
-  availability::AvailabilityOptions availability;
 };
 
 /// FNV-1a offset basis — the run fingerprint of an orchestrator that has

@@ -29,6 +29,11 @@ struct PlacementRouter::ShardState {
 
 namespace {
 
+/// Admission-latency histogram layout.  Shard-local admissions sit well
+/// under a millisecond, and E14's p99 gate needs resolution there.
+constexpr double kLatencyUpperUs = 2e5;
+constexpr std::size_t kLatencyBuckets = 4096;
+
 /// FNV-1a over the guest placement translated to parent-fabric host ids —
 /// the same fingerprint the orchestrator logs, so sharded and flat runs
 /// hash comparably.
@@ -56,8 +61,7 @@ PlacementRouter::PlacementRouter(const model::PhysicalCluster& fabric,
     : opts_(opts),
       partition_(topology::partition_cluster(
           fabric, opts.shards == 0 ? 1 : opts.shards)),
-      latency_(opts.latency_histogram_upper_us,
-               opts.latency_histogram_buckets) {
+      latency_(kLatencyUpperUs, kLatencyBuckets) {
   shards_.reserve(partition_.shard_count());
   for (std::size_t s = 0; s < partition_.shard_count(); ++s) {
     extensions::HeuristicPool pool = make_pool();
@@ -107,18 +111,6 @@ std::size_t PlacementRouter::tenant_count() const {
 
 double PlacementRouter::headroom(std::size_t s) const {
   return shards_[s]->headroom;
-}
-
-double PlacementRouter::shard_availability(std::size_t s) const {
-  if (avail_ == nullptr || !avail_->has_history()) return 1.0;
-  const topology::ClusterShard& sh = partition_.shards[s];
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (const NodeId local : sh.cluster.hosts()) {
-    sum += avail_->node_availability(sh.parent_node(local).value());
-    ++count;
-  }
-  return count == 0 ? 1.0 : sum / static_cast<double>(count);
 }
 
 void PlacementRouter::refresh_headroom(std::size_t s) {
@@ -178,12 +170,10 @@ std::vector<RouterDecision> PlacementRouter::admit_batch(
 
   // Headroom snapshot and per-request try-orders, resolved serially before
   // any admission: the scores every request routes on are those at batch
-  // start, independent of intra-batch completion order.  The availability
-  // multiplier is 1.0 everywhere until a failure has been observed, so a
-  // failure-free biased run scores — and routes — identically to blind.
+  // start, independent of intra-batch completion order.
   std::vector<double> snapshot(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    snapshot[s] = shards_[s]->headroom * shard_availability(s);
+    snapshot[s] = shards_[s]->headroom;
   }
 
   std::vector<std::vector<std::size_t>> order(n);

@@ -14,11 +14,7 @@
 // admits into the probe with the most headroom (deterministic tie-break on
 // shard index), and on rejection falls back through the remaining shards in
 // score order.  P2C keeps shards balanced without a global scan per
-// request while staying fully deterministic.  With set_availability() the
-// score becomes headroom × mean host availability of the shard, steering
-// new tenants away from blast-scarred racks; the tracker reports 1.0
-// everywhere until the first failure, so a failure-free run routes
-// byte-identically with or without the bias.
+// request while staying fully deterministic.
 //
 // Determinism under parallelism: admit_batch resolves each request's full
 // shard try-order up front from a headroom snapshot taken at batch start,
@@ -37,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "availability/availability_tracker.h"
 #include "core/map_result.h"
 #include "emulator/tenancy.h"
 #include "extensions/heuristic_pool.h"
@@ -66,9 +61,6 @@ struct RouterOptions {
   /// Try every remaining shard in score order after the probes fail; when
   /// false a request is rejected once its probes reject it.
   bool exhaustive_fallback = true;
-  /// Bucket count / upper bound (us) of the admission-latency histogram.
-  double latency_histogram_upper_us = 1e6;
-  std::size_t latency_histogram_buckets = 256;
   /// Shards with at least this many hosts get their admission pool fronted
   /// by the multilevel coarsen–map–refine mapper (src/multilevel), with a
   /// structural hierarchy prebuilt per shard; the regular pool remains as
@@ -138,17 +130,6 @@ class PlacementRouter {
   /// Current residual-CPU headroom of a shard (the P2C score).
   [[nodiscard]] double headroom(std::size_t s) const;
 
-  /// Installs an availability view (non-owning; caller keeps it alive and
-  /// updated).  Subsequent batches score each shard as headroom × mean
-  /// availability of its hosts in the parent fabric.  nullptr — and a
-  /// tracker with no failure history — leave routing byte-identical to the
-  /// unbiased router.
-  void set_availability(const availability::AvailabilityTracker* tracker) {
-    avail_ = tracker;
-  }
-  /// The multiplier set_availability applies to shard `s` right now.
-  [[nodiscard]] double shard_availability(std::size_t s) const;
-
   [[nodiscard]] const std::vector<RouterDecision>& decision_log() const {
     return log_;
   }
@@ -156,7 +137,8 @@ class PlacementRouter {
   /// placement_hash) of every logged decision; latencies excluded.  Two
   /// runs routed identically iff their signatures match.
   [[nodiscard]] std::string decision_signature() const;
-  /// Admission latencies across all logged decisions.
+  /// Admission latencies across all logged decisions, in 4096 buckets up
+  /// to 2e5 us.
   [[nodiscard]] const util::LatencyHistogram& latency_histogram() const {
     return latency_;
   }
@@ -174,7 +156,6 @@ class PlacementRouter {
   topology::ClusterPartition partition_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::unique_ptr<util::ThreadPool> pool_;  // null when threads <= 1
-  const availability::AvailabilityTracker* avail_ = nullptr;
 
   struct Placement {
     std::size_t shard = 0;

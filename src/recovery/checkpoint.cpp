@@ -26,6 +26,24 @@ T need(std::optional<T> v, const io::BinReader& r, const char* field) {
   return *std::move(v);
 }
 
+/// Reads an element count and refuses one the unread bytes cannot hold at
+/// `item_bytes` apiece (the smallest encoding of one element), so a corrupt
+/// count fails here, before anything is sized from it.
+std::uint64_t take_count(io::BinReader& r, std::size_t item_bytes,
+                         const char* field) {
+  const std::uint64_t n = need(r.take_u64(), r, field);
+  if (n > r.remaining() / item_bytes) {
+    fail(r, std::string("count of '") + field + "' exceeds the bytes left");
+  }
+  return n;
+}
+
+// Smallest encodings of the nested sections: a venv with no guests, links
+// or replica groups (three counts and the tier byte), and a mapping with
+// no hosts or paths (two counts).
+constexpr std::size_t kVenvMinBytes = 8 + 8 + 1 + 8;
+constexpr std::size_t kMappingMinBytes = 8 + 8;
+
 // ---- field-group helpers, encode and decode kept adjacent ----------------
 
 void put_bool_vec(std::string& out, const std::vector<bool>& v) {
@@ -34,7 +52,7 @@ void put_bool_vec(std::string& out, const std::vector<bool>& v) {
 }
 
 std::vector<bool> take_bool_vec(io::BinReader& r, const char* field) {
-  const std::uint64_t n = need(r.take_u64(), r, field);
+  const std::uint64_t n = take_count(r, 1, field);
   std::vector<bool> v(n);
   for (std::uint64_t i = 0; i < n; ++i) v[i] = need(r.take_u8(), r, field) != 0;
   return v;
@@ -46,7 +64,7 @@ void put_f64_vec(std::string& out, const std::vector<double>& v) {
 }
 
 std::vector<double> take_f64_vec(io::BinReader& r, const char* field) {
-  const std::uint64_t n = need(r.take_u64(), r, field);
+  const std::uint64_t n = take_count(r, 8, field);
   std::vector<double> v(n);
   for (std::uint64_t i = 0; i < n; ++i) v[i] = need(r.take_f64(), r, field);
   return v;
@@ -85,7 +103,7 @@ void put_venv(std::string& out, const model::VirtualEnvironment& venv) {
 
 model::VirtualEnvironment take_venv(io::BinReader& r) {
   model::VirtualEnvironment venv;
-  const std::uint64_t guests = need(r.take_u64(), r, "venv.guest_count");
+  const std::uint64_t guests = take_count(r, 3 * 8, "venv.guest_count");
   for (std::uint64_t g = 0; g < guests; ++g) {
     model::GuestRequirements req;
     req.proc_mips = need(r.take_f64(), r, "venv.guest.proc");
@@ -93,7 +111,8 @@ model::VirtualEnvironment take_venv(io::BinReader& r) {
     req.stor_gb = need(r.take_f64(), r, "venv.guest.stor");
     venv.add_guest(req);
   }
-  const std::uint64_t links = need(r.take_u64(), r, "venv.link_count");
+  const std::uint64_t links =
+      take_count(r, 4 + 4 + 8 + 8 + 1, "venv.link_count");
   for (std::uint64_t l = 0; l < links; ++l) {
     const std::uint32_t src = need(r.take_u32(), r, "venv.link.src");
     const std::uint32_t dst = need(r.take_u32(), r, "venv.link.dst");
@@ -111,7 +130,7 @@ model::VirtualEnvironment take_venv(io::BinReader& r) {
     fail(r, "venv sla tier out of range");
   }
   venv.set_sla_tier(static_cast<model::SlaTier>(tier));
-  const std::uint64_t groups = need(r.take_u64(), r, "venv.replica_groups");
+  const std::uint64_t groups = take_count(r, 8 + 8, "venv.replica_groups");
   for (std::uint64_t i = 0; i < groups; ++i) {
     const std::vector<std::uint32_t> raw =
         need(r.take_u32_vec(), r, "venv.replica_group.members");
@@ -149,7 +168,7 @@ core::Mapping take_mapping(io::BinReader& r) {
       need(r.take_u32_vec(), r, "mapping.guest_host");
   mapping.guest_host.reserve(hosts.size());
   for (const std::uint32_t h : hosts) mapping.guest_host.push_back(NodeId{h});
-  const std::uint64_t paths = need(r.take_u64(), r, "mapping.link_paths");
+  const std::uint64_t paths = take_count(r, 8, "mapping.link_paths");
   mapping.link_paths.reserve(paths);
   for (std::uint64_t p = 0; p < paths; ++p) {
     const std::vector<std::uint32_t> raw =
@@ -185,7 +204,8 @@ void put_tenancy(std::string& out, const emulator::TenancyManager::State& s) {
 
 emulator::TenancyManager::State take_tenancy(io::BinReader& r) {
   emulator::TenancyManager::State s;
-  const std::uint64_t n = need(r.take_u64(), r, "tenancy.tenant_count");
+  const std::uint64_t n = take_count(
+      r, 4 + 8 + kVenvMinBytes + kMappingMinBytes, "tenancy.tenant_count");
   s.tenants.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     emulator::Tenant t;
@@ -241,7 +261,7 @@ void put_healer(std::string& out, const orchestrator::Healer::State& s) {
 
 orchestrator::Healer::State take_healer(io::BinReader& r) {
   orchestrator::Healer::State s;
-  const std::uint64_t degraded = need(r.take_u64(), r, "healer.degraded");
+  const std::uint64_t degraded = take_count(r, 4 + 8, "healer.degraded");
   for (std::uint64_t i = 0; i < degraded; ++i) {
     const std::uint32_t key = need(r.take_u32(), r, "healer.degraded.key");
     const std::vector<std::uint32_t> raw =
@@ -250,7 +270,7 @@ orchestrator::Healer::State take_healer(io::BinReader& r) {
     links.reserve(raw.size());
     for (const std::uint32_t l : raw) links.push_back(VirtLinkId{l});
   }
-  const std::uint64_t deferred = need(r.take_u64(), r, "healer.deferred");
+  const std::uint64_t deferred = take_count(r, 4 + 8, "healer.deferred");
   for (std::uint64_t i = 0; i < deferred; ++i) {
     const std::uint32_t key = need(r.take_u32(), r, "healer.deferred.key");
     const std::vector<std::uint32_t> raw =
@@ -259,7 +279,8 @@ orchestrator::Healer::State take_healer(io::BinReader& r) {
     guests.reserve(raw.size());
     for (const std::uint32_t g : raw) guests.push_back(GuestId{g});
   }
-  const std::uint64_t parked = need(r.take_u64(), r, "healer.parked");
+  const std::uint64_t parked =
+      take_count(r, 4 + 8 + kVenvMinBytes + 3 * 8, "healer.parked");
   s.parked.reserve(parked);
   for (std::uint64_t i = 0; i < parked; ++i) {
     orchestrator::ParkedTenant p;
@@ -289,7 +310,8 @@ void put_queue(std::string& out,
 }
 
 std::vector<orchestrator::PendingTenant> take_queue(io::BinReader& r) {
-  const std::uint64_t n = need(r.take_u64(), r, "queue.count");
+  const std::uint64_t n =
+      take_count(r, 4 + 8 + kVenvMinBytes + 4 * 8, "queue.count");
   std::vector<orchestrator::PendingTenant> queue;
   queue.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -319,7 +341,7 @@ void put_elements(std::string& out,
 
 std::vector<availability::ElementSnapshot> take_elements(io::BinReader& r,
                                                          const char* field) {
-  const std::uint64_t n = need(r.take_u64(), r, field);
+  const std::uint64_t n = take_count(r, 8 + 8 + 1 + 1, field);
   std::vector<availability::ElementSnapshot> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -393,7 +415,6 @@ std::string encode_state(const Orchestrator::State& state) {
   put_healer(out, state.healer);
   put_queue(out, state.queue);
   put_elements(out, state.availability.nodes);
-  put_elements(out, state.availability.links);
   io::put_u8(out, state.availability.has_history ? 1 : 0);
   io::put_u64(out, state.live.size());
   for (const auto& [key, id] : state.live) {
@@ -430,20 +451,20 @@ Orchestrator::State decode_state(std::string_view payload) {
   state.healer = take_healer(r);
   state.queue = take_queue(r);
   state.availability.nodes = take_elements(r, "availability.nodes");
-  state.availability.links = take_elements(r, "availability.links");
   state.availability.has_history =
       need(r.take_u8(), r, "availability.has_history") != 0;
-  const std::uint64_t live = need(r.take_u64(), r, "live.count");
+  const std::uint64_t live = take_count(r, 4 + 4, "live.count");
   for (std::uint64_t i = 0; i < live; ++i) {
     const std::uint32_t key = need(r.take_u32(), r, "live.key");
     state.live[key] = need(r.take_u32(), r, "live.tenant");
   }
-  const std::uint64_t degraded = need(r.take_u64(), r, "degraded_since.count");
+  const std::uint64_t degraded =
+      take_count(r, 4 + 8, "degraded_since.count");
   for (std::uint64_t i = 0; i < degraded; ++i) {
     const std::uint32_t key = need(r.take_u32(), r, "degraded_since.key");
     state.degraded_since[key] = need(r.take_f64(), r, "degraded_since.time");
   }
-  const std::uint64_t lost = need(r.take_u64(), r, "lost_since.count");
+  const std::uint64_t lost = take_count(r, 4 + 8 + 1, "lost_since.count");
   for (std::uint64_t i = 0; i < lost; ++i) {
     const std::uint32_t key = need(r.take_u32(), r, "lost_since.key");
     orchestrator::LostWindow& window = state.lost_since[key];

@@ -3,7 +3,7 @@
 // A checkpoint is the serialized Orchestrator::State — every committed
 // tenant with its venv and mapping, the failure masks, the healer's
 // degraded/deferred/parked bookkeeping, the retry queue, the availability
-// trackers, and the report's scalar counters — encoded with the io/binfmt
+// tracker, and the report's scalar counters — encoded with the io/binfmt
 // primitives so every double travels as its IEEE-754 bit pattern and a
 // restored orchestrator is *bit*-equal to the one that exported it (the
 // byte-identical-fingerprint recovery gate depends on exactly this).
@@ -26,7 +26,7 @@
 
 namespace hmn::recovery {
 
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Serializes a state export.  Total size is O(committed state), never
 /// O(run length).
@@ -36,7 +36,8 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 /// Decodes a checkpoint payload (the bytes encode_state produced; the
 /// frame CRC has already vouched for their integrity).  Throws
 /// RecoveryError (journal.h) with a descriptive offset-bearing message on
-/// version skew or a malformed payload.
+/// version skew or a malformed payload, including any element count the
+/// remaining bytes cannot hold.
 [[nodiscard]] orchestrator::Orchestrator::State decode_state(
     std::string_view payload);
 

@@ -121,14 +121,6 @@ TEST(Session, VmmOverheadShrinksCapacity) {
   EXPECT_FALSE(s.map());
 }
 
-TEST(Session, WithoutFallbackPoolOnlyHmnRuns) {
-  SessionConfig cfg;
-  cfg.use_fallback_pool = false;
-  auto s = small_session(cfg);
-  define_pair(s);
-  EXPECT_TRUE(s.map());
-}
-
 TEST(Session, ReportMentionsPhasesAndCounts) {
   auto s = small_session();
   define_pair(s);

@@ -147,7 +147,6 @@ TEST(DeterminismRegression, CorrelatedBlastRunsAreByteIdentical) {
 
   hmn::orchestrator::OrchestratorOptions opts;
   opts.availability_aware = true;
-  opts.spare_headroom = 0.1;
   Orchestrator first(cluster, trace.profile, opts);
   Orchestrator second(cluster, trace.profile, opts);
   const std::string fp_first = run_fingerprint(first.run(trace));

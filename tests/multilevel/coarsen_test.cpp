@@ -133,10 +133,11 @@ TEST(VirtualCoarsenTest, LevelsConserveResourcesAndBandwidth) {
 }
 
 TEST(VirtualCoarsenTest, MemberCapBoundsSuperGuestSize) {
+  // 48 guests cannot shrink to 4 super-guests of at most kMaxMembers each,
+  // so the cap binds.
   const auto base = make_venv(48, 23);
   VirtualCoarsenOptions opts;
   opts.target_guests = 4;
-  opts.max_members = 5;
   const VirtualHierarchy h = multilevel::coarsen_virtual(base, opts);
   ASSERT_FALSE(h.empty());
 
@@ -150,7 +151,7 @@ TEST(VirtualCoarsenTest, MemberCapBoundsSuperGuestSize) {
   std::vector<std::size_t> absorbed(h.coarsest(base).guest_count(), 0);
   for (const std::size_t o : owner) ++absorbed[o];
   for (const std::size_t n : absorbed) {
-    EXPECT_LE(n, opts.max_members);
+    EXPECT_LE(n, multilevel::kMaxMembers);
   }
 }
 

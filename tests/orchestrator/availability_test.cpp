@@ -1,7 +1,6 @@
 // Tests for the availability layer: the EWMA tracker itself, the biased
-// admission view of the TenancyManager, the orchestrator's invisibility
-// invariant (aware == blind until the first failure), and the
-// PlacementRouter's availability-scaled P2C scores.
+// admission view of the TenancyManager, and the orchestrator's
+// invisibility invariant (aware == blind until the first failure).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +12,7 @@
 #include "core/hmn_mapper.h"
 #include "emulator/tenancy.h"
 #include "orchestrator/orchestrator.h"
-#include "orchestrator/router.h"
+#include "recovery/checkpoint.h"
 #include "testing/fixtures.h"
 #include "topology/topologies.h"
 #include "workload/churn.h"
@@ -23,76 +22,68 @@
 namespace {
 
 using namespace hmn;
-using availability::AvailabilityOptions;
 using availability::AvailabilityTracker;
-using availability::ClassTracker;
 
 TEST(AvailabilityTracker, NeverFailedElementsReportExactlyOne) {
-  ClassTracker t(4, {});
-  for (std::uint32_t e = 0; e < 4; ++e) {
-    EXPECT_EQ(t.availability(e), 1.0);
-    EXPECT_FALSE(t.is_down(e));
-  }
-  // A transition elsewhere never perturbs an untouched element.
-  t.on_fail(1, 5.0);
-  EXPECT_EQ(t.availability(0), 1.0);
-  EXPECT_EQ(t.availability(2), 1.0);
+  AvailabilityTracker t(4);
+  for (const double w : t.node_weights()) EXPECT_EQ(w, 1.0);
+  // A transition elsewhere never perturbs an untouched node.
+  t.on_node_fail(1, 5.0);
+  const auto weights = t.node_weights();
+  EXPECT_EQ(weights[0], 1.0);
+  EXPECT_EQ(weights[2], 1.0);
+  EXPECT_EQ(weights[3], 1.0);
 }
 
 TEST(AvailabilityTracker, DownElementsSitAtTheFloor) {
-  AvailabilityOptions opts;
-  opts.floor = 0.1;
-  ClassTracker t(2, opts);
-  t.on_fail(0, 10.0);
-  EXPECT_TRUE(t.is_down(0));
-  EXPECT_DOUBLE_EQ(t.availability(0), 0.1);
+  AvailabilityTracker t(2);
+  t.on_node_fail(0, 10.0);
+  EXPECT_TRUE(t.snapshot().nodes[0].down);
+  EXPECT_DOUBLE_EQ(t.node_weights()[0], availability::kFloor);
 }
 
 TEST(AvailabilityTracker, RecoveryFoldsTheDownIntervalEwma) {
-  AvailabilityOptions opts;
-  opts.tau = 50.0;
-  ClassTracker t(1, opts);
+  AvailabilityTracker t(1);
   // Up for 100, down for 10: fail at t=100 folds the up interval (x=1,
   // avail stays 1), recover at t=110 folds the down interval with
-  // alpha = 1 - exp(-10/50).
-  t.on_fail(0, 100.0);
-  t.on_recover(0, 110.0);
+  // alpha = 1 - exp(-10/tau), tau = 50.
+  t.on_node_fail(0, 100.0);
+  t.on_node_recover(0, 110.0);
   const double alpha = 1.0 - std::exp(-10.0 / 50.0);
-  EXPECT_FALSE(t.is_down(0));
-  EXPECT_NEAR(t.availability(0), 1.0 - alpha, 1e-12);
+  EXPECT_FALSE(t.snapshot().nodes[0].down);
+  EXPECT_NEAR(t.node_weights()[0], 1.0 - alpha, 1e-12);
   // A long stable up interval pulls the estimate back toward 1 (checked
-  // after the next recovery: while down, availability() reports the floor).
-  t.on_fail(0, 400.0);
-  t.on_recover(0, 401.0);
-  EXPECT_GT(t.availability(0), 1.0 - alpha);
+  // after the next recovery: while down, the weight is the floor).
+  t.on_node_fail(0, 400.0);
+  t.on_node_recover(0, 401.0);
+  EXPECT_GT(t.node_weights()[0], 1.0 - alpha);
 }
 
 TEST(AvailabilityTracker, DuplicateTransitionsAreNoOps) {
   // Overlapping blast groups can replay a member's fail/recover; the
   // second application of either direction must not move the estimate.
-  ClassTracker t(1, {});
-  t.on_fail(0, 10.0);
-  const double down = t.availability(0);
-  t.on_fail(0, 12.0);  // already down
-  EXPECT_EQ(t.availability(0), down);
-  t.on_recover(0, 20.0);
-  const double up = t.availability(0);
-  t.on_recover(0, 25.0);  // already up
-  EXPECT_EQ(t.availability(0), up);
+  AvailabilityTracker t(1);
+  t.on_node_fail(0, 10.0);
+  const double down = t.node_weights()[0];
+  t.on_node_fail(0, 12.0);  // already down
+  EXPECT_EQ(t.node_weights()[0], down);
+  t.on_node_recover(0, 20.0);
+  const double up = t.node_weights()[0];
+  t.on_node_recover(0, 25.0);  // already up
+  EXPECT_EQ(t.node_weights()[0], up);
 }
 
 TEST(AvailabilityTracker, OutOfRangeElementsAreIgnored) {
-  ClassTracker t(2, {});
-  t.on_fail(99, 1.0);  // no crash, no history
-  EXPECT_EQ(t.availability(99), 1.0);
-
-  AvailabilityTracker tracker(2, 3);
-  tracker.on_node_fail(50, 1.0);  // still flips the history latch
+  AvailabilityTracker tracker(2);
+  tracker.on_node_recover(99, 1.0);  // no crash, no history
+  EXPECT_FALSE(tracker.has_history());
+  tracker.on_node_fail(50, 1.0);  // no crash, but flips the history latch
   EXPECT_TRUE(tracker.has_history());
+  for (const double w : tracker.node_weights()) EXPECT_EQ(w, 1.0);
 }
 
 TEST(AvailabilityTracker, WeightsAreAllOneUntilFirstFailure) {
-  AvailabilityTracker tracker(3, 2);
+  AvailabilityTracker tracker(3);
   EXPECT_FALSE(tracker.has_history());
   for (const double w : tracker.node_weights()) EXPECT_EQ(w, 1.0);
 
@@ -173,7 +164,6 @@ TEST(OrchestratorAvailability, AwareIsInvisibleWithoutFailures) {
 
   orchestrator::OrchestratorOptions aware;
   aware.availability_aware = true;
-  aware.spare_headroom = 0.2;
   orchestrator::Orchestrator a(cluster, trace.profile, hmn_pool(), aware);
   orchestrator::Orchestrator b(cluster, trace.profile, hmn_pool(), {});
   EXPECT_EQ(a.run(trace).decision_signature(),
@@ -204,57 +194,36 @@ TEST(OrchestratorAvailability, BlastEventsFeedTheTrackerAndCount) {
   EXPECT_TRUE(report.invariant_violations.empty());
   EXPECT_TRUE(orch.availability().has_history());
   // At least one host under a blasted switch carries degraded availability.
+  const std::vector<double> weights = orch.availability().node_weights();
   bool any_scarred = false;
   for (const NodeId h : cluster.hosts()) {
-    if (orch.availability().node_availability(h.value()) < 1.0) {
-      any_scarred = true;
-    }
+    if (weights[h.index()] < 1.0) any_scarred = true;
   }
   EXPECT_TRUE(any_scarred);
 }
 
-model::PhysicalCluster tree_fabric(std::size_t hosts) {
-  return model::PhysicalCluster::build(
-      topology::switch_tree(hosts, 8, 4),
-      std::vector<model::HostCapacity>(hosts, {1000, 4096, 4096}),
-      model::LinkProps{1000.0, 5.0});
-}
+TEST(OrchestratorAvailability, LinkFailureStartsHistoryAcrossACheckpoint) {
+  // Links carry no estimate, but a run whose first failure is a link must
+  // still install the admission headroom, and a checkpoint must keep it.
+  const auto cluster =
+      workload::make_paper_cluster(workload::ClusterKind::kSwitched, 5);
+  orchestrator::OrchestratorOptions opts;
+  opts.availability_aware = true;
+  const auto profile = workload::high_level_profile();
+  orchestrator::Orchestrator orch(cluster, profile, hmn_pool(), opts);
+  workload::TenantEvent fail;
+  fail.time = 1.0;
+  fail.kind = workload::EventKind::kLinkFail;
+  fail.element = 0;
+  orch.handle(fail);
+  EXPECT_TRUE(orch.availability().has_history());
+  EXPECT_EQ(orch.tenancy().admission_headroom(), 0.1);
 
-TEST(RouterAvailability, ScoresAreNeutralWithoutHistory) {
-  const auto cluster = tree_fabric(16);
-  orchestrator::RouterOptions ropts;
-  ropts.shards = 4;
-  orchestrator::PlacementRouter router(cluster, ropts);
-  for (std::size_t s = 0; s < router.shard_count(); ++s) {
-    EXPECT_EQ(router.shard_availability(s), 1.0);
-  }
-  AvailabilityTracker idle(cluster.node_count(), cluster.link_count());
-  router.set_availability(&idle);
-  for (std::size_t s = 0; s < router.shard_count(); ++s) {
-    EXPECT_EQ(router.shard_availability(s), 1.0);
-  }
-}
-
-TEST(RouterAvailability, ScarredShardScoresBelowItsPeers) {
-  const auto cluster = tree_fabric(16);
-  orchestrator::RouterOptions ropts;
-  ropts.shards = 4;
-  orchestrator::PlacementRouter router(cluster, ropts);
-  ASSERT_GT(router.shard_count(), 1u);
-
-  AvailabilityTracker tracker(cluster.node_count(), cluster.link_count());
-  // Scar every host of shard 0 in the parent fabric's id space.
-  const auto& shard0 = router.shard(0);
-  for (const NodeId local : shard0.cluster.hosts()) {
-    const std::uint32_t parent = shard0.parent_node(local).value();
-    tracker.on_node_fail(parent, 10.0);
-    tracker.on_node_recover(parent, 40.0);
-  }
-  router.set_availability(&tracker);
-  EXPECT_LT(router.shard_availability(0), 1.0);
-  for (std::size_t s = 1; s < router.shard_count(); ++s) {
-    EXPECT_EQ(router.shard_availability(s), 1.0);
-  }
+  orchestrator::Orchestrator restored(cluster, profile, hmn_pool(), opts);
+  restored.restore_state(
+      recovery::decode_state(recovery::encode_state(orch.export_state())));
+  EXPECT_TRUE(restored.availability().has_history());
+  EXPECT_EQ(restored.tenancy().admission_headroom(), 0.1);
 }
 
 }  // namespace

@@ -240,8 +240,6 @@ TEST(HealerTest, EvictionParksThenReadmitsOnRecovery) {
 TEST(HealerTest, BackoffGatesRetriesAndBudgetDrops) {
   HealerOptions opts;
   opts.max_heal_attempts = 2;
-  opts.backoff_base = 1.0;
-  opts.backoff_factor = 2.0;
   emulator::TenancyManager mgr(line_cluster(2, {1000, 4096, 4096}));
   const auto a = mgr.admit("a", solo_venv(3000.0), 1);
   const auto b = mgr.admit("b", solo_venv(3000.0), 2);
@@ -255,7 +253,7 @@ TEST(HealerTest, BackoffGatesRetriesAndBudgetDrops) {
   ASSERT_EQ(healer.parked_count(), 1u);
 
   // The host stays down.  Attempt 1 fails silently and arms the backoff
-  // gate at t=3 (2 + base*factor^0); a poll before the gate is a no-op.
+  // gate at t=3 (2 + 2^0); a poll before the gate is a no-op.
   EXPECT_TRUE(healer.on_capacity_freed(mgr, live, 2.0).empty());
   EXPECT_TRUE(healer.on_capacity_freed(mgr, live, 2.5).empty());
   EXPECT_EQ(healer.parked_count(), 1u);

@@ -20,9 +20,8 @@ namespace {
 
 using namespace hmn;
 using namespace hmn::test;
+using orchestrator::backoff_delay;
 using orchestrator::Decision;
-using orchestrator::Healer;
-using orchestrator::HealerOptions;
 using orchestrator::Orchestrator;
 using orchestrator::OrchestratorOptions;
 using orchestrator::PendingTenant;
@@ -190,51 +189,23 @@ TEST(OrchestratorPreemption, ZeroBudgetNeverPreempts) {
 // --- bounded-exponential parked-queue backoff ----------------------------
 
 TEST(HealerBackoff, ScheduleIsBoundedExponentialAndDeterministic) {
-  HealerOptions opts;
-  opts.backoff_base = 1.0;
-  opts.backoff_factor = 2.0;
-  opts.backoff_max = 32.0;
-  const Healer healer(opts);
   const double expect[] = {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 32.0, 32.0};
   for (std::size_t n = 1; n <= 8; ++n) {
-    EXPECT_DOUBLE_EQ(healer.backoff_delay_for_testing(n), expect[n - 1])
-        << "attempt " << n;
-  }
-  // Two healers with the same options agree exactly — the schedule is
-  // configuration, not state.
-  const Healer other(opts);
-  for (std::size_t n = 1; n <= 8; ++n) {
-    EXPECT_DOUBLE_EQ(other.backoff_delay_for_testing(n),
-                     healer.backoff_delay_for_testing(n));
+    EXPECT_DOUBLE_EQ(backoff_delay(n), expect[n - 1]) << "attempt " << n;
   }
 }
 
 TEST(HealerBackoff, HugeAttemptCountsSaturateFinite) {
-  // The regression this guards: pow(factor, n) for large n overflows to
+  // The regression this guards: pow(2, n) for large n overflows to
   // infinity and a parked tenant's next_attempt becomes "never".  Capped
-  // repeated multiplication must stay flat at backoff_max instead.
-  HealerOptions opts;
-  opts.backoff_base = 0.5;
-  opts.backoff_factor = 3.0;
-  opts.backoff_max = 20.0;
-  const Healer healer(opts);
+  // repeated doubling must stay flat at the cap instead.
   for (const std::size_t n :
        {std::size_t{64}, std::size_t{4096}, std::size_t{1} << 40,
         std::numeric_limits<std::size_t>::max()}) {
-    const double d = healer.backoff_delay_for_testing(n);
+    const double d = backoff_delay(n);
     EXPECT_TRUE(std::isfinite(d)) << "attempts " << n;
-    EXPECT_DOUBLE_EQ(d, 20.0) << "attempts " << n;
+    EXPECT_DOUBLE_EQ(d, 32.0) << "attempts " << n;
   }
-}
-
-TEST(HealerBackoff, CapBelowBaseClampsToCap) {
-  HealerOptions opts;
-  opts.backoff_base = 5.0;
-  opts.backoff_factor = 2.0;
-  opts.backoff_max = 3.0;
-  const Healer healer(opts);
-  EXPECT_DOUBLE_EQ(healer.backoff_delay_for_testing(1), 3.0);
-  EXPECT_DOUBLE_EQ(healer.backoff_delay_for_testing(9), 3.0);
 }
 
 }  // namespace

@@ -264,14 +264,17 @@ TEST(CheckpointTest, CorruptStateFailsLoudly) {
                  RecoveryError)
         << "cut at " << cut;
   }
-  // A wrong version byte is refused before anything is interpreted.
-  std::string wrong = encoded;
-  wrong[0] = char(99);
-  try {
-    (void)recovery::decode_state(wrong);
-    FAIL() << "expected RecoveryError";
-  } catch (const RecoveryError& e) {
-    EXPECT_TRUE(contains(e.what(), "version")) << e.what();
+  // A wrong version byte is refused before anything is interpreted; so is
+  // version 2, whose layout still carried per-link availability.
+  for (const char version : {char(2), char(99)}) {
+    std::string wrong = encoded;
+    wrong[0] = version;
+    try {
+      (void)recovery::decode_state(wrong);
+      FAIL() << "expected RecoveryError";
+    } catch (const RecoveryError& e) {
+      EXPECT_TRUE(contains(e.what(), "version")) << e.what();
+    }
   }
   // Trailing junk means encoder/decoder skew; also refused.
   EXPECT_THROW((void)recovery::decode_state(encoded + "x"), RecoveryError);

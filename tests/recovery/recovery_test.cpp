@@ -4,9 +4,14 @@
 // journal) absorbed exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "io/binfmt.h"
 #include "recovery/checkpoint.h"
 #include "recovery/journal.h"
 #include "recovery/recovery.h"
@@ -197,6 +202,43 @@ TEST(RecoveryTest, OrphanedEndAndIndexGapAreRefused) {
     } catch (const RecoveryError& e) {
       EXPECT_TRUE(contains(e.what(), "does not follow the recovered state"))
           << e.what();
+    }
+  }
+}
+
+TEST(RecoveryTest, CheckpointCountBeyondItsBytesIsRefused) {
+  // A CRC-valid checkpoint whose element count claims more elements than
+  // the payload can hold must fail as a RecoveryError, never size a vector
+  // from the count first.
+  Orchestrator fresh(recovery_cluster(), workload::high_level_profile());
+  const Orchestrator::State state = fresh.export_state();
+  const std::string encoded = recovery::encode_state(state);
+  // tenancy.node_down's count follows the version (4 bytes), the tenant
+  // count (8) and next_id (4).  tenancy.used_proc's count follows the
+  // node_down and edge_down flags, the host weights and the headroom.
+  const std::size_t node_down_at = 16;
+  const std::size_t used_proc_at =
+      node_down_at + 8 + state.tenancy.node_down.size() + 8 +
+      state.tenancy.edge_down.size() + 8 +
+      8 * state.tenancy.host_weights.size() + 8;
+  for (const auto& [at, count] :
+       {std::pair{node_down_at, state.tenancy.node_down.size()},
+        std::pair{used_proc_at, state.tenancy.used_proc.size()}}) {
+    io::BinReader original(std::string_view(encoded).substr(at));
+    ASSERT_EQ(original.take_u64(), std::optional<std::uint64_t>(count));
+    std::string huge;
+    io::put_u64(huge, std::uint64_t{1} << 62);
+    std::string doctored = encoded;
+    doctored.replace(at, huge.size(), huge);
+    std::string journal;
+    recovery::JournalWriter w(journal);
+    w.checkpoint(fresh.events_handled(), fresh.run_fingerprint(), doctored);
+    Orchestrator orch(recovery_cluster(), workload::high_level_profile());
+    try {
+      (void)recovery::recover(orch, journal);
+      FAIL() << "expected RecoveryError for the count at byte " << at;
+    } catch (const RecoveryError& e) {
+      EXPECT_TRUE(contains(e.what(), "exceeds the bytes left")) << e.what();
     }
   }
 }
