@@ -48,6 +48,7 @@ void BM_Dijkstra_Torus40(benchmark::State& state) {
 }
 BENCHMARK(BM_Dijkstra_Torus40);
 
+// The A*Prune benches search in one long-lived scratch, as LinkRouter does.
 void BM_AStarPrune_Torus40(benchmark::State& state) {
   const bool prune = state.range(0) != 0;
   const auto& cluster = torus_cluster();
@@ -55,16 +56,37 @@ void BM_AStarPrune_Torus40(benchmark::State& state) {
   auto lat = [&](EdgeId e) { return cluster.link(e).latency_ms; };
   graph::AStarPruneOptions opts;
   opts.prune_dominated = prune;
+  graph::AStarPruneScratch scratch;
   unsigned dst = 1;
   for (auto _ : state) {
     dst = dst % 39 + 1;
-    auto path = graph::astar_prune_bottleneck(
-        cluster.graph(), NodeId{0}, NodeId{dst}, 0.75, 45.0, bw, lat, opts);
+    auto path = graph::astar_prune_bottleneck(cluster.graph(), NodeId{0},
+                                              NodeId{dst}, 0.75, 45.0, bw,
+                                              lat, opts, scratch);
     benchmark::DoNotOptimize(path);
   }
 }
 BENCHMARK(BM_AStarPrune_Torus40)->Arg(1)->Arg(0)
     ->ArgName("dominance_pruning");
+
+// The churn fabric: 40 hosts behind switches.
+void BM_AStarPrune_Switched40(benchmark::State& state) {
+  static const auto cluster =
+      workload::make_paper_cluster(workload::ClusterKind::kSwitched, 1);
+  const auto& hosts = cluster.hosts();
+  auto bw = [&](EdgeId e) { return cluster.link(e).bandwidth_mbps; };
+  auto lat = [&](EdgeId e) { return cluster.link(e).latency_ms; };
+  graph::AStarPruneScratch scratch;
+  std::size_t dst = 1;
+  for (auto _ : state) {
+    dst = dst % (hosts.size() - 1) + 1;
+    auto path = graph::astar_prune_bottleneck(cluster.graph(), hosts[0],
+                                              hosts[dst], 0.75, 45.0, bw, lat,
+                                              {}, scratch);
+    benchmark::DoNotOptimize(path);
+  }
+}
+BENCHMARK(BM_AStarPrune_Switched40);
 
 void BM_DfsPruned_Torus40(benchmark::State& state) {
   const auto& cluster = torus_cluster();

@@ -105,9 +105,11 @@ int main() {
   std::printf("online orchestration under churn, paper switched cluster, "
               "%zu reps per cell\n\n", reps);
 
+  // "migrate ms" and "reroute ms" split each run's defrag wall clock into
+  // the Migration stage and the global re-route.
   util::Table table({"load", "defrag", "acceptance", "backfilled",
-                     "mean wait", "mem util", "migrations", "p50 us",
-                     "p99 us"});
+                     "mean wait", "mem util", "migrations", "migrate ms",
+                     "reroute ms", "p50 us", "p99 us"});
   // acceptance[policy] at the highest load, for the closing comparison.
   double top_load_acceptance[2] = {0.0, 0.0};
 
@@ -115,7 +117,7 @@ int main() {
     const double load = loads[li];
     for (const bool defrag : {false, true}) {
       util::RunningStats acceptance, backfilled, wait, util_mem, migrations,
-          p50, p99;
+          migrate_ms, reroute_ms, p50, p99;
       for (std::size_t rep = 0; rep < reps; ++rep) {
         const auto seed = util::derive_seed(env_seed(), 41, li, rep);
         const auto cluster = workload::make_paper_cluster(
@@ -132,6 +134,8 @@ int main() {
         wait.add(report.mean_queue_wait());
         util_mem.add(mean_mem_utilization(report));
         migrations.add(static_cast<double>(report.defrag.migrations));
+        migrate_ms.add(1e3 * report.defrag.migration_seconds);
+        reroute_ms.add(1e3 * report.defrag.reroute_seconds);
         p50.add(report.latency_percentile_us(50.0));
         p99.add(report.latency_percentile_us(99.0));
       }
@@ -144,6 +148,8 @@ int main() {
                      util::Table::fmt(wait.mean(), 2),
                      util::Table::fmt(util_mem.mean(), 3),
                      util::Table::fmt(migrations.mean(), 1),
+                     util::Table::fmt(migrate_ms.mean(), 1),
+                     util::Table::fmt(reroute_ms.mean(), 1),
                      util::Table::fmt(p50.mean(), 0),
                      util::Table::fmt(p99.mean(), 0)});
     }

@@ -28,8 +28,7 @@ NetworkingOptions dfs_networking(std::uint64_t seed,
 }
 
 MapOutcome success(std::vector<NodeId> placement,
-                   core::NetworkingResult routed, std::size_t tries,
-                   const util::Timer& total) {
+                   core::NetworkingResult routed, std::size_t tries) {
   MapOutcome outcome;
   Mapping mapping;
   mapping.guest_host = std::move(placement);
@@ -37,20 +36,41 @@ MapOutcome success(std::vector<NodeId> placement,
   outcome.mapping = std::move(mapping);
   outcome.stats.links_routed = routed.links_routed;
   outcome.stats.tries = tries;
-  outcome.stats.total_seconds = total.elapsed_seconds();
   return outcome;
 }
 
 /// Shared retry loop for R and RA: random placement + path mapping, both
-/// retried together.
+/// retried together.  An instance the Eqs. 2-3 certificate rules out fails
+/// before the first try: no random placement of it could succeed.
 MapOutcome random_then_route(const model::PhysicalCluster& cluster,
                              const model::VirtualEnvironment& venv,
                              std::uint64_t seed, const BaselineOptions& opts,
                              PathAlgorithm algorithm) {
   const util::Timer total;
+  // Placement time is the remainder of the routing time, so the loop reads
+  // the clock only around the run_networking calls.
+  auto finish = [&](MapOutcome out, double networking_seconds) {
+    out.stats.total_seconds = total.elapsed_seconds();
+    out.stats.networking_seconds = networking_seconds;
+    out.stats.hosting_seconds = out.stats.total_seconds - networking_seconds;
+    return out;
+  };
+  if (auto cert = core::certify_infeasible(cluster, venv)) {
+    return finish(MapOutcome::failure(MapErrorCode::kTriesExhausted,
+                                      std::move(cert->detail)),
+                  0.0);
+  }
+
   util::Rng rng(seed);
+  // Every try starts from the pristine state by assignment, which reuses
+  // the buffers, and routes through one router, which keeps its ar[]
+  // tables and A*Prune scratch across tries.
+  const ResidualState pristine(cluster);
+  ResidualState state = pristine;
+  core::LinkRouter router(state);
+  double networking_seconds = 0.0;
   for (std::size_t attempt = 0; attempt < opts.max_tries; ++attempt) {
-    ResidualState state(cluster);
+    state = pristine;
     auto placement = random_placement(venv, state, rng);
     if (!placement.has_value()) continue;
 
@@ -60,21 +80,21 @@ MapOutcome random_then_route(const model::PhysicalCluster& cluster,
     } else {
       n.algorithm = PathAlgorithm::kAStarPrune;
     }
+    const util::Timer routing;
     core::NetworkingResult routed =
-        core::run_networking(venv, state, *placement, n);
+        core::run_networking(venv, state, *placement, n, &router);
+    networking_seconds += routing.elapsed_seconds();
     if (routed.ok) {
-      MapOutcome out = success(std::move(*placement), std::move(routed),
-                               attempt + 1, total);
-      out.stats.networking_seconds = out.stats.total_seconds;
-      return out;
+      return finish(success(std::move(*placement), std::move(routed),
+                            attempt + 1),
+                    networking_seconds);
     }
   }
   MapOutcome out = MapOutcome::failure(
       MapErrorCode::kTriesExhausted,
       "no valid mapping after " + std::to_string(opts.max_tries) + " tries");
   out.stats.tries = opts.max_tries;
-  out.stats.total_seconds = total.elapsed_seconds();
-  return out;
+  return finish(std::move(out), networking_seconds);
 }
 
 }  // namespace
@@ -114,6 +134,13 @@ MapOutcome HostingSearchMapper::map(const model::PhysicalCluster& cluster,
     return out;
   }
 
+  double networking_seconds = 0.0;
+  auto finish = [&](MapOutcome out) {
+    out.stats.hosting_seconds = hosting_seconds;
+    out.stats.networking_seconds = networking_seconds;
+    out.stats.total_seconds = total.elapsed_seconds();
+    return out;
+  };
   for (std::size_t attempt = 0; attempt < opts_.max_tries; ++attempt) {
     // Bandwidth reservations must restart fresh each attempt, but guest
     // placements persist: rebuild the residual state from the placement.
@@ -122,22 +149,18 @@ MapOutcome HostingSearchMapper::map(const model::PhysicalCluster& cluster,
     core::NetworkingResult routed = core::run_networking(
         venv, state, hosted.guest_host,
         dfs_networking(util::derive_seed(seed, attempt), opts_));
+    networking_seconds += stage.elapsed_seconds();
     if (routed.ok) {
-      MapOutcome out = success(hosted.guest_host, std::move(routed),
-                               attempt + 1, total);
-      out.stats.hosting_seconds = hosting_seconds;
-      out.stats.networking_seconds = stage.elapsed_seconds();
-      return out;
+      return finish(
+          success(hosted.guest_host, std::move(routed), attempt + 1));
     }
   }
   MapOutcome out = MapOutcome::failure(
       MapErrorCode::kTriesExhausted,
       "no valid link mapping after " + std::to_string(opts_.max_tries) +
           " tries");
-  out.stats.hosting_seconds = hosting_seconds;
   out.stats.tries = opts_.max_tries;
-  out.stats.total_seconds = total.elapsed_seconds();
-  return out;
+  return finish(std::move(out));
 }
 
 }  // namespace hmn::baselines

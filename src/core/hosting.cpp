@@ -1,6 +1,7 @@
 #include "core/hosting.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "util/rng.h"
 
@@ -226,6 +227,93 @@ HostingResult run_hosting(const model::VirtualEnvironment& venv,
 
   result.ok = true;
   return result;
+}
+
+std::optional<InfeasibilityCertificate> certify_infeasible(
+    const model::PhysicalCluster& cluster,
+    const model::VirtualEnvironment& venv) {
+  // Aggregate bound.  A placement that fits()/place() accept leaves every
+  // host's residual, computed by sequential subtraction, >= 0 in floating
+  // point.  Each subtraction rounds by at most u = 2^-53 of its result,
+  // which never exceeds the host's capacity c, so the exact demand of the
+  // k guests on a host is at most c * (1 + k u), and the exact total
+  // demand of G guests at most (1 + G u) times the exact total capacity.
+  // The two sums below add at most (G + H) u more for H hosts.  A margin
+  // of kRelTol = 1e-9 therefore covers every instance with 2G + H below
+  // about 4 million: an exact fit, 0.1 + 0.2 MB on a 0.3 MB host included,
+  // is never certified.  Negative residuals are clamped: such a host takes
+  // no guest, so it adds no capacity.
+  constexpr double kRelTol = 1e-9;
+  double host_mem = 0.0;
+  double host_stor = 0.0;
+  for (const NodeId h : cluster.hosts()) {
+    host_mem += std::max(cluster.capacity(h).mem_mb, 0.0);
+    host_stor += std::max(cluster.capacity(h).stor_gb, 0.0);
+  }
+  double guest_mem = 0.0;
+  double guest_stor = 0.0;
+  for (std::size_t g = 0; g < venv.guest_count(); ++g) {
+    const auto& req =
+        venv.guest(GuestId{static_cast<GuestId::underlying_type>(g)});
+    guest_mem += req.mem_mb;
+    guest_stor += req.stor_gb;
+  }
+  char buf[160];
+  const bool mem = guest_mem > host_mem * (1.0 + kRelTol);
+  if (mem || guest_stor > host_stor * (1.0 + kRelTol)) {
+    std::snprintf(buf, sizeof(buf),
+                  "Eq. %d (%s): the guests need %.6g %s in total, the hosts "
+                  "have %.6g",
+                  mem ? 2 : 3, mem ? "memory" : "storage",
+                  mem ? guest_mem : guest_stor, mem ? "MB" : "GB",
+                  mem ? host_mem : host_stor);
+    return InfeasibilityCertificate{
+        mem ? FitConstraint::kMemory : FitConstraint::kStorage,
+        GuestId::invalid(), buf};
+  }
+
+  // Single-guest bound: the comparison fits() makes on an empty host.  No
+  // tolerance: a residual only shrinks as guests are placed.
+  for (std::size_t g = 0; g < venv.guest_count(); ++g) {
+    const GuestId guest{static_cast<GuestId::underlying_type>(g)};
+    const auto& req = venv.guest(guest);
+    bool mem_somewhere = false;
+    bool stor_somewhere = false;
+    bool fits = false;
+    for (const NodeId h : cluster.hosts()) {
+      const bool mem_ok = cluster.capacity(h).mem_mb >= req.mem_mb;
+      const bool stor_ok = cluster.capacity(h).stor_gb >= req.stor_gb;
+      if (mem_ok && stor_ok) {
+        fits = true;
+        break;
+      }
+      mem_somewhere |= mem_ok;
+      stor_somewhere |= stor_ok;
+    }
+    if (fits) continue;
+    InfeasibilityCertificate cert;
+    cert.guest = guest;
+    if (!mem_somewhere) {
+      cert.constraint = FitConstraint::kMemory;
+      std::snprintf(buf, sizeof(buf),
+                    "Eq. 2 (memory): guest %zu needs %.6g MB, no host has it",
+                    g, req.mem_mb);
+    } else if (!stor_somewhere) {
+      cert.constraint = FitConstraint::kStorage;
+      std::snprintf(buf, sizeof(buf),
+                    "Eq. 3 (storage): guest %zu needs %.6g GB, no host has it",
+                    g, req.stor_gb);
+    } else {
+      cert.constraint = FitConstraint::kMemoryOrStorage;
+      std::snprintf(buf, sizeof(buf),
+                    "Eq. 2 or Eq. 3: guest %zu (%.6g MB, %.6g GB) fits on no "
+                    "host",
+                    g, req.mem_mb, req.stor_gb);
+    }
+    cert.detail = buf;
+    return cert;
+  }
+  return std::nullopt;
 }
 
 }  // namespace hmn::core

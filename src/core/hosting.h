@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/map_result.h"
@@ -62,6 +64,34 @@ struct HostingResult {
 [[nodiscard]] HostingResult run_hosting(const model::VirtualEnvironment& venv,
                                         ResidualState& state,
                                         const HostingOptions& opts = {});
+
+/// The hard constraint an infeasibility certificate found binding.
+enum class FitConstraint : std::uint8_t {
+  kMemory,   // Eq. 2
+  kStorage,  // Eq. 3
+  /// One guest, on no host both: each host fails Eq. 2 or Eq. 3.
+  kMemoryOrStorage,
+};
+
+/// A proof from necessary conditions that no placement of a virtual
+/// environment satisfies Eqs. 2-3 on a cluster.
+struct InfeasibilityCertificate {
+  FitConstraint constraint = FitConstraint::kMemory;
+  /// The guest that fits on no host; invalid() when the environment's
+  /// total demand exceeds the hosts' total capacity.
+  GuestId guest = GuestId::invalid();
+  std::string detail;  // names the equation and the guest or the totals
+};
+
+/// Checks two necessary conditions of Eqs. 2-3 on `cluster` as given (for
+/// a tenant, the residual view its mapper receives): every guest fits on
+/// some host with the host empty, and the guests' total memory and storage
+/// do not exceed the hosts'.  Returns a certificate when one fails, and
+/// nullopt otherwise — which does not mean a placement exists.  Never
+/// fires on an instance that sequential fits()/place() calls can pack.
+[[nodiscard]] std::optional<InfeasibilityCertificate> certify_infeasible(
+    const model::PhysicalCluster& cluster,
+    const model::VirtualEnvironment& venv);
 
 /// The heaviest-bandwidth virtual link from `guest` to an already placed
 /// guest (one with a valid `guest_host` entry): its bandwidth and the

@@ -9,9 +9,15 @@ namespace hmn::core {
 
 LinkRouter::LinkRouter(const ResidualState& state,
                        const std::vector<bool>* dead_edges)
-    : state_(&state),
-      dead_edges_(dead_edges),
-      ar_cache_(state.cluster().graph().node_count()) {}
+    : LinkRouter(state, own_tables_) {
+  dead_edges_ = dead_edges;
+}
+
+LinkRouter::LinkRouter(const ResidualState& state, LatencyTables& tables)
+    : state_(&state), dead_edges_(nullptr), tables_(&tables) {
+  const std::size_t nodes = state.cluster().graph().node_count();
+  if (tables_->to_dest.size() != nodes) tables_->to_dest.assign(nodes, {});
+}
 
 double LinkRouter::residual_bw(EdgeId e) const {
   return dead(e) ? 0.0 : state_->residual_bw(e);
@@ -22,26 +28,29 @@ double LinkRouter::latency(EdgeId e) const {
                  : state_->cluster().link(e).latency_ms;
 }
 
+// hmn-lint: hot-path
 const std::vector<double>& LinkRouter::lat_to_dest(NodeId dest) {
   // Physical latencies (and the dead-edge mask) never change during the
   // router's life, so the Dijkstra latency-to-destination arrays
   // (Algorithm 1's ar[]) are computed once per distinct destination host
-  // and reused across virtual links.  The cache is a flat vector indexed by
-  // destination node id (an empty slot means "not computed yet"):
+  // and reused across virtual links — and, through borrowed tables, across
+  // routers.  The table is a flat vector indexed by destination node id:
   // destination lookup is the innermost per-virtual-link operation, and
   // hashing NodeIds dominated the stage on large fabrics.  One Dijkstra
   // result/heap scratch is shared by every run so the per-link allocation
   // churn disappears.
-  std::vector<double>& slot = ar_cache_[dest.index()];
+  LatencyTables& t = *tables_;
+  std::vector<double>& slot = t.to_dest[dest.index()];
   if (slot.empty()) {
     graph::dijkstra_into(
         state_->cluster().graph(), dest,
-        [this](EdgeId e) { return latency(e); }, sp_scratch_, heap_scratch_);
-    slot = sp_scratch_.dist;
+        [this](EdgeId e) { return latency(e); }, t.sp, t.heap);
+    slot = t.sp.dist;
   }
   return slot;
 }
 
+// hmn-lint: hot-path
 std::optional<graph::ConstrainedPath> LinkRouter::route(
     NodeId src, NodeId dst, const model::VirtualLinkDemand& demand) {
   graph::AStarPruneOptions ap;
@@ -49,13 +58,14 @@ std::optional<graph::ConstrainedPath> LinkRouter::route(
   return graph::astar_prune_bottleneck(
       state_->cluster().graph(), src, dst, demand.bandwidth_mbps,
       demand.max_latency_ms, [this](EdgeId e) { return residual_bw(e); },
-      [this](EdgeId e) { return latency(e); }, ap);
+      [this](EdgeId e) { return latency(e); }, ap, scratch_);
 }
 
 NetworkingResult run_networking(const model::VirtualEnvironment& venv,
                                 ResidualState& state,
                                 const std::vector<NodeId>& guest_host,
-                                const NetworkingOptions& opts) {
+                                const NetworkingOptions& opts,
+                                LinkRouter* router) {
   NetworkingResult result;
   result.link_paths.assign(venv.link_count(), graph::Path{});
   const graph::Graph& g = state.cluster().graph();
@@ -64,7 +74,10 @@ NetworkingResult run_networking(const model::VirtualEnvironment& venv,
   auto residual_bw = [&](EdgeId e) { return state.residual_bw(e); };
   auto latency = [&](EdgeId e) { return cluster.link(e).latency_ms; };
 
-  LinkRouter router(state);
+  std::optional<LinkRouter> own_router;
+  if (router == nullptr && opts.algorithm == PathAlgorithm::kAStarPrune) {
+    router = &own_router.emplace(state);
+  }
   graph::ShortestPaths sp_scratch;  // kMinLatency's Dijkstra, reused per link
   graph::DijkstraScratch heap_scratch;
   util::Rng dfs_rng(opts.shuffle_seed);
@@ -80,7 +93,7 @@ NetworkingResult run_networking(const model::VirtualEnvironment& venv,
     std::optional<graph::ConstrainedPath> path;
     switch (opts.algorithm) {
       case PathAlgorithm::kAStarPrune:
-        path = router.route(s, d, demand);
+        path = router->route(s, d, demand);
         break;
       case PathAlgorithm::kMinLatency: {
         // Dijkstra over edges with enough residual bandwidth; the result is

@@ -65,11 +65,26 @@ struct NetworkingResult {
   std::size_t links_routed = 0;         // inter-host links actually routed
 };
 
+/// Algorithm 1's ar[] tables: the Dijkstra latency-to-destination array of
+/// every destination node routed to so far, plus the Dijkstra buffers that
+/// fill them.  The tables depend only on the fabric's link latencies and
+/// the router's dead-edge mask, never on residual bandwidth, so they stay
+/// valid for as long as both are unchanged — across virtual links, across
+/// routers and across mapper calls.  The type holds no pointer into the
+/// cluster: an owner that moves cannot leave it dangling.
+struct LatencyTables {
+  /// Per destination node id; an empty slot means "not computed yet".
+  std::vector<std::vector<double>> to_dest;
+  graph::ShortestPaths sp;
+  graph::DijkstraScratch heap;
+};
+
 /// Algorithm 1's per-link step: routes one virtual link with the modified
 /// A*Prune over `state`, reading residual bandwidth live, so reservations
 /// made between calls constrain later links.  The Networking stage, mapping
 /// growth (extend_mapping) and repair (repair_mapping) all route through
-/// this one object.
+/// this one object.  It keeps one A*Prune scratch for every link it
+/// routes.
 ///
 /// `dead_edges`, when non-null, is indexed by EdgeId: a flagged edge reads
 /// as zero residual bandwidth and infinite latency, both in the search and
@@ -79,8 +94,16 @@ struct NetworkingResult {
 /// not change while it lives.
 class LinkRouter {
  public:
+  /// Owns its ar[] tables.
   explicit LinkRouter(const ResidualState& state,
                       const std::vector<bool>* dead_edges = nullptr);
+  /// Borrows `tables`, which must have been filled for latencies equal to
+  /// those of `state.cluster()` with no dead edges (or be empty), and must
+  /// outlive the router.  Tables of another node count are reset.
+  LinkRouter(const ResidualState& state, LatencyTables& tables);
+
+  LinkRouter(const LinkRouter&) = delete;
+  LinkRouter& operator=(const LinkRouter&) = delete;
 
   /// A feasible path from host `src` to host `dst` (src != dst) for
   /// `demand`, maximizing bottleneck residual bandwidth under the latency
@@ -100,16 +123,20 @@ class LinkRouter {
 
   const ResidualState* state_;
   const std::vector<bool>* dead_edges_;
-  std::vector<std::vector<double>> ar_cache_;  // per destination node id
-  graph::ShortestPaths sp_scratch_;
-  graph::DijkstraScratch heap_scratch_;
+  LatencyTables own_tables_;  // unused while borrowing
+  LatencyTables* tables_;     // &own_tables_ or the borrowed tables
+  graph::AStarPruneScratch scratch_;
 };
 
 /// Runs the Networking stage over a completed placement, reserving
 /// bandwidth in `state` for every routed link.  On failure the state
-/// retains partial reservations; callers discard it.
+/// retains partial reservations; callers discard it.  `router`, when
+/// non-null, must have been built over `state`; the A*Prune algorithm then
+/// routes through it, so a caller that routes many placements keeps its
+/// ar[] tables and scratch.  When null the stage builds its own router.
 [[nodiscard]] NetworkingResult run_networking(
     const model::VirtualEnvironment& venv, ResidualState& state,
-    const std::vector<NodeId>& guest_host, const NetworkingOptions& opts = {});
+    const std::vector<NodeId>& guest_host, const NetworkingOptions& opts = {},
+    LinkRouter* router = nullptr);
 
 }  // namespace hmn::core

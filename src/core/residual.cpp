@@ -38,15 +38,8 @@ ResidualState::ResidualState(const model::PhysicalCluster& cluster,
   }
 }
 
-// The fits/place/remove/bw quartet runs once per candidate host per guest —
+// The fits/place/remove/bw family runs once per candidate host per guest —
 // the innermost loop of Hosting and Migration.  None of them may allocate.
-// hmn-lint: hot-path
-bool ResidualState::fits(const model::GuestRequirements& req,
-                         NodeId host) const {
-  return mem_[host.index()] >= req.mem_mb &&
-         stor_[host.index()] >= req.stor_gb;
-}
-
 // hmn-lint: hot-path
 bool ResidualState::fits_both(const model::GuestRequirements& a,
                               const model::GuestRequirements& b,

@@ -27,9 +27,14 @@ class ResidualState {
     return *cluster_;
   }
 
-  /// Hard-constraint fit check (memory + storage, Eqs. 2-3).
+  /// Hard-constraint fit check (memory + storage, Eqs. 2-3).  Inline:
+  /// random placement calls it once per host per guest per try.
+  // hmn-lint: hot-path
   [[nodiscard]] bool fits(const model::GuestRequirements& req,
-                          NodeId host) const;
+                          NodeId host) const {
+    return mem_[host.index()] >= req.mem_mb &&
+           stor_[host.index()] >= req.stor_gb;
+  }
   /// Fit check for two guests placed together on one host.
   [[nodiscard]] bool fits_both(const model::GuestRequirements& a,
                                const model::GuestRequirements& b,

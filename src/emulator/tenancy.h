@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/map_result.h"
+#include "core/networking.h"
 #include "core/repair.h"
 #include "extensions/heuristic_pool.h"
 #include "model/physical_cluster.h"
@@ -118,6 +119,15 @@ class TenancyManager {
   [[nodiscard]] const Tenant* tenant(TenantId id) const;
   [[nodiscard]] const model::PhysicalCluster& cluster() const {
     return cluster_;
+  }
+
+  /// Algorithm 1's ar[] tables for cluster() with no element masked: what
+  /// a router over a ResidualState built on cluster() may borrow.  They
+  /// depend only on link latencies, which never change — failures change
+  /// the masks, not the cluster — so one set serves every defrag pass.  A
+  /// cache, not logical state: checkpoints do not carry it.
+  [[nodiscard]] core::LatencyTables& latency_tables() {
+    return latency_tables_;
   }
 
   /// The cluster as the *next* tenant would see it: host capacities and
@@ -210,6 +220,7 @@ class TenancyManager {
   extensions::HeuristicPool pool_;
   std::map<TenantId, Tenant> tenants_;
   TenantId next_id_ = 1;
+  core::LatencyTables latency_tables_;  // of the unmasked cluster_
 
   // Aggregate reservations across tenants, per cluster node / edge.
   std::vector<double> used_proc_;

@@ -65,6 +65,13 @@ struct Frontier {
   }
 };
 
+/// One non-dominated (bottleneck, latency) pair of a partial path queued
+/// for a node.
+struct Label {
+  double bottleneck;
+  double latency;
+};
+
 }  // namespace detail
 
 /// Search options for the modified A*Prune.
@@ -86,6 +93,25 @@ struct AStarPruneOptions {
   const std::vector<double>* lat_to_dest = nullptr;
 };
 
+/// Caller-owned working memory of `astar_prune_bottleneck`: the chain
+/// arena, the frontier heap, the per-node Pareto labels, and the ar[]
+/// Dijkstra buffers used when the caller passes no `lat_to_dest`.  A
+/// router that keeps one scratch across calls stops allocating once the
+/// buffers have grown to the largest search; one scratch may serve graphs
+/// of different sizes.  Results do not depend on what earlier calls left
+/// in it.
+struct AStarPruneScratch {
+  std::vector<detail::ChainNode> arena;
+  /// Binary heap driven by std::push_heap/std::pop_heap with
+  /// Frontier::operator<, exactly as std::priority_queue drives its vector,
+  /// so pop order and tie-breaks match.
+  std::vector<detail::Frontier> frontier;
+  std::vector<std::vector<detail::Label>> labels;  // per node id
+  std::vector<NodeId> touched;  // nodes whose label lists are non-empty
+  ShortestPaths ar;             // ar[] computed in place of lat_to_dest
+  DijkstraScratch ar_heap;
+};
+
 /// The paper's modified 1-constrained A*Prune (Algorithm 1).
 ///
 /// Finds a loop-free path origin->destination maximizing the bottleneck of
@@ -97,46 +123,52 @@ struct AStarPruneOptions {
 /// Returns nullopt when no feasible path exists.  origin == destination
 /// yields the empty path (infinite bottleneck, zero latency) — virtual links
 /// between co-located guests are handled inside the host (Section 5.2).
+/// Works in `scratch`; only the returned path allocates.
 template <typename BwFn, typename LatFn>
+// hmn-lint: hot-path
 [[nodiscard]] std::optional<ConstrainedPath> astar_prune_bottleneck(
     const Graph& g, NodeId origin, NodeId destination, double demand_bw,
     double max_latency, BwFn&& residual_bw, LatFn&& latency,
-    const AStarPruneOptions& opts = {}) {
+    const AStarPruneOptions& opts, AStarPruneScratch& scratch) {
   if (origin == destination) return ConstrainedPath{};
 
   // ar[c] = shortest achievable latency from c to destination (undirected
   // graph: Dijkstra from the destination gives distance-to-destination).
-  std::vector<double> computed;
   if (opts.lat_to_dest == nullptr) {
-    computed = dijkstra(g, destination, [&](EdgeId e) { return latency(e); }).dist;
+    dijkstra_into(g, destination, [&](EdgeId e) { return latency(e); },
+                  scratch.ar, scratch.ar_heap);
   }
   const std::vector<double>& ar =
-      opts.lat_to_dest != nullptr ? *opts.lat_to_dest : computed;
+      opts.lat_to_dest != nullptr ? *opts.lat_to_dest : scratch.ar.dist;
   if (ar[origin.index()] > max_latency) {
     return std::nullopt;  // even the latency-optimal path is inadmissible
   }
 
-  std::vector<detail::ChainNode> arena;
-  std::priority_queue<detail::Frontier> set;
-  set.push({std::numeric_limits<double>::infinity(), 0.0, -1, origin});
+  auto& arena = scratch.arena;
+  auto& set = scratch.frontier;
+  arena.clear();
+  set.clear();
+  set.push_back({std::numeric_limits<double>::infinity(), 0.0, -1, origin});
 
   // Pareto label store per node: non-dominated (bottleneck, latency) pairs
-  // of partial paths already queued for that node.
-  struct Label {
-    double bottleneck;
-    double latency;
-  };
-  std::vector<std::vector<Label>> labels(
-      opts.prune_dominated ? g.node_count() : 0);
+  // of partial paths already queued for that node.  Only the lists the
+  // previous search touched are cleared.
+  auto& labels = scratch.labels;
+  for (const NodeId n : scratch.touched) labels[n.index()].clear();
+  scratch.touched.clear();
+  if (opts.prune_dominated && labels.size() < g.node_count()) {
+    labels.resize(g.node_count());
+  }
   auto dominated = [&](NodeId n, double bneck, double lat) {
-    for (const Label& l : labels[n.index()]) {
+    for (const detail::Label& l : labels[n.index()]) {
       if (l.bottleneck >= bneck && l.latency <= lat) return true;
     }
     return false;
   };
   auto record = [&](NodeId n, double bneck, double lat) {
     auto& ls = labels[n.index()];
-    std::erase_if(ls, [&](const Label& l) {
+    if (ls.empty()) scratch.touched.push_back(n);
+    std::erase_if(ls, [&](const detail::Label& l) {
       return bneck >= l.bottleneck && lat <= l.latency;
     });
     ls.push_back({bneck, lat});
@@ -152,8 +184,9 @@ template <typename BwFn, typename LatFn>
   };
 
   while (!set.empty()) {
-    const detail::Frontier best = set.top();
-    set.pop();
+    const detail::Frontier best = set.front();
+    std::pop_heap(set.begin(), set.end());
+    set.pop_back();
     if (best.last == destination) {
       ConstrainedPath out;
       out.bottleneck_bw = best.bottleneck;
@@ -180,11 +213,24 @@ template <typename BwFn, typename LatFn>
         record(adj.neighbor, nbneck, acc);
       }
       arena.push_back({adj.edge, adj.neighbor, best.chain});
-      set.push({nbneck, acc,
-                static_cast<std::int32_t>(arena.size() - 1), adj.neighbor});
+      set.push_back({nbneck, acc,
+                     static_cast<std::int32_t>(arena.size() - 1), adj.neighbor});
+      std::push_heap(set.begin(), set.end());
     }
   }
   return std::nullopt;
+}
+
+/// Allocating convenience wrapper: one search in a fresh scratch.
+template <typename BwFn, typename LatFn>
+[[nodiscard]] std::optional<ConstrainedPath> astar_prune_bottleneck(
+    const Graph& g, NodeId origin, NodeId destination, double demand_bw,
+    double max_latency, BwFn&& residual_bw, LatFn&& latency,
+    const AStarPruneOptions& opts = {}) {
+  AStarPruneScratch scratch;
+  return astar_prune_bottleneck(g, origin, destination, demand_bw,
+                                max_latency, residual_bw, latency, opts,
+                                scratch);
 }
 
 /// General A*Prune: the K shortest loop-free paths by additive length

@@ -6,6 +6,7 @@
 #include "core/networking.h"
 #include "core/objective.h"
 #include "core/residual.h"
+#include "util/timer.h"
 
 namespace hmn::orchestrator {
 
@@ -58,15 +59,20 @@ DefragResult run_defrag(emulator::TenancyManager& mgr,
 
   // Migration stage over the aggregate placement (memory/storage fits are
   // enforced per move; bandwidth is resolved by the global re-route below).
+  util::Timer stage;
   core::ResidualState state(mgr.cluster(), combined, placement);
   const core::MigrationResult moved = core::run_migration(
       combined, state, placement.guest_host, opts.migration);
   result.migrations = moved.migrations;
+  result.migration_seconds = stage.elapsed_seconds();
 
   // Global routing pass: every inter-host link afresh, heaviest first.
+  stage.restart();
   core::ResidualState net_state(mgr.cluster(), combined, placement);
-  const core::NetworkingResult net =
-      core::run_networking(combined, net_state, placement.guest_host);
+  core::LinkRouter router(net_state, mgr.latency_tables());
+  const core::NetworkingResult net = core::run_networking(
+      combined, net_state, placement.guest_host, {}, &router);
+  result.reroute_seconds = stage.elapsed_seconds();
   if (!net.ok) {
     result.detail = "re-route failed: " + net.detail;
     return result;

@@ -41,11 +41,17 @@ struct DefragResult {
   double lbf_before = 0.0;          // Eq. 10 over all hosts, pre-pass
   double lbf_after = 0.0;           // post-pass (== before when !committed)
   std::string detail;               // why the pass did not commit
+  /// Wall clock of the Migration stage (step 1) and of the global re-route
+  /// (step 2).  Timings only: no decision reads them.
+  double migration_seconds = 0.0;
+  double reroute_seconds = 0.0;
 };
 
 /// Runs one defragmentation pass over every tenant of `mgr`.  Running
 /// tenants are never *lost*: on any infeasibility the pass aborts and the
-/// manager is untouched.
+/// manager is untouched.  The re-route borrows mgr.latency_tables(): it
+/// routes on mgr.cluster() with no dead-edge mask, which is exactly what
+/// those tables describe.
 [[nodiscard]] DefragResult run_defrag(emulator::TenancyManager& mgr,
                                       const DefragOptions& opts = {});
 

@@ -162,6 +162,8 @@ void Orchestrator::maybe_defrag(double now) {
   const util::Timer timer;
   const DefragResult pass = run_defrag(mgr_, opts_.defrag);
   report_.defrag.total_seconds += timer.elapsed_seconds();
+  report_.defrag.migration_seconds += pass.migration_seconds;
+  report_.defrag.reroute_seconds += pass.reroute_seconds;
   ++report_.defrag.passes;
   if (pass.committed) {
     ++report_.defrag.committed;

@@ -145,6 +145,10 @@ struct DefragSummary {
   std::size_t migrations = 0;  // guests moved, total
   double lbf_reduction = 0.0;  // sum of (before - after) over committed
   double total_seconds = 0.0;  // wall clock spent defragmenting
+  /// The Migration-stage and global re-route shares of total_seconds.
+  /// Wall clock, like total_seconds: checkpoints do not carry them.
+  double migration_seconds = 0.0;
+  double reroute_seconds = 0.0;
 };
 
 /// The report's scalar counters: everything a checkpoint carries of it.

@@ -356,8 +356,8 @@ std::vector<availability::ElementSnapshot> take_elements(io::BinReader& r,
 }
 
 void put_report(std::string& out, const orchestrator::ReportCounters& rep) {
-  // Fixed order; the wall-clock defrag.total_seconds stays out of the
-  // format by design.
+  // Fixed order; the wall-clock defrag.total_seconds, migration_seconds
+  // and reroute_seconds stay out of the format by design.
   for (const std::size_t c :
        {rep.arrivals, rep.admitted_immediately, rep.admitted_from_queue,
         rep.rejected, rep.dropped, rep.preempted, rep.abandoned, rep.growths,

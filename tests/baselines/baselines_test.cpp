@@ -194,4 +194,55 @@ TEST(Baselines, AllValidOnPaperSwitchedScenario) {
   }
 }
 
+TEST(RandomBaselines, CertifiedInstanceFailsBeforeTheFirstTry) {
+  // Aggregate memory (Eq. 2): 3 x 700 MB on 2 hosts of 1000 MB; one guest
+  // larger than any host's storage (Eq. 3).
+  const auto cluster = line_cluster(2, {1000, 1000, 1000});
+  struct Case {
+    model::VirtualEnvironment venv;
+    const char* eq;
+  };
+  const Case cases[] = {
+      {chain_venv(3, {10, 700, 10}), "Eq. 2"},
+      {chain_venv(2, {10, 10, 1500}), "Eq. 3"},
+  };
+  BaselineOptions opts;
+  opts.max_tries = 50;
+  const RandomDfsMapper r(opts);
+  const RandomAStarMapper ra(opts);
+  for (const Case& c : cases) {
+    for (const core::Mapper* mapper : {static_cast<const core::Mapper*>(&r),
+                                       static_cast<const core::Mapper*>(&ra)}) {
+      const auto out = mapper->map(cluster, c.venv, 1);
+      EXPECT_FALSE(out.ok());
+      EXPECT_EQ(out.error, MapErrorCode::kTriesExhausted) << mapper->name();
+      EXPECT_EQ(out.stats.tries, 0u) << mapper->name();
+      EXPECT_NE(out.detail.find(c.eq), std::string::npos)
+          << mapper->name() << ": " << out.detail;
+    }
+  }
+}
+
+TEST(RandomDfs, FailedCallReportsItsRoutingTime) {
+  // Every try places (one guest per host) and then fails to route.
+  const auto cluster = line_cluster(2, {1000, 1000, 1000});
+  model::VirtualEnvironment venv;
+  const GuestId a = venv.add_guest({10, 700, 10});
+  const GuestId b = venv.add_guest({10, 700, 10});
+  venv.add_link(a, b, {1.0, 2.0});  // 2 ms < the 5 ms hop
+  BaselineOptions opts;
+  opts.max_tries = 20;
+  const auto out = RandomDfsMapper(opts).map(cluster, venv, 1);
+  ASSERT_EQ(out.error, MapErrorCode::kTriesExhausted);
+  EXPECT_GT(out.stats.networking_seconds, 0.0);
+  EXPECT_LE(out.stats.networking_seconds, out.stats.total_seconds);
+  EXPECT_GE(out.stats.hosting_seconds, 0.0);
+
+  const auto hs = HostingSearchMapper(opts).map(cluster, venv, 1);
+  ASSERT_EQ(hs.error, MapErrorCode::kTriesExhausted);
+  EXPECT_GT(hs.stats.networking_seconds, 0.0);
+  EXPECT_LE(hs.stats.hosting_seconds + hs.stats.networking_seconds,
+            hs.stats.total_seconds);
+}
+
 }  // namespace

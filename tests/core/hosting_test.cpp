@@ -1,10 +1,13 @@
 // Tests for the Hosting stage (Section 4.1).
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/hosting.h"
 #include "core/networking.h"
 #include "core/residual.h"
 #include "testing/fixtures.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -312,6 +315,153 @@ TEST(AffinityHost, DownNeighborHostFallsBackToMostResidualCpu) {
 
   const std::vector<bool> all_down(3, true);
   EXPECT_FALSE(core::affinity_host(venv, st, placed, a, &all_down).valid());
+}
+
+// ---- The Eqs. 2-3 infeasibility certificate.
+
+/// A small instance whose memory and storage are whole tenths: `*_t` holds
+/// the exact decimal values in tenths, the cluster and venv hold t / 10.0,
+/// which binary floating point cannot represent exactly.
+struct TenthsInstance {
+  std::vector<std::array<int, 2>> host_t;   // {mem, stor} per host
+  std::vector<std::array<int, 2>> guest_t;  // {mem, stor} per guest
+
+  [[nodiscard]] model::PhysicalCluster cluster() const {
+    std::vector<model::HostCapacity> caps;
+    for (const auto& h : host_t) caps.push_back({1000, h[0] / 10.0, h[1] / 10.0});
+    return line_cluster(std::move(caps));
+  }
+  [[nodiscard]] VirtualEnvironment venv() const {
+    VirtualEnvironment v;
+    for (const auto& g : guest_t) v.add_guest({10, g[0] / 10.0, g[1] / 10.0});
+    return v;
+  }
+};
+
+/// Every assignment of guests to hosts, by brute force: whether one meets
+/// Eqs. 2-3 in exact decimal arithmetic, and whether one passes the
+/// sequential fits()/place() checks the mappers make.
+struct PackingOracle {
+  bool exact = false;
+  bool sequential = false;
+
+  explicit PackingOracle(const TenthsInstance& inst) {
+    const auto cluster = inst.cluster();
+    const auto venv = inst.venv();
+    const std::size_t hosts = inst.host_t.size();
+    const std::size_t guests = inst.guest_t.size();
+    std::vector<std::size_t> assign(guests, 0);
+    while (true) {
+      std::vector<std::array<int, 2>> used(hosts, {0, 0});
+      for (std::size_t g = 0; g < guests; ++g) {
+        used[assign[g]][0] += inst.guest_t[g][0];
+        used[assign[g]][1] += inst.guest_t[g][1];
+      }
+      bool ok = true;
+      for (std::size_t h = 0; h < hosts; ++h) {
+        ok = ok && used[h][0] <= inst.host_t[h][0] &&
+             used[h][1] <= inst.host_t[h][1];
+      }
+      exact = exact || ok;
+      ResidualState st(cluster);
+      bool placed = true;
+      for (std::size_t g = 0; g < guests && placed; ++g) {
+        const auto& req = venv.guest(GuestId{static_cast<unsigned>(g)});
+        const NodeId host = cluster.hosts()[assign[g]];
+        placed = st.fits(req, host);
+        if (placed) st.place(req, host);
+      }
+      sequential = sequential || placed;
+      std::size_t i = 0;
+      while (i < guests && ++assign[i] == hosts) assign[i++] = 0;
+      if (i == guests) break;
+    }
+  }
+};
+
+TEST(CertifyInfeasible, NeverFiresOnAPackableInstance) {
+  util::Rng rng(2026);
+  std::size_t certified = 0;
+  std::size_t infeasible = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    TenthsInstance inst;
+    const std::size_t hosts = 1 + rng.index(4);
+    const std::size_t guests = 1 + rng.index(6);
+    for (std::size_t h = 0; h < hosts; ++h) {
+      inst.host_t.push_back({static_cast<int>(rng.index(31)),
+                             static_cast<int>(rng.index(31))});
+    }
+    for (std::size_t g = 0; g < guests; ++g) {
+      inst.guest_t.push_back({static_cast<int>(1 + rng.index(12)),
+                              static_cast<int>(1 + rng.index(12))});
+    }
+    const PackingOracle oracle(inst);
+    infeasible += oracle.exact ? 0 : 1;
+    const auto cert = core::certify_infeasible(inst.cluster(), inst.venv());
+    if (!cert.has_value()) continue;
+    ++certified;
+    EXPECT_FALSE(oracle.exact) << "trial " << trial << ": " << cert->detail;
+    EXPECT_FALSE(oracle.sequential) << "trial " << trial << ": " << cert->detail;
+  }
+  // The seeded sweep reaches both sides of the certificate.
+  EXPECT_GT(certified, 100u);
+  EXPECT_GT(infeasible, certified);
+}
+
+TEST(CertifyInfeasible, ExactFitsInTenthsAreNotCertified) {
+  // Hosts sized to exactly the tenths assigned to them: the instance fits
+  // in decimal arithmetic, however the binary sums round.
+  util::Rng rng(7);
+  for (int trial = 0; trial < 500; ++trial) {
+    TenthsInstance inst;
+    const std::size_t hosts = 1 + rng.index(4);
+    const std::size_t guests = 1 + rng.index(6);
+    inst.host_t.assign(hosts, {0, 0});
+    for (std::size_t g = 0; g < guests; ++g) {
+      const std::array<int, 2> req{static_cast<int>(1 + rng.index(9)),
+                                   static_cast<int>(1 + rng.index(9))};
+      inst.guest_t.push_back(req);
+      auto& host = inst.host_t[rng.index(hosts)];
+      host[0] += req[0];
+      host[1] += req[1];
+    }
+    ASSERT_TRUE(PackingOracle(inst).exact);
+    const auto cert = core::certify_infeasible(inst.cluster(), inst.venv());
+    EXPECT_FALSE(cert.has_value()) << "trial " << trial << ": " << cert->detail;
+  }
+  // Ten guests of 0.1 MB on one 1.0 MB host: the binary sum of 0.1 ten
+  // times is 0.9999999999999999, and of 0.1, 0.2 is 0.30000000000000004.
+  TenthsInstance ten{{{10, 10}}, std::vector<std::array<int, 2>>(10, {1, 1})};
+  EXPECT_FALSE(core::certify_infeasible(ten.cluster(), ten.venv()));
+  TenthsInstance pair{{{3, 3}}, {{1, 1}, {2, 2}}};
+  EXPECT_FALSE(core::certify_infeasible(pair.cluster(), pair.venv()));
+}
+
+TEST(CertifyInfeasible, NamesTheBindingConstraintAndGuest) {
+  // Aggregate memory: 3 x 0.4 MB against 2 hosts of 0.5 MB.
+  TenthsInstance mem{{{5, 50}, {5, 50}}, {{4, 1}, {4, 1}, {4, 1}}};
+  auto cert = core::certify_infeasible(mem.cluster(), mem.venv());
+  ASSERT_TRUE(cert.has_value());
+  EXPECT_EQ(cert->constraint, core::FitConstraint::kMemory);
+  EXPECT_FALSE(cert->guest.valid());
+  EXPECT_NE(cert->detail.find("Eq. 2"), std::string::npos) << cert->detail;
+
+  // Guest 1 needs more storage than any host has.
+  TenthsInstance stor{{{50, 5}, {50, 6}}, {{1, 1}, {1, 7}}};
+  cert = core::certify_infeasible(stor.cluster(), stor.venv());
+  ASSERT_TRUE(cert.has_value());
+  EXPECT_EQ(cert->constraint, core::FitConstraint::kStorage);
+  EXPECT_EQ(cert->guest, g(1));
+  EXPECT_NE(cert->detail.find("Eq. 3"), std::string::npos) << cert->detail;
+
+  // Guest 0 fits one host's memory and the other's storage, never both.
+  TenthsInstance both{{{50, 5}, {5, 50}}, {{9, 9}}};
+  cert = core::certify_infeasible(both.cluster(), both.venv());
+  ASSERT_TRUE(cert.has_value());
+  EXPECT_EQ(cert->constraint, core::FitConstraint::kMemoryOrStorage);
+  EXPECT_EQ(cert->guest, g(0));
+  EXPECT_NE(cert->detail.find("Eq. 2"), std::string::npos) << cert->detail;
+  EXPECT_NE(cert->detail.find("Eq. 3"), std::string::npos) << cert->detail;
 }
 
 }  // namespace

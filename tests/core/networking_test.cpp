@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "core/networking.h"
 #include "testing/fixtures.h"
+#include "util/rng.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -315,6 +318,59 @@ TEST(LinkRouter, DeadEdgesAreAvoidedEvenAtZeroBandwidth) {
   dead[3] = true;  // edge 3-0 as well: node 0 is cut off
   core::LinkRouter stranded(st, &dead);
   EXPECT_FALSE(stranded.route(n(0), n(1), zero).has_value());
+}
+
+// A router that borrows ar[] tables another router filled routes exactly
+// like a router that owns fresh ones, link after link, as both reserve.
+TEST(LinkRouter, BorrowedTablesRouteLikeOwnedOnes) {
+  for (const auto kind :
+       {workload::ClusterKind::kTorus2D, workload::ClusterKind::kSwitched}) {
+    const auto cluster = workload::make_paper_cluster(kind, 3);
+    const auto& hosts = cluster.hosts();
+    util::Rng rng(11);
+    auto random_link = [&] {
+      const NodeId s = hosts[rng.index(hosts.size())];
+      NodeId d = hosts[rng.index(hosts.size() - 1)];
+      if (d == s) d = hosts.back();
+      const model::VirtualLinkDemand demand{rng.uniform(1.0, 120.0),
+                                            rng.uniform(5.0, 40.0)};
+      return std::tuple{s, d, demand};
+    };
+
+    core::LatencyTables shared;
+    {
+      const ResidualState warm_state(cluster);
+      core::LinkRouter warm(warm_state, shared);
+      for (int i = 0; i < 200; ++i) {
+        const auto [s, d, demand] = random_link();
+        (void)warm.route(s, d, demand);
+      }
+    }
+    const auto filled = std::count_if(
+        shared.to_dest.begin(), shared.to_dest.end(),
+        [](const std::vector<double>& t) { return !t.empty(); });
+    EXPECT_GT(filled, 20);
+
+    ResidualState borrowed_state(cluster);
+    ResidualState owned_state(cluster);
+    core::LinkRouter borrowing(borrowed_state, shared);
+    core::LinkRouter owning(owned_state);
+    std::size_t routed = 0;
+    for (int i = 0; i < 400; ++i) {
+      const auto [s, d, demand] = random_link();
+      const auto a = borrowing.route(s, d, demand);
+      const auto b = owning.route(s, d, demand);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "link " << i;
+      if (!a.has_value()) continue;
+      ++routed;
+      EXPECT_EQ(a->edges, b->edges) << "link " << i;
+      EXPECT_EQ(a->bottleneck_bw, b->bottleneck_bw) << "link " << i;
+      EXPECT_EQ(a->total_latency, b->total_latency) << "link " << i;
+      borrowed_state.reserve_bw(a->edges, demand.bandwidth_mbps);
+      owned_state.reserve_bw(b->edges, demand.bandwidth_mbps);
+    }
+    EXPECT_GT(routed, 100u);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "graph/astar_prune.h"
 #include "topology/topologies.h"
 #include "util/rng.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -192,6 +193,82 @@ TEST(AStarPrune, PrecomputedLatencyBoundMatchesInternal) {
   ASSERT_TRUE(internal.has_value());
   ASSERT_TRUE(external.has_value());
   EXPECT_EQ(internal->edges, external->edges);
+}
+
+// One scratch reused across many searches answers exactly what a fresh
+// scratch answers: the label lists, arena and frontier a search leaves
+// behind must not leak into the next one, also when the graph shrinks.
+TEST(AStarPrune, ReusedScratchMatchesFreshSearch) {
+  const auto torus =
+      workload::make_paper_cluster(workload::ClusterKind::kTorus2D, 1);
+  const auto switched =
+      workload::make_paper_cluster(workload::ClusterKind::kSwitched, 1);
+  hmn::util::Rng rng(20261017);
+  TestNet small(9);
+  small.g = topology::random_connected_graph(9, 0.35, rng);
+  for (std::size_t e = 0; e < small.g.edge_count(); ++e) {
+    small.bw.push_back(rng.uniform(1.0, 10.0));
+    small.lat.push_back(rng.uniform(0.5, 3.0));
+  }
+
+  graph::AStarPruneScratch scratch;
+  // `cap`/`lat` per edge; every query draws fresh residual bandwidth,
+  // endpoints, demand and latency bound.  Only the small graph also runs
+  // the literal enumeration (no dominance pruning): it is exponential.
+  auto sweep = [&](const Graph& g, const std::vector<double>& cap,
+                   const std::vector<double>& lat, bool literal) {
+    std::vector<double> bw(cap.size());
+    const auto bw_fn = [&](EdgeId e) { return bw[e.index()]; };
+    const auto lat_fn = [&](EdgeId e) { return lat[e.index()]; };
+    const double max_cap = *std::max_element(cap.begin(), cap.end());
+    std::size_t found = 0;
+    std::size_t refused = 0;
+    for (int q = 0; q < 1000; ++q) {
+      for (std::size_t e = 0; e < bw.size(); ++e) {
+        bw[e] = rng.chance(0.1) ? 0.0 : cap[e] * rng.uniform01();
+      }
+      const NodeId from{static_cast<unsigned>(rng.index(g.node_count()))};
+      const NodeId to{static_cast<unsigned>(rng.index(g.node_count()))};
+      const double demand = rng.uniform(0.0, 0.5) * max_cap;
+      const auto ar = graph::dijkstra(g, to, lat_fn).dist;
+      const double max_lat =
+          ar[from.index()] * rng.uniform(0.9, 3.0) + rng.uniform(0.0, 1.0);
+      AStarPruneOptions opts;
+      opts.prune_dominated = !(literal && q % 3 == 0);
+      if (q % 2 == 0) opts.lat_to_dest = &ar;
+      const auto reused = astar_prune_bottleneck(
+          g, from, to, demand, max_lat, bw_fn, lat_fn, opts, scratch);
+      const auto fresh = astar_prune_bottleneck(g, from, to, demand, max_lat,
+                                                bw_fn, lat_fn, opts);
+      ASSERT_EQ(reused.has_value(), fresh.has_value()) << "query " << q;
+      if (!fresh.has_value()) {
+        ++refused;
+        continue;
+      }
+      ++found;
+      EXPECT_EQ(reused->edges, fresh->edges) << "query " << q;
+      EXPECT_EQ(reused->bottleneck_bw, fresh->bottleneck_bw) << "query " << q;
+      EXPECT_EQ(reused->total_latency, fresh->total_latency) << "query " << q;
+    }
+    // Both outcomes occur, so the sweep checks searches that end early
+    // and searches that drain the frontier.
+    EXPECT_GT(found, 100u);
+    EXPECT_GT(refused, 100u);
+  };
+  auto cluster_caps = [](const model::PhysicalCluster& c) {
+    std::vector<double> cap, lat;
+    for (std::size_t e = 0; e < c.link_count(); ++e) {
+      const EdgeId id{static_cast<EdgeId::underlying_type>(e)};
+      cap.push_back(c.link(id).bandwidth_mbps);
+      lat.push_back(c.link(id).latency_ms);
+    }
+    return std::pair{cap, lat};
+  };
+  const auto [torus_cap, torus_lat] = cluster_caps(torus);
+  sweep(torus.graph(), torus_cap, torus_lat, false);
+  const auto [switched_cap, switched_lat] = cluster_caps(switched);
+  sweep(switched.graph(), switched_cap, switched_lat, false);
+  sweep(small.g, small.bw, small.lat, true);
 }
 
 // ---- Property sweeps against brute force on random graphs.
