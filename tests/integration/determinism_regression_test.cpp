@@ -7,6 +7,7 @@
 // linter itself is bypassed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <sstream>
@@ -14,10 +15,13 @@
 #include <vector>
 
 #include "core/hmn_mapper.h"
+#include "core/hosting.h"
 #include "core/incremental.h"
+#include "core/migration.h"
 #include "core/repair.h"
 #include "extensions/replica_spread.h"
 #include "io/trace.h"
+#include "multilevel/multilevel_mapper.h"
 #include "orchestrator/orchestrator.h"
 #include "orchestrator/router.h"
 #include "topology/topologies.h"
@@ -459,6 +463,130 @@ TEST(PinnedDecisions, ExtendAndRepairMappings) {
   }
   EXPECT_EQ(torus.hash, 0x900dbd5bcc4b55ccULL);
   EXPECT_EQ(switched.hash, 0x6747903f5a13e89fULL);
+}
+
+// The large-fabric values below were captured from the code as it stood
+// before the Migration stage's early stop, Hosting's incremental host order
+// and the multilevel refiner's skipped repeats.  Like the values above, they
+// hold for x86-64 builds without -ffast-math.
+
+/// What StagesOnLargeFabrics folds per fabric, plus counts that prove the
+/// battery reached the paths it pins.
+struct LargeFabricDigest {
+  std::uint64_t hash = hmn::orchestrator::kFingerprintSeed;
+  std::size_t hosted = 0;
+  std::size_t migrations = 0;
+  std::size_t pyramid = 0;  // multilevel admissions that kept the pyramid
+
+  void mix(std::uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ULL;
+  }
+};
+
+/// Six of E16's memory-heavy tenants (24-48 guests of 512-1536 MB) admitted
+/// one after another by the multilevel mapper onto a switch-tree fabric,
+/// each admission's load deducted before the next; before each admission
+/// the paper's Hosting and Migration stages also run on the whole fabric.
+/// `table1` draws host capacities from the paper's Table 1 ranges;
+/// otherwise every host is 1000 MIPS / 4 GB / 4 TB.  Other tenants' load
+/// leaves each host a seeded 5-100 % of its memory, so groups often cannot
+/// carry their share and the refiner widens and spills.
+LargeFabricDigest large_fabric_digest(std::size_t hosts, bool table1) {
+  namespace core = hmn::core;
+  hmn::util::Rng rng(hmn::util::derive_seed(31, hosts, table1));
+  std::vector<hmn::model::HostCapacity> caps(hosts, {1000.0, 4096, 4096});
+  if (table1) {
+    caps = hmn::workload::generate_hosts(
+        hosts, hmn::workload::paper_host_profile(), rng);
+  }
+  for (hmn::model::HostCapacity& c : caps) c.mem_mb *= rng.uniform(0.05, 1.0);
+  const hmn::topology::Topology topo = hmn::topology::switch_tree(hosts, 8, 4);
+  hmn::model::LinkProps link = hmn::workload::paper_link_props();
+  link.latency_ms = 1.0;  // a 10-hop tree path stays inside 30 ms
+  std::vector<hmn::model::LinkProps> links(topo.graph.edge_count(), link);
+  const hmn::multilevel::MultilevelMapper ml;
+
+  LargeFabricDigest d;
+  for (std::uint64_t rep = 0; rep < 6; ++rep) {
+    const auto fabric = hmn::model::PhysicalCluster::build(topo, caps, links);
+    hmn::workload::VenvGenOptions vopts;
+    vopts.guest_count = 24 + rng.index(25);
+    vopts.density = 0.2;
+    vopts.profile = hmn::workload::high_level_profile();
+    vopts.profile.mem_mb = {512.0, 1536.0};
+    vopts.normalize_to = &fabric;
+    const auto venv = hmn::workload::generate_venv(vopts, rng);
+
+    core::ResidualState state(fabric);
+    core::HostingResult hosted = core::run_hosting(venv, state);
+    d.mix(hosted.ok);
+    if (hosted.ok) {
+      ++d.hosted;
+      const core::MigrationResult moved =
+          core::run_migration(venv, state, hosted.guest_host);
+      d.migrations += moved.migrations;
+      d.mix(moved.migrations);
+      d.mix(bits(moved.initial_lbf));
+      d.mix(bits(moved.final_lbf));
+      for (const hmn::NodeId h : hosted.guest_host) d.mix(h.value());
+    }
+
+    const core::MapOutcome out = ml.map(fabric, venv, rep + 1);
+    d.mix(out.ok() ? core::fingerprint(*out.mapping)
+                   : static_cast<std::uint64_t>(out.error));
+    d.mix(out.stats.levels_used);
+    d.mix(out.stats.migrations);
+    if (!out.ok()) continue;
+    if (out.stats.levels_used > 0) ++d.pyramid;
+    // Commit: the next tenant sees this one's load.
+    const std::vector<hmn::NodeId>& order = fabric.hosts();
+    for (std::size_t g = 0; g < venv.guest_count(); ++g) {
+      const auto& req = venv.guest(
+          hmn::GuestId{static_cast<hmn::GuestId::underlying_type>(g)});
+      const hmn::NodeId at = out.mapping->guest_host[g];
+      hmn::model::HostCapacity& c = caps[static_cast<std::size_t>(
+          std::lower_bound(order.begin(), order.end(), at) - order.begin())];
+      c.proc_mips -= req.proc_mips;
+      c.mem_mb -= req.mem_mb;
+      c.stor_gb -= req.stor_gb;
+    }
+    for (std::size_t l = 0; l < venv.link_count(); ++l) {
+      const double bw =
+          venv.link(hmn::VirtLinkId{
+                        static_cast<hmn::VirtLinkId::underlying_type>(l)})
+              .bandwidth_mbps;
+      for (const hmn::EdgeId e : out.mapping->link_paths[l]) {
+        links[e.index()].bandwidth_mbps -= bw;
+      }
+    }
+  }
+  return d;
+}
+
+TEST(PinnedDecisions, StagesOnLargeFabrics) {
+  struct Case {
+    std::size_t hosts;
+    bool table1;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {256, false, 0xec0beb6b75f0b64aULL},
+      {256, true, 0x0fd03dddb31b16baULL},
+      {640, false, 0x783b1a185bcdb237ULL},
+      {640, true, 0x605285b990edb20eULL},
+      {1000, false, 0xc42fd0bc3d6a3fc2ULL},
+      {1000, true, 0xa69045b1b68b4d31ULL},
+  };
+  std::size_t migrations = 0;
+  for (const Case& c : cases) {
+    const LargeFabricDigest d = large_fabric_digest(c.hosts, c.table1);
+    EXPECT_GT(d.hosted, 0u) << c.hosts << " hosts, table1 " << c.table1;
+    EXPECT_GT(d.pyramid, 0u) << c.hosts << " hosts, table1 " << c.table1;
+    EXPECT_EQ(d.hash, c.hash) << c.hosts << " hosts, table1 " << c.table1;
+    migrations += d.migrations;
+  }
+  EXPECT_GT(migrations, 0u);
 }
 
 }  // namespace

@@ -12,6 +12,10 @@
 #include "model/physical_cluster.h"
 #include "topology/contraction.h"
 #include "topology/topologies.h"
+#include "util/rng.h"
+#include "workload/host_generator.h"
+#include "workload/presets.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -238,6 +242,71 @@ TEST(ContractionTest, InducedSubclusterRemapsFaithfully) {
   }
   // A rack unit's induced subcluster is connected (star around the switch).
   EXPECT_TRUE(sub.cluster.graph().connected());
+}
+
+/// The multilevel refiner hands a whole-level region to the stages as the
+/// level itself, on the premise that the subcluster induced by every node
+/// is the cluster: same roles, edges in the same order with the same
+/// endpoints, the same adjacency order, capacities and link properties,
+/// and identity remap tables.
+void expect_whole_induction_is_identity(const model::PhysicalCluster& c) {
+  std::vector<NodeId> every;
+  for (std::size_t n = 0; n < c.node_count(); ++n) {
+    every.push_back(NodeId{static_cast<NodeId::underlying_type>(n)});
+  }
+  const topology::SubCluster sub = topology::induced_subcluster(c, every);
+  const model::PhysicalCluster& s = sub.cluster;
+  ASSERT_EQ(s.node_count(), c.node_count());
+  ASSERT_EQ(s.link_count(), c.link_count());
+  EXPECT_EQ(s.hosts(), c.hosts());
+  EXPECT_EQ(sub.to_parent_node, every);
+  ASSERT_EQ(sub.to_parent_edge.size(), c.link_count());
+  for (std::size_t n = 0; n < c.node_count(); ++n) {
+    const NodeId id = every[n];
+    EXPECT_EQ(s.topology().role[n], c.topology().role[n]) << "node " << n;
+    EXPECT_EQ(s.capacity(id).proc_mips, c.capacity(id).proc_mips);
+    EXPECT_EQ(s.capacity(id).mem_mb, c.capacity(id).mem_mb);
+    EXPECT_EQ(s.capacity(id).stor_gb, c.capacity(id).stor_gb);
+    const auto sa = s.graph().neighbors(id);
+    const auto ca = c.graph().neighbors(id);
+    ASSERT_EQ(sa.size(), ca.size()) << "node " << n;
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      EXPECT_EQ(sa[i].neighbor, ca[i].neighbor) << "node " << n;
+      EXPECT_EQ(sa[i].edge, ca[i].edge) << "node " << n;
+    }
+  }
+  for (std::size_t e = 0; e < c.link_count(); ++e) {
+    const EdgeId id{static_cast<EdgeId::underlying_type>(e)};
+    EXPECT_EQ(sub.to_parent_edge[e], id);
+    EXPECT_EQ(s.graph().endpoints(id).a, c.graph().endpoints(id).a);
+    EXPECT_EQ(s.graph().endpoints(id).b, c.graph().endpoints(id).b);
+    EXPECT_EQ(s.link(id).bandwidth_mbps, c.link(id).bandwidth_mbps);
+    EXPECT_EQ(s.link(id).latency_ms, c.link(id).latency_ms);
+  }
+}
+
+TEST(ContractionTest, InducedSubclusterOfEveryNodeIsTheCluster) {
+  expect_whole_induction_is_identity(
+      workload::make_paper_cluster(workload::ClusterKind::kSwitched, 3));
+  expect_whole_induction_is_identity(
+      workload::make_paper_cluster(workload::ClusterKind::kTorus2D, 3));
+
+  // A switch tree with Table 1 capacities, a distinct bandwidth and
+  // latency on every link, and a failed host and link.
+  auto topo = topology::switch_tree(200, 8, 4);
+  std::vector<model::LinkProps> links;
+  for (std::size_t e = 0; e < topo.graph.edge_count(); ++e) {
+    links.push_back({100.0 + static_cast<double>(e),
+                     0.1 * static_cast<double>(1 + e % 7)});
+  }
+  util::Rng rng(5);
+  auto caps =
+      workload::generate_hosts(200, workload::paper_host_profile(), rng);
+  auto tree = model::PhysicalCluster::build(std::move(topo), std::move(caps),
+                                            std::move(links));
+  tree.fail_node(tree.hosts()[17]);
+  tree.fail_link(EdgeId{3});
+  expect_whole_induction_is_identity(tree);
 }
 
 TEST(ContractionTest, DeterministicAcrossCalls) {
