@@ -1,6 +1,7 @@
 // E7 — google-benchmark microbenchmarks for the algorithmic substrate:
 // Dijkstra, the modified A*Prune (with and without dominance pruning),
-// DFS variants, generators, and the three HMN stages in isolation.
+// DFS variants, generators, and the three HMN stages in isolation — the
+// Hosting and Migration stages also at E16's 1000-host size.
 #include <benchmark/benchmark.h>
 
 #include "core/hosting.h"
@@ -14,6 +15,8 @@
 #include "graph/dijkstra.h"
 #include "sim/experiment.h"
 #include "topology/topologies.h"
+#include "workload/host_generator.h"
+#include "workload/presets.h"
 #include "workload/scenario.h"
 #include "workload/venv_generator.h"
 
@@ -159,6 +162,56 @@ void BM_MigrationStage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MigrationStage);
+
+// E16's fabric and tenant: 1000 hosts with Table 1 capacities under a
+// switch tree, and a memory-heavy tenant of 24-48 guests — the size of the
+// multilevel refiner's whole-level pass.
+const model::PhysicalCluster& tree1000_cluster() {
+  static const auto cluster = [] {
+    util::Rng rng(1);
+    auto caps = workload::generate_hosts(1000, workload::paper_host_profile(),
+                                         rng);
+    return model::PhysicalCluster::build(topology::switch_tree(1000, 8, 4),
+                                         std::move(caps),
+                                         workload::paper_link_props());
+  }();
+  return cluster;
+}
+
+const model::VirtualEnvironment& tree1000_tenant() {
+  static const auto venv = [] {
+    util::Rng rng(2);
+    workload::VenvGenOptions vopts;
+    vopts.guest_count = 24 + rng.index(25);
+    vopts.density = 0.2;
+    vopts.profile = workload::high_level_profile();
+    vopts.profile.mem_mb = {512.0, 1536.0};
+    vopts.normalize_to = &tree1000_cluster();
+    return workload::generate_venv(vopts, rng);
+  }();
+  return venv;
+}
+
+void BM_HostingStage_Tree1000(benchmark::State& state) {
+  for (auto _ : state) {
+    core::ResidualState st(tree1000_cluster());
+    auto r = core::run_hosting(tree1000_tenant(), st);
+    benchmark::DoNotOptimize(r.ok);
+  }
+}
+BENCHMARK(BM_HostingStage_Tree1000);
+
+void BM_MigrationStage_Tree1000(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::ResidualState st(tree1000_cluster());
+    auto hosted = core::run_hosting(tree1000_tenant(), st);
+    state.ResumeTiming();
+    auto r = core::run_migration(tree1000_tenant(), st, hosted.guest_host);
+    benchmark::DoNotOptimize(r.migrations);
+  }
+}
+BENCHMARK(BM_MigrationStage_Tree1000);
 
 void BM_NetworkingStage(benchmark::State& state) {
   const auto ratio = static_cast<double>(state.range(0));

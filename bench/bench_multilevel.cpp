@@ -1,7 +1,7 @@
 // E16 — multilevel coarsen–map–refine vs flat HMN admission at scale.
 //
 // E10/E14 established that flat admission cost grows superlinearly with
-// fabric size (host re-sorts plus A*Prune on the full graph).  The
+// fabric size (stage passes plus A*Prune on the full graph).  The
 // multilevel mapper (src/multilevel) attacks the same problem without
 // sharding: coarsen the fabric once into a structural pyramid, solve the
 // paper's stages on the coarsest level, then refine locally.  E16 sweeps
@@ -239,8 +239,8 @@ int main(int argc, char** argv) {
   std::printf("\nMeasured finding: admission cost follows the refinement "
               "frontier, not the fabric — the coarse solve runs on a "
               "bounded pyramid tip and each expansion touches one rack "
-              "neighborhood, so the flat mapper's fabric-wide re-sorts and "
-              "A*Prune sweeps drop out of the per-admission path.\n");
+              "neighborhood, so the flat mapper's fabric-wide stage passes "
+              "and A*Prune sweeps drop out of the per-admission path.\n");
   std::printf("checks: validity %s, determinism %s, coverage %s, pyramid %s, "
               "quality %s%s\n",
               valid ? "ok" : "FAILED", deterministic ? "ok" : "FAILED",

@@ -3,10 +3,10 @@
 //
 // Sweeps square-ish 2-D tori from 40 to 640 hosts at a fixed 10:1 ratio
 // and reports per-stage time.  Expectation: Networking dominates and grows
-// with links x (per-A*Prune cost on the larger fabric); Hosting's repeated
-// re-sorting grows mildly; the mapper stays interactive (sub-second into
-// hundreds of hosts), supporting the paper's closing claim that automatic
-// mapping scales to "large virtualized environments".
+// with links x (per-A*Prune cost on the larger fabric); Hosting's host
+// order, kept per assignment, grows mildly; the mapper stays interactive
+// (sub-second into hundreds of hosts), supporting the paper's closing
+// claim that automatic mapping scales to "large virtualized environments".
 #include "bench_common.h"
 
 #include "topology/topologies.h"

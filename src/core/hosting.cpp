@@ -9,27 +9,36 @@ namespace hmn::core {
 namespace {
 
 /// Host list sorted by residual CPU, descending, with NodeId as a
-/// deterministic tiebreak.  Re-sorted after each assignment (n is the
-/// cluster size, tens of nodes, so repeated sorting is cheap and mirrors
-/// the paper's description literally).
+/// deterministic tiebreak — the order the paper re-sorts into after every
+/// assignment.  An assignment changes one host's residual CPU, so
+/// reposition() moves that host alone into its sorted slot.  The order is
+/// a strict total one, so the sorted list is unique and a full re-sort
+/// would give the same list: O(n) per assignment instead of O(n log n),
+/// which matters on the hundreds of hosts of a multilevel whole-level pass.
 class HostList {
  public:
   explicit HostList(const ResidualState& state)
       : state_(&state), hosts_(state.cluster().hosts()) {
-    resort();
+    std::sort(hosts_.begin(), hosts_.end(),
+              [&](NodeId a, NodeId b) { return before(a, b); });
   }
 
-  void resort() {
-    std::sort(hosts_.begin(), hosts_.end(), [&](NodeId a, NodeId b) {
-      const double ra = state_->residual_proc(a);
-      const double rb = state_->residual_proc(b);
-      // hmn-lint: allow(float-eq, comparator tie-break; an epsilon here would break strict weak ordering)
-      if (ra != rb) return ra > rb;
-      return a < b;
-    });
+  /// Restores the order after `moved`'s residual CPU changed.
+  // hmn-lint: hot-path
+  void reposition(NodeId moved) {
+    const auto at = std::find(hosts_.begin(), hosts_.end(), moved);
+    auto cmp = [&](NodeId a, NodeId b) { return before(a, b); };
+    if (at + 1 != hosts_.end() && before(*(at + 1), moved)) {
+      // Less residual CPU than before: slide toward the back.
+      const auto slot = std::lower_bound(at + 1, hosts_.end(), moved, cmp);
+      std::rotate(at, at + 1, slot);
+    } else if (at != hosts_.begin() && before(moved, *(at - 1))) {
+      // More residual CPU (a negative demand): slide toward the front.
+      const auto slot = std::upper_bound(hosts_.begin(), at, moved, cmp);
+      std::rotate(slot, at, at + 1);
+    }
   }
 
-  [[nodiscard]] const std::vector<NodeId>& hosts() const { return hosts_; }
   [[nodiscard]] NodeId first() const { return hosts_.front(); }
 
   /// First host (in residual-CPU order) that fits `req`, or invalid().
@@ -41,6 +50,15 @@ class HostList {
   }
 
  private:
+  /// More residual CPU first, then the lower NodeId.
+  [[nodiscard]] bool before(NodeId a, NodeId b) const {
+    const double ra = state_->residual_proc(a);
+    const double rb = state_->residual_proc(b);
+    // hmn-lint: allow(float-eq, comparator tie-break; an epsilon here would break strict weak ordering)
+    if (ra != rb) return ra > rb;
+    return a < b;
+  }
+
   const ResidualState* state_;
   std::vector<NodeId> hosts_;
 };
@@ -126,7 +144,7 @@ HostingResult run_hosting(const model::VirtualEnvironment& venv,
   auto assign = [&](GuestId g, NodeId h) {
     state.place(venv.guest(g), h);
     result.guest_host[g.index()] = h;
-    hosts.resort();
+    hosts.reposition(h);
   };
 
   if (opts.policy == HostingPolicy::kBalanceOnly) {

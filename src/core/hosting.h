@@ -4,7 +4,7 @@
 // Virtual links are processed in descending bandwidth order; both endpoints
 // of a high-bandwidth link are co-located on the host with the most
 // available CPU whenever memory and storage allow, reducing physical-link
-// usage.  The host list is re-sorted by residual CPU after every
+// usage.  The host list is back in residual-CPU order after every
 // assignment, exactly as the paper prescribes.
 #pragma once
 

@@ -1,7 +1,9 @@
 #include "core/migration.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <span>
 
 #include "core/objective.h"
 
@@ -22,6 +24,66 @@ double colocated_bandwidth(const model::VirtualEnvironment& venv,
     }
   }
   return sum;
+}
+
+/// The paper's victim rule for one victim `req` on host index `origin`: the
+/// first host in `order` (residual CPU descending) that the victim fits and
+/// whose Eq. 10 after the move is below `current_lbf`; hosts.size() when
+/// none is.  Writes that factor to `lbf_after`.
+///
+/// The scan stops early once no later candidate can pass.  Moving the
+/// victim, of CPU demand p, from o to c keeps the sum of residuals, so it
+/// changes the exact variance behind Eq. 10 by 2 p (p + r_o - r_c) / n,
+/// which never decreases along the scan when p > 0 — nor does its
+/// floating-point evaluation below, every step of which is monotone in
+/// r_c.  Once it exceeds the rounding margin, every later candidate's
+/// one-pass variance (load_balance_factor_if_moved) is at least the
+/// variance behind `current_lbf`, and sqrt is monotone, so
+/// `after < current_lbf` fails.
+/// The margin covers two evaluations, with u = 2^-53 and s = max|r_i| + p
+/// bounding every residual before and after the move.  The one-pass
+/// evaluation errs by at most (3n + 3) u s^2 to first order: n u s^2 in the
+/// sum of squares over n, (2n + 1) u s^2 in the squared mean, 2 u s^2 in
+/// the final divide and subtraction.  `current_lbf` is the two-pass
+/// stddev_population of the same residuals on the first iteration (error
+/// at most (n + 3) u s^2) and the previous iteration's one-pass value on
+/// later ones, computed on exactly today's residuals (state.place and
+/// state.remove round the moved entries as that evaluation did).  Rounding
+/// the two moved entries and evaluating the change itself add at most
+/// 22 u s^2 / n.  The total is below (3n + 14) eps s^2 with eps = 2u; the
+/// margin 16 (n + 8) eps s^2 covers it more than five times over, so the
+/// stop never skips a move the full scan would commit.  An overflowing s^2
+/// gives an infinite margin and a full scan.  With p <= 0 the change is
+/// not monotone and the scan is exhaustive.
+// hmn-lint: hot-path
+std::size_t first_improving_target(const ResidualState& state,
+                                   std::span<const double> rproc,
+                                   std::span<const std::size_t> order,
+                                   std::size_t origin,
+                                   const model::GuestRequirements& req,
+                                   double current_lbf, double& lbf_after) {
+  const auto& hosts = state.cluster().hosts();
+  const double p = req.proc_mips;
+  const auto n = static_cast<double>(rproc.size());
+  double s = 0.0;
+  for (const double r : rproc) s = std::max(s, std::abs(r));
+  s += p;
+  const double margin =
+      16.0 * (n + 8.0) * std::numeric_limits<double>::epsilon() * s * s;
+  for (const std::size_t cand : order) {
+    if (cand == origin) continue;
+    if (p > 0.0 && 2.0 * p * (p + rproc[origin] - rproc[cand]) / n > margin) {
+      break;
+    }
+    if (!state.fits(req, hosts[cand])) continue;
+    const double after =
+        load_balance_factor_if_moved(rproc, origin, cand, p);
+    if (after < current_lbf) {
+      lbf_after = after;
+      return cand;
+    }
+  }
+  return hosts.size();
 }
 
 }  // namespace
@@ -91,17 +153,9 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
           victim = g;
         }
       }
-      const model::GuestRequirements& req = venv.guest(victim);
-      for (const std::size_t cand : order) {
-        if (cand == origin) continue;
-        const double after = load_balance_factor_if_moved(
-            rproc, origin, cand, req.proc_mips);
-        if (after < current_lbf && state.fits(req, hosts[cand])) {
-          target = cand;
-          lbf_after = after;
-          break;
-        }
-      }
+      target = first_improving_target(state, rproc, order, origin,
+                                      venv.guest(victim), current_lbf,
+                                      lbf_after);
     } else {
       // kBestImprovement: exhaustive over (guest, target); commit the
       // steepest descent step.

@@ -24,7 +24,62 @@ struct LevelMapping {
   std::vector<graph::Path> link_paths;
 };
 
-/// Routes every venv link over the subcluster induced by `region_nodes`,
+/// Every node of a level, ascending: the region of a whole-level pass.
+std::vector<NodeId> every_node(const model::PhysicalCluster& level) {
+  std::vector<NodeId> nodes(level.node_count());
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    nodes[n] = NodeId{static_cast<NodeId::underlying_type>(n)};
+  }
+  return nodes;
+}
+
+/// A refinement region of one level as a cluster of its own, with the maps
+/// between region-local and level ids.  `nodes` are ascending level ids
+/// without duplicates.  A region that covers every node of the level is
+/// the level itself — the subcluster induced by every node has the same
+/// ids, adjacency order, capacities and link properties — so it borrows
+/// the level instead of copying it.
+class Region {
+ public:
+  Region(const model::PhysicalCluster& level, const std::vector<NodeId>& nodes)
+      : whole_(nodes.size() == level.node_count()) {
+    if (whole_) {
+      cluster_ = &level;
+      return;
+    }
+    sub_ = topology::induced_subcluster(level, nodes);
+    cluster_ = &sub_.cluster;
+    local_of_.assign(level.node_count(), NodeId::invalid());
+    for (std::size_t i = 0; i < sub_.to_parent_node.size(); ++i) {
+      local_of_[sub_.to_parent_node[i].index()] =
+          NodeId{static_cast<NodeId::underlying_type>(i)};
+    }
+  }
+  Region(const Region&) = delete;
+  Region& operator=(const Region&) = delete;
+
+  [[nodiscard]] const model::PhysicalCluster& cluster() const {
+    return *cluster_;
+  }
+  /// The region-local id of a level node; invalid() outside the region.
+  [[nodiscard]] NodeId local(NodeId n) const {
+    return whole_ ? n : local_of_[n.index()];
+  }
+  [[nodiscard]] NodeId level_node(NodeId n) const {
+    return whole_ ? n : sub_.to_parent_node[n.index()];
+  }
+  [[nodiscard]] EdgeId level_edge(EdgeId e) const {
+    return whole_ ? e : sub_.to_parent_edge[e.index()];
+  }
+
+ private:
+  bool whole_;
+  topology::SubCluster sub_;
+  std::vector<NodeId> local_of_;  // level node -> region node
+  const model::PhysicalCluster* cluster_ = nullptr;
+};
+
+/// Routes every venv link over the region `region_nodes` of `fine`,
 /// writing level-local paths into `m.link_paths` on success.
 // Refinement's inner re-route: called up to three times per descent level.
 // hmn-lint: hot-path
@@ -33,19 +88,13 @@ bool route_region(const model::PhysicalCluster& fine,
                   const model::VirtualEnvironment& venv,
                   const std::vector<NodeId>& fine_guest_host,
                   LevelMapping& m) {
-  const topology::SubCluster sub =
-      topology::induced_subcluster(fine, region_nodes);
-  std::vector<NodeId> local_of(fine.graph().node_count(), NodeId::invalid());
-  for (std::size_t i = 0; i < sub.to_parent_node.size(); ++i) {
-    local_of[sub.to_parent_node[i].index()] =
-        NodeId{static_cast<NodeId::underlying_type>(i)};
-  }
+  const Region region(fine, region_nodes);
   std::vector<NodeId> local_gh(fine_guest_host.size());
   for (std::size_t g = 0; g < fine_guest_host.size(); ++g) {
-    local_gh[g] = local_of[fine_guest_host[g].index()];
+    local_gh[g] = region.local(fine_guest_host[g]);
     if (!local_gh[g].valid()) return false;  // guest outside the region
   }
-  core::ResidualState state(sub.cluster);
+  core::ResidualState state(region.cluster());
   core::NetworkingResult routed = core::run_networking(venv, state, local_gh);
   if (!routed.ok) return false;
   m.link_paths.assign(venv.link_count(), {});
@@ -53,7 +102,7 @@ bool route_region(const model::PhysicalCluster& fine,
     graph::Path& path = m.link_paths[l];
     path.reserve(routed.link_paths[l].size());
     for (const EdgeId e : routed.link_paths[l]) {
-      path.push_back(sub.to_parent_edge[e.index()]);
+      path.push_back(region.level_edge(e));
     }
   }
   return true;
@@ -211,19 +260,12 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
                                 gid(local_guest[ep.dst.index()]),
                                 venv.link(lid(l)));
       }
-      const topology::SubCluster sub =
-          topology::induced_subcluster(fine, region);
-      std::vector<NodeId> local_of(fine.graph().node_count(),
-                                   NodeId::invalid());
-      for (std::size_t i = 0; i < sub.to_parent_node.size(); ++i) {
-        local_of[sub.to_parent_node[i].index()] =
-            NodeId{static_cast<NodeId::underlying_type>(i)};
-      }
+      const Region sub(fine, region);
       stage.restart();
-      core::ResidualState st(sub.cluster);
+      core::ResidualState st(sub.cluster());
       for (std::size_t g = 0; g < fine_gh.size(); ++g) {
         if (!fine_gh[g].valid()) continue;
-        const NodeId at = local_of[fine_gh[g].index()];
+        const NodeId at = sub.local(fine_gh[g]);
         if (at.valid()) st.place(venv.guest(gid(g)), at);
       }
       core::HostingResult sub_hosted = core::run_hosting(sub_venv, st);
@@ -235,7 +277,7 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
       outcome.stats.migration_seconds += stage.elapsed_seconds();
       for (std::size_t i = 0; i < guests.size(); ++i) {
         fine_gh[guests[i].index()] =
-            sub.to_parent_node[sub_hosted.guest_host[i].index()];
+            sub.level_node(sub_hosted.guest_host[i]);
       }
       return true;
     };
@@ -252,19 +294,25 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
       for (std::size_t radius = 0; radius <= kMaxRadius; ++radius) {
         if (radius > 0) {
           std::vector<std::size_t> next;
+          bool adds_hosts = false;
           for (const std::size_t g : frontier) {
             for (const std::size_t nb : c.adjacency[g]) {
               if (in_set[nb]) continue;
               in_set[nb] = 1;
               next.push_back(nb);
-              region.insert(region.end(), c.members[nb].begin(),
-                            c.members[nb].end());
+              for (const NodeId n : c.members[nb]) {
+                region.push_back(n);
+                adds_hosts = adds_hosts || fine.is_host(n);
+              }
             }
           }
           if (next.empty()) break;  // whole component already covered
           std::sort(next.begin(), next.end());
           std::sort(region.begin(), region.end());
           frontier = std::move(next);
+          // Host-less groups leave try_host the same guests, hosts and
+          // charged placements as the radius that just failed.
+          if (!adds_hosts) continue;
         }
         if (try_host(by_group[grp], region)) {
           for (std::size_t g = 0; g < c.group_count(); ++g) {
@@ -280,17 +328,15 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
       }
     }
     if (!spilled.empty()) {
-      std::vector<NodeId> whole;
-      whole.reserve(fine.graph().node_count());
-      for (std::size_t n = 0; n < fine.graph().node_count(); ++n) {
-        whole.push_back(NodeId{static_cast<NodeId::underlying_type>(n)});
+      if (!try_host(spilled, every_node(fine))) {
+        return fallback("level hosting");
       }
-      if (!try_host(spilled, whole)) return fallback("level hosting");
       std::fill(in_region.begin(), in_region.end(), 1);
     }
 
     // Re-route over the region; widen by one ring of adjacent groups, then
-    // the whole level, before giving up.
+    // to the whole level, before giving up.  A widening that adds no node
+    // would repeat the failed route, so it is skipped.
     auto region_nodes = [&]() {
       std::vector<NodeId> nodes;
       for (std::size_t grp = 0; grp < c.group_count(); ++grp) {
@@ -302,7 +348,8 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
       return nodes;
     };
     stage.restart();
-    bool routed_ok = route_region(fine, region_nodes(), venv, fine_gh, m);
+    std::vector<NodeId> nodes = region_nodes();
+    bool routed_ok = route_region(fine, nodes, venv, fine_gh, m);
     if (!routed_ok) {
       std::vector<char> widened = in_region;
       for (std::size_t grp = 0; grp < c.group_count(); ++grp) {
@@ -310,15 +357,14 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
         for (const std::size_t nb : c.adjacency[grp]) widened[nb] = 1;
       }
       in_region = std::move(widened);
-      routed_ok = route_region(fine, region_nodes(), venv, fine_gh, m);
-    }
-    if (!routed_ok) {
-      core::ResidualState st(fine);
-      core::NetworkingResult full = core::run_networking(venv, st, fine_gh);
-      if (full.ok) {
-        m.link_paths = std::move(full.link_paths);
-        routed_ok = true;
+      const std::size_t tried = nodes.size();
+      nodes = region_nodes();
+      if (nodes.size() > tried) {
+        routed_ok = route_region(fine, nodes, venv, fine_gh, m);
       }
+    }
+    if (!routed_ok && nodes.size() < fine.node_count()) {
+      routed_ok = route_region(fine, every_node(fine), venv, fine_gh, m);
     }
     outcome.stats.networking_seconds += stage.elapsed_seconds();
     if (!routed_ok) return fallback("level networking");

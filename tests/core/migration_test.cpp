@@ -1,9 +1,17 @@
 // Tests for the Migration stage (Section 4.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
+
 #include "core/migration.h"
 #include "core/objective.h"
 #include "testing/fixtures.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -180,6 +188,241 @@ TEST(Migration, StateAndPlacementStayConsistent) {
     EXPECT_NEAR(fresh.residual_proc(h), st.residual_proc(h), 1e-9);
     EXPECT_NEAR(fresh.residual_mem(h), st.residual_mem(h), 1e-9);
   }
+}
+
+// ---- The early stop against the full scan ----------------------------------
+//
+// reference_migration is the paper's victim rule as the stage ran it before
+// its certified early stop: every candidate host, in least-loaded order,
+// pays the O(n) load_balance_factor_if_moved until one fits and improves.
+// run_migration stops its scan once no later candidate can improve, and
+// must commit exactly the moves this loop commits.
+
+double colocated_bw(const VirtualEnvironment& venv,
+                    const std::vector<NodeId>& guest_host, GuestId guest) {
+  const NodeId home = guest_host[guest.index()];
+  double sum = 0.0;
+  for (const VirtLinkId l : venv.links_of(guest)) {
+    const GuestId other = venv.endpoints(l).other(guest);
+    if (other != guest && guest_host[other.index()] == home) {
+      sum += venv.link(l).bandwidth_mbps;
+    }
+  }
+  return sum;
+}
+
+core::MigrationResult reference_migration(const VirtualEnvironment& venv,
+                                          ResidualState& state,
+                                          std::vector<NodeId>& guest_host,
+                                          std::size_t max_migrations) {
+  core::MigrationResult result;
+  const auto& hosts = state.cluster().hosts();
+  result.initial_lbf = core::load_balance_factor(state);
+  result.final_lbf = result.initial_lbf;
+  if (hosts.size() < 2) return result;
+  std::vector<std::size_t> host_index(state.cluster().node_count(), 0);
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    host_index[hosts[i].index()] = i;
+  }
+  std::vector<std::vector<GuestId>> guests_on(hosts.size());
+  for (std::size_t gi = 0; gi < guest_host.size(); ++gi) {
+    guests_on[host_index[guest_host[gi].index()]].push_back(
+        GuestId{static_cast<GuestId::underlying_type>(gi)});
+  }
+  double current_lbf = result.initial_lbf;
+  for (;;) {
+    if (max_migrations != 0 && result.migrations >= max_migrations) break;
+    const std::vector<double> rproc = state.residual_proc_of_hosts();
+    std::size_t origin = hosts.size();
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      if (guests_on[i].empty()) continue;
+      if (origin == hosts.size() || rproc[i] < rproc[origin]) origin = i;
+    }
+    if (origin == hosts.size()) break;
+    std::vector<std::size_t> order(hosts.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      if (rproc[a] != rproc[b]) return rproc[a] > rproc[b];
+      return hosts[a] < hosts[b];
+    });
+    GuestId victim = GuestId::invalid();
+    double best_sum = std::numeric_limits<double>::infinity();
+    for (const GuestId gst : guests_on[origin]) {
+      const double sum = colocated_bw(venv, guest_host, gst);
+      if (sum < best_sum ||
+          (sum == best_sum && (!victim.valid() || gst < victim))) {
+        best_sum = sum;
+        victim = gst;
+      }
+    }
+    const model::GuestRequirements& req = venv.guest(victim);
+    std::size_t target = hosts.size();
+    double lbf_after = current_lbf;
+    for (const std::size_t cand : order) {
+      if (cand == origin) continue;
+      const double after = core::load_balance_factor_if_moved(
+          rproc, origin, cand, req.proc_mips);
+      if (after < current_lbf && state.fits(req, hosts[cand])) {
+        target = cand;
+        lbf_after = after;
+        break;
+      }
+    }
+    if (target == hosts.size()) break;
+    state.remove(req, hosts[origin]);
+    state.place(req, hosts[target]);
+    guest_host[victim.index()] = hosts[target];
+    auto& src = guests_on[origin];
+    src.erase(std::find(src.begin(), src.end(), victim));
+    guests_on[target].push_back(victim);
+    current_lbf = lbf_after;
+    ++result.migrations;
+  }
+  result.final_lbf = current_lbf;
+  return result;
+}
+
+/// How the seeded instances spread residual CPU.
+enum class Residuals {
+  kIntegerTies,   // a few integer host sizes, integer guests: exact ties
+  kGapVictims,    // guests of one CPU size, hosts in multiples of it
+  kNegative,      // guests outweigh their hosts
+  kNearEqual,     // hosts of 1000 (1 + k 2^-50) MIPS, tiny guests
+  kLargeOffset,   // hosts near 1e9 MIPS, guests of a few MIPS
+  kSpread,        // the paper's heterogeneous hosts
+};
+
+struct Instance {
+  model::PhysicalCluster cluster;
+  VirtualEnvironment venv;
+  std::vector<NodeId> placement;
+};
+
+Instance make_instance(std::size_t hosts, Residuals kind, hmn::util::Rng& rng) {
+  std::vector<model::HostCapacity> caps;
+  std::vector<bool> full(hosts, false);  // fits no guest
+  for (std::size_t i = 0; i < hosts; ++i) {
+    double proc = 0.0;
+    switch (kind) {
+      case Residuals::kIntegerTies:
+        proc = 100.0 * static_cast<double>(1 + rng.index(3));
+        break;
+      case Residuals::kGapVictims:
+        proc = 40.0 * static_cast<double>(2 + rng.index(4));
+        break;
+      case Residuals::kNegative:
+        proc = rng.uniform(10, 100);
+        break;
+      case Residuals::kNearEqual:
+        proc = 1000.0 * (1.0 + std::ldexp(static_cast<double>(rng.index(4)),
+                                          -50));
+        break;
+      case Residuals::kLargeOffset:
+        proc = 1e9 + rng.uniform(0, 1000);
+        break;
+      case Residuals::kSpread:
+        proc = rng.uniform(1000, 3000);
+        break;
+    }
+    full[i] = hosts >= 4 && rng.index(5) == 0;
+    caps.push_back({proc, full[i] ? 0.0 : 1e6, 1e6});
+  }
+  Instance in{line_cluster(std::move(caps)), {}, {}};
+  // Guests start piled on the first few hosts that take them.
+  std::vector<NodeId> open;
+  for (std::size_t i = 0; i < hosts; ++i) {
+    if (!full[i]) open.push_back(in.cluster.hosts()[i]);
+  }
+  const std::size_t piles = 1 + rng.index(std::max<std::size_t>(1, hosts / 8));
+  const std::size_t guests =
+      1 + rng.index(std::min<std::size_t>(2 * hosts, 60));
+  for (std::size_t i = 0; i < guests; ++i) {
+    double proc = 0.0;
+    switch (kind) {
+      case Residuals::kIntegerTies:
+        proc = 25.0 * static_cast<double>(1 + rng.index(4));
+        break;
+      case Residuals::kGapVictims:
+        proc = 40.0;
+        break;
+      case Residuals::kNegative:
+        proc = rng.uniform(20, 200);
+        break;
+      case Residuals::kNearEqual:
+        proc = 1e-3 * static_cast<double>(1 + rng.index(3));
+        break;
+      case Residuals::kLargeOffset:
+        proc = rng.uniform(1, 10);
+        break;
+      case Residuals::kSpread:
+        proc = rng.uniform(10, 400);
+        break;
+    }
+    (void)in.venv.add_guest({proc, 1.0, 1.0});
+    in.placement.push_back(open[rng.index(std::min(piles, open.size()))]);
+  }
+  for (std::size_t i = 1; i < guests; ++i) {
+    if (rng.index(2) == 0) continue;
+    in.venv.add_link(g(static_cast<unsigned>(rng.index(i))),
+                     g(static_cast<unsigned>(i)),
+                     {static_cast<double>(1 + rng.index(3)), 60.0});
+  }
+  return in;
+}
+
+TEST(Migration, EarlyStopCommitsTheFullScansMoves) {
+  hmn::util::Rng rng(0x5709);
+  const std::size_t sizes[] = {2, 3, 4, 5, 7, 12, 40, 128, 700};
+  const Residuals kinds[] = {Residuals::kIntegerTies, Residuals::kGapVictims,
+                             Residuals::kNegative,    Residuals::kNearEqual,
+                             Residuals::kLargeOffset, Residuals::kSpread};
+  std::size_t moved = 0;
+  std::size_t first_moves = 0;
+  for (const std::size_t hosts : sizes) {
+    for (const Residuals kind : kinds) {
+      const int reps = hosts >= 128 ? 2 : 12;
+      for (int rep = 0; rep < reps; ++rep) {
+        const Instance in = make_instance(hosts, kind, rng);
+        // Cap 1 checks the first committed move, against the two-pass
+        // initial factor; no cap runs later iterations against the
+        // previous one-pass value until the stage ends.
+        for (const std::size_t cap : {std::size_t{1}, std::size_t{0}}) {
+          ResidualState ref_state(in.cluster);
+          ResidualState state(in.cluster);
+          for (std::size_t gi = 0; gi < in.placement.size(); ++gi) {
+            ref_state.place(in.venv.guest(g(static_cast<unsigned>(gi))),
+                            in.placement[gi]);
+            state.place(in.venv.guest(g(static_cast<unsigned>(gi))),
+                        in.placement[gi]);
+          }
+          std::vector<NodeId> ref_gh = in.placement;
+          std::vector<NodeId> gh = in.placement;
+          const auto want =
+              reference_migration(in.venv, ref_state, ref_gh, cap);
+          MigrationOptions opts;
+          opts.max_migrations = cap;
+          const auto got = run_migration(in.venv, state, gh, opts);
+          const auto where = ::testing::Message()
+                             << hosts << " hosts, kind "
+                             << static_cast<int>(kind) << ", rep " << rep
+                             << ", cap " << cap;
+          ASSERT_EQ(got.migrations, want.migrations) << where;
+          ASSERT_EQ(gh, ref_gh) << where;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.initial_lbf),
+                    std::bit_cast<std::uint64_t>(want.initial_lbf))
+              << where;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.final_lbf),
+                    std::bit_cast<std::uint64_t>(want.final_lbf))
+              << where;
+          if (cap == 1) first_moves += got.migrations;
+          if (cap == 0) moved += got.migrations;
+        }
+      }
+    }
+  }
+  // The battery commits moves on both the first and later iterations.
+  EXPECT_GT(first_moves, 100u);
+  EXPECT_GT(moved, 2 * first_moves);
 }
 
 }  // namespace

@@ -45,8 +45,9 @@ TEST(PerformanceGuard, SwitchedClusterStaysSubSecond) {
 }
 
 TEST(PerformanceGuard, HostingAloneIsFast) {
-  // Hosting's repeated re-sorting is O(n log n) per assignment; the 2000-
-  // guest instance must stay comfortably interactive.
+  // Hosting moves the one host an assignment changed back into residual-
+  // CPU order, O(n) per assignment; the 2000-guest instance must stay
+  // comfortably interactive.
   const auto cluster = workload::make_paper_cluster(
       workload::ClusterKind::kTorus2D, 11);
   const workload::Scenario sc{50.0, 0.01, workload::WorkloadKind::kLowLevel};
