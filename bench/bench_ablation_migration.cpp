@@ -8,9 +8,10 @@
 // shrinking toward zero at ratio 10:1 and above.
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn;
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   expfw::GridSpec spec = paper_grid();
   spec.clusters = {workload::ClusterKind::kSwitched};  // topology-neutral

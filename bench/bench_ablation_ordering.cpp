@@ -34,8 +34,9 @@ model::VirtualEnvironment tight_venv(const model::PhysicalCluster& cluster,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   const std::size_t reps = std::max<std::size_t>(bench_reps() / 3, 5);
   struct Variant {

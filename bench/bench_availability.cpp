@@ -23,9 +23,10 @@
 // windows of evicted tenants), degraded-minutes (retained but dark),
 // in-place heals / degradations / evictions / re-admissions / drops, and
 // healing latency p50/p99.  Exits nonzero if any invariant-auditor
-// violation appears, if replaying a recorded failure trace diverges, or if
-// healing retains fewer tenant-minutes than drop-and-readmit on any seed
-// base.  `--smoke` runs a reduced grid with the same checks for CI.
+// violation appears, if a re-run or a replay of a recorded failure trace
+// diverges, or if healing retains fewer tenant-minutes than drop-and-readmit
+// on any seed base.  `--smoke` runs a reduced grid with the same checks for
+// CI.
 //
 // E15 (`--e15`) — correlated blast-radius failures vs availability-aware
 // admission.  The failure stream is blast-only (a switch and its attached
@@ -38,54 +39,25 @@
 // fewer tenants.  Gates: aware must lose strictly fewer tenant-minutes
 // than blind in aggregate over the sweep; with failures disabled the two
 // must produce byte-identical decision signatures (the invisibility
-// invariant); and a recorded v3 trace must replay to the live signature.
+// invariant); and a fresh re-run and a recorded v3 trace must both
+// reproduce the live signature.
 #include "bench_common.h"
 
-#include <string_view>
-
-#include "io/trace.h"
 #include "orchestrator/orchestrator.h"
-#include "topology/topologies.h"
 #include "util/stats.h"
-#include "workload/host_generator.h"
 #include "workload/scenario.h"
 
 namespace {
 
 using namespace hmn;
 
-extensions::HeuristicPool hmn_pool() {
-  extensions::HeuristicPool pool;
-  pool.add(std::make_unique<core::HmnMapper>());
-  return pool;
-}
-
-double total_cluster_mem(const model::PhysicalCluster& cluster) {
-  double total = 0.0;
-  for (const NodeId h : cluster.hosts()) total += cluster.capacity(h).mem_mb;
-  return total;
-}
-
+/// The E12 churn shape with shorter lifetimes and milder growth.
 workload::ChurnOptions churn_options(double load, double horizon,
                                      const model::PhysicalCluster& cluster) {
-  workload::ChurnOptions opts;
-  opts.horizon = horizon;
-  opts.mean_lifetime = 10.0;
-  opts.lifetime = workload::LifetimeDistribution::kPareto;
-  opts.min_guests = 4;
-  opts.max_guests = 10;
-  opts.density = 0.2;
-  opts.profile = workload::high_level_profile();
-  opts.profile.mem_mb = {512.0, 1536.0};  // host-scale VMs, as in E11/E12
+  workload::ChurnOptions opts =
+      bench::host_scale_churn(load, horizon, 10.0, cluster);
   opts.grow_probability = 0.1;
   opts.max_grow_guests = 2;
-
-  const double mean_guests =
-      0.5 * static_cast<double>(opts.min_guests + opts.max_guests);
-  const double mean_tenant_mem =
-      mean_guests * 0.5 * (opts.profile.mem_mb.lo + opts.profile.mem_mb.hi);
-  opts.arrival_rate = load * total_cluster_mem(cluster) /
-                      (opts.mean_lifetime * mean_tenant_mem);
   return opts;
 }
 
@@ -129,20 +101,6 @@ std::vector<double> heal_latencies_us(
 }
 
 // --- E15: correlated blasts, availability-aware vs blind admission -------
-
-/// The paper's 40-host switched cluster hangs every host off ONE 64-port
-/// switch, so a blast there is a total outage and no placement policy can
-/// help.  E15 instead racks the same 40 Table-1 hosts under four leaf
-/// switches (topology::switch_tree), giving each blast a quarter-fabric
-/// radius — the regime where steering admissions between racks matters.
-model::PhysicalCluster make_racked_cluster(std::uint64_t seed) {
-  util::Rng rng(seed);
-  auto caps =
-      workload::generate_hosts(40, workload::paper_host_profile(), rng);
-  return model::PhysicalCluster::build(topology::switch_tree(40, 10, 4),
-                                       std::move(caps),
-                                       workload::paper_link_props());
-}
 
 workload::ChurnTrace make_blast_trace(const model::PhysicalCluster& cluster,
                                       double load, double horizon,
@@ -195,7 +153,7 @@ int run_e15(bool smoke) {
           dropped;
       for (std::size_t base = 0; base < bases; ++base) {
         const auto seed = util::derive_seed(env_seed(), 45, mi, base);
-        const auto cluster = make_racked_cluster(seed);
+        const auto cluster = racked_cluster(seed);
         const auto trace =
             make_blast_trace(cluster, load, horizon, mttfs[mi], seed);
         orchestrator::Orchestrator orch(cluster, trace.profile, hmn_pool(),
@@ -227,39 +185,34 @@ int run_e15(bool smoke) {
   std::printf("%s", table.to_string().c_str());
   write_file(out_dir() / "availability_e15.csv", table.to_csv());
 
+  Gates gates;
+  gates.count("invariant violations", violations);
+
   // Invisibility gate: with the failure stream disabled, aware and blind
   // admission must make byte-identical decisions.
-  bool invisible = true;
   {
     const auto seed = util::derive_seed(env_seed(), 46);
-    const auto cluster = make_racked_cluster(seed);
+    const auto cluster = racked_cluster(seed);
     const auto calm = make_blast_trace(cluster, load, horizon, 0.0, seed);
     orchestrator::Orchestrator aware_orch(cluster, calm.profile, hmn_pool(),
                                           e15_options(true));
     orchestrator::Orchestrator blind_orch(cluster, calm.profile, hmn_pool(),
                                           e15_options(false));
-    invisible = aware_orch.run(calm).decision_signature() ==
-                blind_orch.run(calm).decision_signature();
+    const bool invisible = aware_orch.run(calm).decision_signature() ==
+                           blind_orch.run(calm).decision_signature();
     std::printf("\ninvisibility (no failures): aware vs blind %s\n",
                 invisible ? "identical" : "DIVERGED");
+    gates.check("invisibility", invisible);
   }
 
-  // Determinism gate: a blast-laden trace must survive v3 record/replay.
-  bool replay_ok = true;
+  // A blast-laden trace must survive a re-run and v3 record/replay.
   {
     const auto seed = util::derive_seed(env_seed(), 47);
-    const auto cluster = make_racked_cluster(seed);
-    const auto trace = make_blast_trace(cluster, load, horizon, mttfs[0], seed);
-    orchestrator::Orchestrator live(cluster, trace.profile, hmn_pool(),
-                                    e15_options(true));
-    const std::string sig = live.run(trace).decision_signature();
-    const auto reloaded = io::read_trace_or_throw(io::write_trace(trace));
-    orchestrator::Orchestrator replayed(cluster, reloaded.profile, hmn_pool(),
-                                        e15_options(true));
-    replay_ok = replayed.run(reloaded).decision_signature() == sig;
-    std::printf("determinism: v3 record/replay %s (%zu decisions)\n",
-                replay_ok ? "identical" : "DIVERGED",
-                live.report().decisions.size());
+    const auto cluster = racked_cluster(seed);
+    determinism_gate(
+        gates, cluster,
+        make_blast_trace(cluster, load, horizon, mttfs[0], seed), hmn_pool,
+        e15_options(true));
   }
 
   // Win gate: aware must lose strictly fewer tenant-minutes in aggregate.
@@ -270,7 +223,7 @@ int run_e15(bool smoke) {
     std::printf("seed base %zu: aware lost %.2f t-min, blind lost %.2f\n",
                 base, lost_aware[base], lost_blind[base]);
   }
-  const bool wins = total_aware < total_blind;
+  gates.check("aware-wins", total_aware < total_blind);
 
   std::printf("\nMeasured finding: under correlated blast failures, "
               "availability-aware admission loses %.1f tenant-minutes total "
@@ -278,25 +231,16 @@ int run_e15(bool smoke) {
               "from blast-scarred racks (and holding back healing headroom) "
               "shrinks the set a repeat blast strands.\n",
               total_aware, total_blind);
-  std::printf("checks: invariant violations %zu, invisibility %s, replay %s, "
-              "aware-wins %s\n",
-              violations, invisible ? "ok" : "FAILED",
-              replay_ok ? "ok" : "FAILED", wins ? "ok" : "FAILED");
-  return (violations == 0 && invisible && replay_ok && wins) ? 0 : 1;
+  return gates.report();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hmn::bench;
-  bool smoke = false;
-  bool e15 = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--e15") e15 = true;
-  }
-  if (e15) return run_e15(smoke);
+  const auto flags = parse_args(argc, argv, {"--smoke", "--e15"});
+  const bool smoke = flags.contains("--smoke");
+  if (flags.contains("--e15")) return run_e15(smoke);
 
   const std::size_t bases =
       smoke ? 2 : std::max<std::size_t>(5, bench_reps() / 6);
@@ -372,33 +316,20 @@ int main(int argc, char** argv) {
   std::printf("%s", table.to_string().c_str());
   write_file(out_dir() / "availability.csv", table.to_csv());
 
-  // Determinism: a failure-laden trace must record -> JSONL -> replay to
+  Gates gates;
+  gates.count("invariant violations", violations);
+
+  // A failure-laden trace must re-run and record -> JSONL -> replay to
   // bit-identical decisions (healing included).
-  bool replay_ok = true;
   {
     const auto seed = util::derive_seed(env_seed(), 44);
     const auto cluster =
         workload::make_paper_cluster(workload::ClusterKind::kSwitched, seed);
-    const auto trace = make_failure_trace(cluster, load, horizon, mttfs[0],
-                                          link_mttf, seed);
-    const auto opts = policy_options(orchestrator::HealPolicy::kRepair);
-    orchestrator::Orchestrator first(cluster, trace.profile, hmn_pool(), opts);
-    orchestrator::Orchestrator second(cluster, trace.profile, hmn_pool(),
-                                      opts);
-    const std::string sig = first.run(trace).decision_signature();
-    const bool rerun_ok = second.run(trace).decision_signature() == sig;
-
-    const auto reloaded = io::read_trace_or_throw(io::write_trace(trace));
-    orchestrator::Orchestrator replayed(cluster, reloaded.profile, hmn_pool(),
-                                        opts);
-    replay_ok = rerun_ok &&
-                replayed.run(reloaded).decision_signature() == sig;
-    std::printf("\ndeterminism: fresh re-run %s, JSONL record/replay %s "
-                "(%zu decisions, %zu heal records)\n",
-                rerun_ok ? "identical" : "DIVERGED",
-                replay_ok ? "identical" : "DIVERGED",
-                first.report().decisions.size(),
-                heal_latencies_us(first.report()).size());
+    determinism_gate(gates, cluster,
+                     make_failure_trace(cluster, load, horizon, mttfs[0],
+                                        link_mttf, seed),
+                     hmn_pool,
+                     policy_options(orchestrator::HealPolicy::kRepair));
   }
 
   // Healing must retain at least as many tenant-minutes as drop-and-readmit
@@ -416,6 +347,7 @@ int main(int argc, char** argv) {
     }
   }
   if (total_drop > 0.0 && !(total_repair < total_drop)) wins = false;
+  gates.check("per-base win", wins);
 
   std::printf("\nMeasured finding: over the MTTF sweep, transactional "
               "healing loses %.1f tenant-minutes total where "
@@ -424,9 +356,5 @@ int main(int argc, char** argv) {
               "tenant (Degraded at worst) while the baseline evicts into a "
               "full cluster.\n",
               total_repair, total_drop);
-  std::printf("checks: invariant violations %zu, replay %s, per-base win "
-              "%s\n",
-              violations, replay_ok ? "ok" : "FAILED",
-              wins ? "ok" : "FAILED");
-  return (violations == 0 && replay_ok && wins) ? 0 : 1;
+  return gates.report();
 }

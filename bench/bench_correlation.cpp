@@ -19,9 +19,10 @@
 #include "util/rng.h"
 #include "util/stats.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn;
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   expfw::GridSpec spec = paper_grid(/*simulate_experiment=*/true);
   // High-level scenarios only: the paper's correlation experiment targets
@@ -59,7 +60,8 @@ int main() {
   // correlation over standardized pairs and the per-cell mean.
   std::vector<double> cell_correlations;
   std::vector<double> all_obj, all_time;
-  util::CsvWriter csv((out_dir() / "correlation_pairs.csv").string());
+  const auto csv_path = out_dir() / "correlation_pairs.csv";
+  util::CsvWriter csv(csv_path.string());
   csv.row({"scenario", "cluster", "mapper", "rep", "objective",
            "experiment_seconds"});
 
@@ -157,7 +159,6 @@ int main() {
                 "runs\n",
                 util::pearson(farm_obj, farm_time), farm_obj.size());
   }
-  std::printf("wrote %s\n",
-              (out_dir() / "correlation_pairs.csv").string().c_str());
+  csv_written(csv, csv_path);
   return 0;
 }

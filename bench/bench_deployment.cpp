@@ -12,9 +12,10 @@
 #include "util/rng.h"
 #include "util/stats.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn;
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   const std::size_t reps = std::max<std::size_t>(bench_reps() / 3, 5);
   const core::HmnMapper hmn_mapper;

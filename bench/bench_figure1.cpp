@@ -12,9 +12,10 @@
 #include "bench_common.h"
 #include "util/csv.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn;
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   // Sweep the full ratio range on the torus (both workload presets), HMN
   // only — Figure 1 plots HMN alone.
@@ -36,15 +37,15 @@ int main() {
                   .c_str());
 
   {
-    util::CsvWriter csv((out_dir() / "figure1_hmn_torus.csv").string());
+    const auto path = out_dir() / "figure1_hmn_torus.csv";
+    util::CsvWriter csv(path.string());
     csv.row({"links_mapped_mean", "map_seconds_mean", "map_seconds_stddev",
              "scenario"});
     for (const auto& p : pts) {
       csv.row({util::CsvWriter::num(p.x), util::CsvWriter::num(p.mean),
                util::CsvWriter::num(p.stddev), p.label});
     }
-    std::printf("wrote %s\n",
-                (out_dir() / "figure1_hmn_torus.csv").string().c_str());
+    csv_written(csv, path);
   }
 
   // Per-repetition scatter: the paper notes the time "varied considerably
@@ -52,7 +53,8 @@ int main() {
   // links actually mapped varies with co-location; the scatter makes that
   // mechanism plottable.
   {
-    util::CsvWriter scatter((out_dir() / "figure1_scatter.csv").string());
+    const auto path = out_dir() / "figure1_scatter.csv";
+    util::CsvWriter scatter(path.string());
     scatter.row({"scenario", "rep", "links_routed", "map_seconds"});
     for (const auto& r : records) {
       if (!r.ok || r.cluster != workload::ClusterKind::kTorus2D) continue;
@@ -61,8 +63,7 @@ int main() {
                    std::to_string(r.stats.links_routed),
                    util::CsvWriter::num(r.stats.total_seconds)});
     }
-    std::printf("wrote %s\n",
-                (out_dir() / "figure1_scatter.csv").string().c_str());
+    csv_written(scatter, path);
   }
 
   // Companion check (Section 5.2): switched-cluster mapping time stays

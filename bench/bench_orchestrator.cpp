@@ -33,55 +33,19 @@
 //
 // Reported per cell: acceptance rate, backfills from the queue, mean
 // time-in-queue, mean memory utilization over time, guests migrated by
-// defrag, and decision latency p50/p99.  A final determinism check replays
-// the top-load trace through the JSONL record/replay path and requires
-// bit-identical decisions.
-#include "util/rng.h"
+// defrag, and decision latency p50/p99.  Gates: a fresh re-run and a JSONL
+// record/replay of the top-load trace must reproduce its decisions
+// bit-for-bit, and defrag must lift acceptance at the top load.
 #include "bench_common.h"
 
-#include "io/trace.h"
 #include "orchestrator/orchestrator.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "workload/scenario.h"
 
 namespace {
 
 using namespace hmn;
-
-extensions::HeuristicPool hmn_pool() {
-  extensions::HeuristicPool pool;
-  pool.add(std::make_unique<core::HmnMapper>());
-  return pool;
-}
-
-double total_cluster_mem(const model::PhysicalCluster& cluster) {
-  double total = 0.0;
-  for (const NodeId h : cluster.hosts()) total += cluster.capacity(h).mem_mb;
-  return total;
-}
-
-workload::ChurnOptions churn_options(double load,
-                                     const model::PhysicalCluster& cluster) {
-  workload::ChurnOptions opts;
-  opts.horizon = 120.0;
-  opts.mean_lifetime = 12.0;
-  opts.lifetime = workload::LifetimeDistribution::kPareto;
-  opts.min_guests = 4;
-  opts.max_guests = 10;
-  opts.density = 0.2;
-  opts.profile = workload::high_level_profile();
-  opts.profile.mem_mb = {512.0, 1536.0};  // host-scale VMs, as in E11
-  opts.grow_probability = 0.2;
-  opts.max_grow_guests = 3;
-
-  const double mean_guests =
-      0.5 * static_cast<double>(opts.min_guests + opts.max_guests);
-  const double mean_tenant_mem =
-      mean_guests * 0.5 * (opts.profile.mem_mb.lo + opts.profile.mem_mb.hi);
-  opts.arrival_rate = load * total_cluster_mem(cluster) /
-                      (opts.mean_lifetime * mean_tenant_mem);
-  return opts;
-}
 
 double mean_mem_utilization(const orchestrator::OrchestratorReport& report) {
   util::RunningStats stats;
@@ -97,11 +61,13 @@ orchestrator::OrchestratorOptions policy_options(bool defrag) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   const std::size_t reps = std::max<std::size_t>(bench_reps() / 3, 6);
   const double loads[] = {0.7, 0.9, 1.1, 1.3};
+  const double horizon = 120.0;
   std::printf("online orchestration under churn, paper switched cluster, "
               "%zu reps per cell\n\n", reps);
 
@@ -122,7 +88,7 @@ int main() {
         const auto seed = util::derive_seed(env_seed(), 41, li, rep);
         const auto cluster = workload::make_paper_cluster(
             workload::ClusterKind::kSwitched, seed);
-        const auto opts = churn_options(load, cluster);
+        const auto opts = e12_churn(load, horizon, cluster);
         const auto trace =
             workload::generate_churn(opts, util::derive_seed(seed, 1));
 
@@ -157,31 +123,16 @@ int main() {
   std::printf("%s", table.to_string().c_str());
   write_file(out_dir() / "orchestrator_churn.csv", table.to_csv());
 
-  // Determinism: record -> JSONL -> replay must yield identical decisions.
+  Gates gates;
   {
     const auto seed = util::derive_seed(env_seed(), 42);
     const auto cluster =
         workload::make_paper_cluster(workload::ClusterKind::kSwitched, seed);
-    const auto opts = churn_options(loads[std::size(loads) - 1], cluster);
-    const auto trace =
-        workload::generate_churn(opts, util::derive_seed(seed, 1));
-
-    orchestrator::Orchestrator first(cluster, trace.profile, hmn_pool(), {});
-    orchestrator::Orchestrator second(cluster, trace.profile, hmn_pool(), {});
-    const std::string sig = first.run(trace).decision_signature();
-    const bool rerun_ok = second.run(trace).decision_signature() == sig;
-
-    const auto reloaded = io::read_trace_or_throw(io::write_trace(trace));
-    orchestrator::Orchestrator replayed(cluster, reloaded.profile, hmn_pool(),
-                                        {});
-    const bool replay_ok = replayed.run(reloaded).decision_signature() == sig;
-
-    std::printf("\ndeterminism: fresh re-run %s, JSONL record/replay %s "
-                "(%zu decisions)\n",
-                rerun_ok ? "identical" : "DIVERGED",
-                replay_ok ? "identical" : "DIVERGED",
-                first.report().decisions.size());
-    if (!rerun_ok || !replay_ok) return 1;
+    const auto opts =
+        e12_churn(loads[std::size(loads) - 1], horizon, cluster);
+    determinism_gate(gates, cluster,
+                     workload::generate_churn(opts, util::derive_seed(seed, 1)),
+                     hmn_pool, {});
   }
 
   const double gain = top_load_acceptance[1] - top_load_acceptance[0];
@@ -195,5 +146,6 @@ int main() {
               "memory hole.\n",
               loads[std::size(loads) - 1], top_load_acceptance[0],
               top_load_acceptance[1], 100.0 * gain);
-  return gain > 0.0 ? 0 : 1;
+  gates.check("defrag-gain", gain > 0.0);
+  return gates.report();
 }

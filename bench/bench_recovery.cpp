@@ -27,7 +27,6 @@
 //                   times are reported; the gate is structural.
 #include "bench_common.h"
 
-#include <chrono>
 #include <string_view>
 
 #include "orchestrator/orchestrator.h"
@@ -36,18 +35,13 @@
 #include "recovery/recovery.h"
 #include "topology/topologies.h"
 #include "util/stats.h"
+#include "util/timer.h"
 #include "workload/crashes.h"
 #include "workload/scenario.h"
 
 namespace {
 
 using namespace hmn;
-
-extensions::HeuristicPool hmn_pool() {
-  extensions::HeuristicPool pool;
-  pool.add(std::make_unique<core::HmnMapper>());
-  return pool;
-}
 
 // --- the journaled workload: churn + blast failures on a racked fabric ---
 
@@ -91,12 +85,6 @@ orchestrator::OrchestratorOptions recovery_options() {
   return opts;
 }
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 struct Reference {
   model::PhysicalCluster cluster;
   workload::ChurnTrace trace;
@@ -134,7 +122,6 @@ bool crash_and_recover(const Reference& ref, const workload::CrashPoint& point,
   wopts.checkpoint_every_events = checkpoint_every;
   std::string journal;
   bool crashed = false;
-  std::size_t crash_event = 0;
   {
     orchestrator::Orchestrator doomed(ref.cluster, ref.trace.profile,
                                       recovery_options());
@@ -144,12 +131,10 @@ bool crash_and_recover(const Reference& ref, const workload::CrashPoint& point,
       for (const auto& ev : ref.trace.events) doomed.handle(ev);
     } catch (const recovery::CrashError&) {
       crashed = true;
-      crash_event = doomed.events_handled();
     }
     // Process death: doomed and wal are abandoned with the event half done.
   }
   if (!crashed) return false;
-  (void)crash_event;
 
   orchestrator::Orchestrator orch(ref.cluster, ref.trace.profile,
                                   recovery_options());
@@ -225,58 +210,24 @@ bool run_corruption_canaries(const Reference& ref) {
   return flip_loud && doctored_loud && truncation_clean;
 }
 
-// --- gate 3: journal overhead on the E12 churn workload ------------------
-
-double total_cluster_mem(const model::PhysicalCluster& cluster) {
-  double total = 0.0;
-  for (const NodeId h : cluster.hosts()) total += cluster.capacity(h).mem_mb;
-  return total;
-}
-
-workload::ChurnOptions e12_options(double load, double horizon,
-                                   const model::PhysicalCluster& cluster) {
-  workload::ChurnOptions opts;
-  opts.horizon = horizon;
-  opts.mean_lifetime = 12.0;
-  opts.lifetime = workload::LifetimeDistribution::kPareto;
-  opts.min_guests = 4;
-  opts.max_guests = 10;
-  opts.density = 0.2;
-  opts.profile = workload::high_level_profile();
-  opts.profile.mem_mb = {512.0, 1536.0};
-  opts.grow_probability = 0.2;
-  opts.max_grow_guests = 3;
-  const double mean_guests =
-      0.5 * static_cast<double>(opts.min_guests + opts.max_guests);
-  const double mean_tenant_mem =
-      mean_guests * 0.5 * (opts.profile.mem_mb.lo + opts.profile.mem_mb.hi);
-  opts.arrival_rate = load * total_cluster_mem(cluster) /
-                      (opts.mean_lifetime * mean_tenant_mem);
-  return opts;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hmn::bench;
-  bool smoke = false;
-  bool canary_only = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--canary") canary_only = true;
-  }
+  const auto flags = parse_args(argc, argv, {"--smoke", "--canary"});
+  const bool smoke = flags.contains("--smoke");
+  const bool canary_only = flags.contains("--canary");
 
   const std::uint64_t checkpoint_every = 8;
   const double horizon = smoke || canary_only ? 30.0 : 60.0;
   const auto seed = util::derive_seed(env_seed(), 48);
 
+  Gates gates;
   if (canary_only) {
     std::printf("E18: journal-corruption canary\n\n");
     const Reference ref = make_reference(seed, horizon, checkpoint_every);
-    const bool ok = run_corruption_canaries(ref);
-    std::printf("\ncorruption canaries %s\n", ok ? "ok" : "FAILED");
-    return ok ? 0 : 1;
+    gates.check("corruption canaries", run_corruption_canaries(ref));
+    return gates.report();
   }
 
   std::printf("E18: crash-consistent orchestration%s\n\n",
@@ -308,14 +259,14 @@ int main(int argc, char** argv) {
     torn += torn_tail;
     checkpointed += used_ckpt;
   }
-  const bool sweep_ok = identical == points.size() && torn > 0;
+  gates.check("crash sweep", identical == points.size() && torn > 0);
   std::printf("crash sweep: %zu/%zu sites byte-identical after recovery "
               "(%llu journal records, %zu torn tails, %zu checkpointed "
               "recoveries)\n",
               identical, points.size(),
               (unsigned long long)ref.total_records, torn, checkpointed);
 
-  const bool canary_ok = run_corruption_canaries(ref);
+  gates.check("corruption canaries", run_corruption_canaries(ref));
   // ---- gate 3: journal overhead on E12 admission p99 --------------------
   const std::size_t reps = smoke ? 3 : std::max<std::size_t>(6, bench_reps() / 5);
   const double e12_horizon = smoke ? 40.0 : 120.0;
@@ -325,7 +276,7 @@ int main(int argc, char** argv) {
     const auto cluster =
         workload::make_paper_cluster(workload::ClusterKind::kSwitched,
                                      rep_seed);
-    const auto copts = e12_options(0.9, e12_horizon, cluster);
+    const auto copts = e12_churn(0.9, e12_horizon, cluster);
     const auto trace =
         workload::generate_churn(copts, util::derive_seed(rep_seed, 1));
     {
@@ -346,8 +297,7 @@ int main(int argc, char** argv) {
   }
   // 5% relative plus a small absolute slack: at microsecond scale the
   // timer's own jitter would otherwise dominate the verdict.
-  const bool overhead_ok =
-      p99_wal.mean() <= p99_plain.mean() * 1.05 + 25.0;
+  gates.check("overhead", p99_wal.mean() <= p99_plain.mean() * 1.05 + 25.0);
   std::printf("\njournal overhead (E12 churn, %zu reps): admission p99 "
               "%.0f us plain vs %.0f us journaled (%+.1f%%)\n",
               reps, p99_plain.mean(), p99_wal.mean(),
@@ -356,7 +306,6 @@ int main(int argc, char** argv) {
                   : 0.0);
 
   // ---- gate 4: recovery work is O(checkpoint + tail) --------------------
-  bool bounded_ok = false;
   {
     // Same workload journaled twice: with checkpoints and without.  The
     // checkpointed recovery may replay at most checkpoint_every groups no
@@ -370,24 +319,26 @@ int main(int argc, char** argv) {
     }
     orchestrator::Orchestrator a(ref.cluster, ref.trace.profile,
                                  recovery_options());
-    const double t0 = now_ms();
+    util::Timer timer;
     const auto rec_ckpt = recovery::recover(a, ref.journal);
-    const double t1 = now_ms();
+    const double ckpt_ms = timer.elapsed_ms();
     orchestrator::Orchestrator b(ref.cluster, ref.trace.profile,
                                  recovery_options());
+    timer.restart();
     const auto rec_bare = recovery::recover(b, bare);
-    const double t2 = now_ms();
-    bounded_ok = rec_ckpt.used_checkpoint &&
-                 rec_ckpt.replayed_events <= checkpoint_every &&
-                 !rec_bare.used_checkpoint &&
-                 rec_bare.replayed_events == ref.trace.events.size() &&
-                 a.run_fingerprint() == ref.fingerprint &&
-                 b.run_fingerprint() == ref.fingerprint;
+    const double bare_ms = timer.elapsed_ms();
+    gates.check("bounded replay",
+                rec_ckpt.used_checkpoint &&
+                    rec_ckpt.replayed_events <= checkpoint_every &&
+                    !rec_bare.used_checkpoint &&
+                    rec_bare.replayed_events == ref.trace.events.size() &&
+                    a.run_fingerprint() == ref.fingerprint &&
+                    b.run_fingerprint() == ref.fingerprint);
     std::printf("bounded replay: checkpointed recovery replayed %llu of %zu "
                 "events in %.2f ms; full replay %llu events in %.2f ms\n",
                 (unsigned long long)rec_ckpt.replayed_events,
-                ref.trace.events.size(), t1 - t0,
-                (unsigned long long)rec_bare.replayed_events, t2 - t1);
+                ref.trace.events.size(), ckpt_ms,
+                (unsigned long long)rec_bare.replayed_events, bare_ms);
   }
 
   std::printf("\nMeasured finding: killing the orchestrator at %s journal "
@@ -396,9 +347,5 @@ int main(int argc, char** argv) {
               "commit plus CRC torn-tail truncation makes every crash "
               "either invisible or loud, never silently wrong.\n",
               smoke ? "a sampled" : "every");
-  std::printf("checks: crash sweep %s, corruption canaries %s, overhead %s, "
-              "bounded replay %s\n",
-              sweep_ok ? "ok" : "FAILED", canary_ok ? "ok" : "FAILED",
-              overhead_ok ? "ok" : "FAILED", bounded_ok ? "ok" : "FAILED");
-  return (sweep_ok && canary_ok && overhead_ok && bounded_ok) ? 0 : 1;
+  return gates.report();
 }

@@ -32,17 +32,11 @@
 // threads=1 and threads=4.  `--smoke` shrinks the grid for CI.
 #include "bench_common.h"
 
-#include <string_view>
-
 #include "extensions/replica_spread.h"
-#include "io/trace.h"
 #include "orchestrator/orchestrator.h"
 #include "orchestrator/router.h"
-#include "topology/topologies.h"
 #include "util/stats.h"
-#include "workload/host_generator.h"
 #include "workload/power_domains.h"
-#include "workload/scenario.h"
 
 namespace {
 
@@ -51,55 +45,27 @@ using namespace hmn;
 constexpr std::size_t kPowerDomains = 4;
 
 extensions::HeuristicPool spread_pool() {
-  extensions::HeuristicPool pool;
-  pool.add(std::make_unique<core::HmnMapper>());
-  return extensions::replica_aware(std::move(pool));
+  return extensions::replica_aware(bench::hmn_pool());
 }
 
-double total_cluster_mem(const model::PhysicalCluster& cluster) {
-  double total = 0.0;
-  for (const NodeId h : cluster.hosts()) total += cluster.capacity(h).mem_mb;
-  return total;
-}
-
-/// E15's racked fabric: 40 Table-1 hosts under four leaf switches, so a
-/// blast has quarter-fabric radius; power striping (host % 4) cuts across
-/// the racks, so the two domain kinds genuinely overlap.
-model::PhysicalCluster make_racked_cluster(std::uint64_t seed, bool annotate) {
-  util::Rng rng(seed);
-  auto caps =
-      workload::generate_hosts(40, workload::paper_host_profile(), rng);
-  auto cluster = model::PhysicalCluster::build(
-      topology::switch_tree(40, 10, 4), std::move(caps),
-      workload::paper_link_props());
+/// E15's racked fabric; power striping (host % 4) cuts across the racks, so
+/// the two domain kinds genuinely overlap.
+model::PhysicalCluster e17_cluster(std::uint64_t seed, bool annotate) {
+  auto cluster = bench::racked_cluster(seed);
   if (annotate) workload::annotate_failure_domains(cluster, kPowerDomains);
   return cluster;
 }
 
 workload::ChurnOptions churn_options(double load, double horizon,
                                      const model::PhysicalCluster& cluster) {
-  workload::ChurnOptions opts;
-  opts.horizon = horizon;
-  opts.mean_lifetime = 10.0;
-  opts.lifetime = workload::LifetimeDistribution::kPareto;
-  opts.min_guests = 4;
-  opts.max_guests = 10;
-  opts.density = 0.2;
-  opts.profile = workload::high_level_profile();
-  opts.profile.mem_mb = {512.0, 1536.0};  // host-scale VMs, as in E13/E15
-  opts.grow_probability = 0.0;            // growth would blur the tier ledger
+  workload::ChurnOptions opts =
+      bench::host_scale_churn(load, horizon, 10.0, cluster);
+  opts.grow_probability = 0.0;  // growth would blur the tier ledger
   opts.replica_probability = 0.8;
   opts.replica_n = 3;
   opts.replica_k = 2;
   opts.gold_fraction = 0.4;
   opts.best_effort_fraction = 0.2;
-
-  const double mean_guests =
-      0.5 * static_cast<double>(opts.min_guests + opts.max_guests);
-  const double mean_tenant_mem =
-      mean_guests * 0.5 * (opts.profile.mem_mb.lo + opts.profile.mem_mb.hi);
-  opts.arrival_rate = load * total_cluster_mem(cluster) /
-                      (opts.mean_lifetime * mean_tenant_mem);
   return opts;
 }
 
@@ -177,7 +143,7 @@ VariantResult run_variant(const model::PhysicalCluster& cluster,
 /// Threads gate: the sharded router with replica_spread must route a
 /// replicated batch byte-identically at 1 and 4 worker threads.
 bool router_threads_identical(std::uint64_t seed) {
-  const auto fabric = make_racked_cluster(seed, /*annotate=*/true);
+  const auto fabric = e17_cluster(seed, /*annotate=*/true);
   const auto copts = churn_options(0.95, 40.0, fabric);
   const workload::ChurnTrace trace =
       workload::generate_churn(copts, util::derive_seed(seed, 3));
@@ -209,10 +175,7 @@ bool router_threads_identical(std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace hmn::bench;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") smoke = true;
-  }
+  const bool smoke = parse_args(argc, argv, {"--smoke"}).contains("--smoke");
 
   const std::size_t bases =
       smoke ? 2 : std::max<std::size_t>(4, bench_reps() / 8);
@@ -234,8 +197,8 @@ int main(int argc, char** argv) {
       power[3], parked[3], dropped[3];
   for (std::size_t base = 0; base < bases; ++base) {
     const auto seed = util::derive_seed(env_seed(), 48, base);
-    const auto annotated = make_racked_cluster(seed, /*annotate=*/true);
-    const auto bare = make_racked_cluster(seed, /*annotate=*/false);
+    const auto annotated = e17_cluster(seed, /*annotate=*/true);
+    const auto bare = e17_cluster(seed, /*annotate=*/false);
     const auto trace = make_trace(annotated, load, horizon, seed);
     const auto stripped = strip_replicas(trace);
 
@@ -266,41 +229,28 @@ int main(int argc, char** argv) {
   std::printf("%s", table.to_string().c_str());
   write_file(out_dir() / "replicas_e17.csv", table.to_csv());
 
-  // Determinism gates: fresh re-run and v4 record/replay must reproduce
-  // the live decision signature bit-for-bit.
-  bool rerun_ok = true, replay_ok = true;
+  Gates gates;
+  gates.count("invariant violations", violations);
+
+  // A fresh re-run and v4 record/replay must reproduce the live decision
+  // signature bit-for-bit.
   {
     const auto seed = util::derive_seed(env_seed(), 49);
-    const auto cluster = make_racked_cluster(seed, /*annotate=*/true);
-    const auto trace = make_trace(cluster, load, horizon, seed);
-    orchestrator::Orchestrator live(cluster, trace.profile, spread_pool(),
-                                    e17_options());
-    const std::string sig = live.run(trace).decision_signature();
-
-    orchestrator::Orchestrator again(cluster, trace.profile, spread_pool(),
-                                     e17_options());
-    rerun_ok = again.run(trace).decision_signature() == sig;
-
-    const auto reloaded = io::read_trace_or_throw(io::write_trace(trace));
-    orchestrator::Orchestrator replayed(cluster, reloaded.profile,
-                                        spread_pool(), e17_options());
-    replay_ok = replayed.run(reloaded).decision_signature() == sig;
-    std::printf("\ndeterminism: fresh re-run %s, v4 record/replay %s "
-                "(%zu decisions)\n",
-                rerun_ok ? "identical" : "DIVERGED",
-                replay_ok ? "identical" : "DIVERGED",
-                live.report().decisions.size());
+    const auto cluster = e17_cluster(seed, /*annotate=*/true);
+    determinism_gate(gates, cluster, make_trace(cluster, load, horizon, seed),
+                     spread_pool, e17_options());
   }
 
   const bool threads_ok =
       router_threads_identical(util::derive_seed(env_seed(), 50));
   std::printf("determinism: router threads=1 vs threads=4 %s\n",
               threads_ok ? "identical" : "DIVERGED");
+  gates.check("threads", threads_ok);
 
   // Win gate: the full subsystem must lose strictly fewer gold
   // tenant-minutes than both ablations in aggregate.
-  const bool beats_blind = gold_total[0] < gold_total[1];
-  const bool beats_unreplicated = gold_total[0] < gold_total[2];
+  gates.check("beats-blind", gold_total[0] < gold_total[1]);
+  gates.check("beats-unreplicated", gold_total[0] < gold_total[2]);
 
   std::printf("\nMeasured finding: replicated gold tenants lose %.1f "
               "tenant-minutes where anti-affinity-blind placement loses "
@@ -310,14 +260,5 @@ int main(int argc, char** argv) {
               "repair instead of gambling on re-admission into a full "
               "cluster.\n",
               gold_total[0], gold_total[1], gold_total[2]);
-  std::printf("checks: invariant violations %zu, rerun %s, replay %s, "
-              "threads %s, beats-blind %s, beats-unreplicated %s\n",
-              violations, rerun_ok ? "ok" : "FAILED",
-              replay_ok ? "ok" : "FAILED", threads_ok ? "ok" : "FAILED",
-              beats_blind ? "ok" : "FAILED",
-              beats_unreplicated ? "ok" : "FAILED");
-  return (violations == 0 && rerun_ok && replay_ok && threads_ok &&
-          beats_blind && beats_unreplicated)
-             ? 0
-             : 1;
+  return gates.report();
 }

@@ -14,9 +14,10 @@
 #include "workload/host_generator.h"
 #include "workload/venv_generator.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn;
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   const std::size_t reps = std::max<std::size_t>(bench_reps() / 6, 3);
   struct Size {

@@ -7,65 +7,32 @@
 // confining tenants to shards buys back.  Sweeps switch-tree fabrics of
 // {160, 320, 640, 1280} hosts x {1, 4, 8, 16} shards and reports
 // admissions/sec plus per-admission latency p50/p99 (from the router's
-// fixed-bucket histogram).  Expectation: per-admission work scales with the
-// shard, not the fabric, so sharded p99 drops by roughly the shard count
-// while the admitted fraction stays close to flat (P2C keeps shards
-// balanced; exhaustive fallback rescues probe losers).
+// fixed-bucket histogram), each the best of a cell's 5 passes.
+// Expectation: per-admission work scales with the shard, not the fabric,
+// so sharded p99 drops by roughly the shard count while the admitted
+// fraction stays close to flat (P2C keeps shards balanced; exhaustive
+// fallback rescues probe losers).
 //
 // Gates (exit nonzero on violation):
 //   * determinism — the decision log and placement_hash sequence must be
-//     byte-identical for threads=1 vs threads=4 at the same seed;
-//   * sharded p99 no worse than flat at every size;
+//     byte-identical for threads=1 vs threads=4 at the same seed, and on
+//     every pass of a cell;
+//   * best sharded p99 no worse than flat at every size;
 //   * full run only: at 640 hosts, the best sharded p99 must be >= 4x
 //     lower than flat.
 // `--smoke` runs the 160-host row with the same determinism/no-worse
 // checks for CI.
 #include "bench_common.h"
 
-#include <string_view>
 #include <thread>
 
-#include "graph/dijkstra.h"
 #include "orchestrator/router.h"
-#include "topology/topologies.h"
-#include "util/stats.h"
 #include "util/timer.h"
-#include "workload/host_generator.h"
 #include "workload/venv_generator.h"
 
 namespace {
 
 using namespace hmn;
-
-/// Hop diameter of a tree fabric by double sweep (exact on trees): the
-/// eccentricity of the farthest node from node 0.
-double tree_hop_diameter(const graph::Graph& g) {
-  auto unit = [](EdgeId) { return 1.0; };
-  auto farthest = [&](NodeId from) {
-    const auto sp = graph::dijkstra(g, from, unit);
-    std::size_t best = 0;
-    for (std::size_t v = 1; v < g.node_count(); ++v) {
-      if (sp.dist[v] > sp.dist[best]) best = v;
-    }
-    return std::pair{NodeId{static_cast<NodeId::underlying_type>(best)},
-                     sp.dist[best]};
-  };
-  const auto [turn, _] = farthest(NodeId{0});
-  return std::max(1.0, farthest(turn).second);
-}
-
-model::PhysicalCluster make_fabric(std::size_t hosts, std::uint64_t seed) {
-  auto topo = topology::switch_tree(hosts, 8, 4);
-  // Keep the workload's 30-60 ms latency envelope satisfiable at every
-  // fabric size (as in E10): scale per-hop latency with the tree diameter.
-  model::LinkProps link = workload::paper_link_props();
-  link.latency_ms = std::min(5.0, 30.0 / tree_hop_diameter(topo.graph));
-  util::Rng rng(seed);
-  auto caps =
-      workload::generate_hosts(hosts, workload::paper_host_profile(), rng);
-  return model::PhysicalCluster::build(std::move(topo), std::move(caps),
-                                       link);
-}
 
 /// The E12/E13 tenant shape: 4-10 host-scale guests, density 0.2.
 std::vector<orchestrator::AdmissionRequest> make_requests(
@@ -88,6 +55,8 @@ std::vector<orchestrator::AdmissionRequest> make_requests(
   }
   return reqs;
 }
+
+constexpr std::size_t kPasses = 5;
 
 struct CellResult {
   std::size_t admitted = 0;
@@ -132,7 +101,7 @@ CellResult run_cell(const model::PhysicalCluster& fabric,
 
 int main(int argc, char** argv) {
   using namespace hmn::bench;
-  const bool smoke = argc > 1 && std::string_view(argv[1]) == "--smoke";
+  const bool smoke = parse_args(argc, argv, {"--smoke"}).contains("--smoke");
 
   const std::vector<std::size_t> host_sizes =
       smoke ? std::vector<std::size_t>{160}
@@ -142,6 +111,9 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{1, 4, 8, 16};
   const std::size_t hw = std::max<std::size_t>(
       1, std::thread::hardware_concurrency());
+  auto threads_for = [&](std::size_t shards) {
+    return shards == 1 ? 1 : std::min(shards, hw);
+  };
 
   std::printf("sharded vs flat admission, switch-tree fabrics%s\n\n",
               smoke ? " (smoke)" : "");
@@ -154,26 +126,50 @@ int main(int argc, char** argv) {
 
   for (const std::size_t hosts : host_sizes) {
     const auto seed = util::derive_seed(env_seed(), 14, hosts);
-    const auto fabric = make_fabric(hosts, seed);
+    const auto fabric = scaled_switch_tree(hosts, seed);
     // ~65% of aggregate memory across the batch keeps rejections rare but
     // admission non-trivial (same load shape as the E12/E13 churn).
     const auto requests = make_requests(std::max<std::size_t>(8, hosts / 6),
                                         seed);
 
-    double flat_p99 = 0.0;
+    // Each cell keeps its best pass per timing column (perfbench's rule):
+    // one pass admits a few dozen tenants, so its p99 sits near the
+    // cold-start maximum.  Pass k of every cell runs before pass k+1 of any,
+    // so a slow phase of the machine hits flat and sharded alike.  Every
+    // pass must reproduce the cell's first decision log.
+    std::vector<CellResult> best(shard_counts.size());
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+      for (std::size_t i = 0; i < shard_counts.size(); ++i) {
+        const CellResult cell = run_cell(fabric, requests, shard_counts[i],
+                                         threads_for(shard_counts[i]), seed);
+        CellResult& kept = best[i];
+        if (pass == 0) {
+          kept = cell;
+          continue;
+        }
+        if (cell.signature != kept.signature) {
+          deterministic = false;
+          std::printf("DETERMINISM VIOLATION at %zu hosts / %zu shards: "
+                      "pass %zu decision log differs from pass 0\n",
+                      hosts, shard_counts[i], pass);
+        }
+        kept.wall_seconds = std::min(kept.wall_seconds, cell.wall_seconds);
+        kept.p50_us = std::min(kept.p50_us, cell.p50_us);
+        kept.p99_us = std::min(kept.p99_us, cell.p99_us);
+      }
+    }
+
+    const double flat_p99 = best[0].p99_us;
     double best_sharded_p99 = 0.0;
-    for (const std::size_t shards : shard_counts) {
-      const std::size_t threads = shards == 1 ? 1 : std::min(shards, hw);
-      const CellResult cell =
-          run_cell(fabric, requests, shards, threads, seed);
-      if (shards == 1) {
-        flat_p99 = cell.p99_us;
-      } else if (best_sharded_p99 == 0.0 || cell.p99_us < best_sharded_p99) {
+    for (std::size_t i = 0; i < shard_counts.size(); ++i) {
+      const CellResult& cell = best[i];
+      if (i > 0 &&
+          (best_sharded_p99 == 0.0 || cell.p99_us < best_sharded_p99)) {
         best_sharded_p99 = cell.p99_us;
       }
       table.add_row(
           {std::to_string(hosts), std::to_string(cell.shard_count),
-           std::to_string(threads),
+           std::to_string(threads_for(shard_counts[i])),
            std::to_string(cell.admitted) + "/" +
                std::to_string(requests.size()),
            util::Table::fmt(static_cast<double>(requests.size()) /
@@ -181,8 +177,8 @@ int main(int argc, char** argv) {
                             1),
            util::Table::fmt(cell.p50_us / 1000.0, 2),
            util::Table::fmt(cell.p99_us / 1000.0, 2),
-           shards == 1 ? std::string("1.0x")
-                       : util::Table::fmt(flat_p99 / cell.p99_us, 1) + "x"});
+           i == 0 ? std::string("1.0x")
+                  : util::Table::fmt(flat_p99 / cell.p99_us, 1) + "x"});
     }
 
     // Determinism gate: serial vs forced-parallel dispatch must route
@@ -213,24 +209,23 @@ int main(int argc, char** argv) {
   std::printf("%s", table.to_string().c_str());
   write_file(out_dir() / "shard_scaling.csv", table.to_csv());
 
-  bool speedup_ok = true;
-  if (!smoke && gate_best_sharded_p99 > 0.0) {
-    speedup_ok = gate_flat_p99 >= 4.0 * gate_best_sharded_p99;
+  Gates gates;
+  gates.check("determinism", deterministic);
+  gates.check("sharded-never-worse", never_worse);
+  if (!smoke) {
+    const bool speedup_ok = gate_best_sharded_p99 <= 0.0 ||
+                            gate_flat_p99 >= 4.0 * gate_best_sharded_p99;
     std::printf("\n640-host gate: flat p99 %.2f ms vs best sharded %.2f ms "
                 "(%.1fx, need >= 4x) %s\n",
                 gate_flat_p99 / 1000.0, gate_best_sharded_p99 / 1000.0,
                 gate_flat_p99 / std::max(gate_best_sharded_p99, 1e-9),
                 speedup_ok ? "ok" : "FAILED");
+    gates.check("640-host 4x gate", speedup_ok);
   }
   std::printf("\nMeasured finding: per-admission latency follows the shard "
               "size, not the fabric size — the superlinear Networking cost "
               "(E10) is paid on a 1/k-scale graph, so the p99 gap widens "
               "with the fabric while P2C keeps the admitted fraction close "
               "to flat.\n");
-  std::printf("checks: determinism %s, sharded-never-worse %s%s\n",
-              deterministic ? "ok" : "FAILED",
-              never_worse ? "ok" : "FAILED",
-              smoke ? "" : (speedup_ok ? ", 640-host 4x gate ok"
-                                       : ", 640-host 4x gate FAILED"));
-  return (deterministic && never_worse && speedup_ok) ? 0 : 1;
+  return gates.report();
 }

@@ -21,9 +21,10 @@
 
 #include "util/stats.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn;
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   const auto spec = paper_grid();
   const PaperMappers mappers(bench_tries());

@@ -8,9 +8,10 @@
 // hardware-dependent and much smaller than the paper's 2009 numbers.
 #include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn;
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   const auto spec = paper_grid();
   const PaperMappers mappers(bench_tries());
@@ -29,7 +30,6 @@ int main() {
   write_file(out_dir() / "table3_time.csv", table.to_csv());
 
   // Shape check: HMN time grows with ratio within each workload block.
-  const auto& scenarios = spec.scenarios;
   for (const auto kind : spec.clusters) {
     double prev = -1.0;
     bool monotone = true;
@@ -42,6 +42,5 @@ int main() {
     std::printf("HMN time monotone in ratio (low-level block, %s): %s\n",
                 to_string(kind), monotone ? "yes" : "no");
   }
-  (void)scenarios;
   return 0;
 }

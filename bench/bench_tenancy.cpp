@@ -24,12 +24,6 @@ namespace {
 
 using namespace hmn;
 
-extensions::HeuristicPool hmn_pool() {
-  extensions::HeuristicPool pool;
-  pool.add(std::make_unique<core::HmnMapper>());
-  return pool;
-}
-
 extensions::HeuristicPool minhosts_pool() {
   extensions::HeuristicPool pool;
   pool.add(std::make_unique<extensions::MinHostsMapper>());
@@ -54,8 +48,9 @@ model::VirtualEnvironment tenant_venv(const model::PhysicalCluster& cluster,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hmn::bench;
+  parse_args(argc, argv);
 
   const std::size_t reps = std::max<std::size_t>(bench_reps() / 3, 5);
   util::Table table({"admission mapper", "tenants admitted (mean)",
