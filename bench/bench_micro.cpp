@@ -1,9 +1,11 @@
 // E7 — google-benchmark microbenchmarks for the algorithmic substrate:
 // Dijkstra, the modified A*Prune (with and without dominance pruning),
+// the link router's forest walk against the search on a 1280-host tree,
 // DFS variants, generators, and the three HMN stages in isolation — the
 // Hosting and Migration stages also at E16's 1000-host size.
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "core/hosting.h"
 #include "core/incremental.h"
 #include "core/repair.h"
@@ -212,6 +214,63 @@ void BM_MigrationStage_Tree1000(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MigrationStage_Tree1000);
+
+// The sharded workload's fabric (E14's scaled switch tree at 1280 hosts),
+// routed between 256 fixed random host pairs.  LinkRouter walks each unique
+// path; BM_AStarPrune_Tree1280 runs the same queries through the search
+// with a fresh ar[] Dijkstra per query, which is what a region router, built
+// per call, paid on this fabric before it walked paths.
+const model::PhysicalCluster& tree1280_cluster() {
+  static const auto cluster = bench::scaled_switch_tree(1280, 1);
+  return cluster;
+}
+
+const std::vector<std::pair<NodeId, NodeId>>& tree1280_pairs() {
+  static const auto pairs = [] {
+    const auto& hosts = tree1280_cluster().hosts();
+    util::Rng rng(3);
+    std::vector<std::pair<NodeId, NodeId>> out;
+    while (out.size() < 256) {
+      const NodeId s = hosts[rng.index(hosts.size())];
+      const NodeId d = hosts[rng.index(hosts.size())];
+      if (s != d) out.emplace_back(s, d);
+    }
+    return out;
+  }();
+  return pairs;
+}
+
+constexpr model::VirtualLinkDemand kTree1280Demand{0.75, 45.0};
+
+void BM_LinkRouter_Tree1280(benchmark::State& state) {
+  const core::ResidualState st(tree1280_cluster());
+  core::LinkRouter router(st);
+  const auto& pairs = tree1280_pairs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [s, d] = pairs[i++ % pairs.size()];
+    auto path = router.route(s, d, kTree1280Demand);
+    benchmark::DoNotOptimize(path);
+  }
+}
+BENCHMARK(BM_LinkRouter_Tree1280);
+
+void BM_AStarPrune_Tree1280(benchmark::State& state) {
+  const auto& cluster = tree1280_cluster();
+  auto bw = [&](EdgeId e) { return cluster.link(e).bandwidth_mbps; };
+  auto lat = [&](EdgeId e) { return cluster.link(e).latency_ms; };
+  graph::AStarPruneScratch scratch;
+  const auto& pairs = tree1280_pairs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [s, d] = pairs[i++ % pairs.size()];
+    auto path = graph::astar_prune_bottleneck(
+        cluster.graph(), s, d, kTree1280Demand.bandwidth_mbps,
+        kTree1280Demand.max_latency_ms, bw, lat, {}, scratch);
+    benchmark::DoNotOptimize(path);
+  }
+}
+BENCHMARK(BM_AStarPrune_Tree1280);
 
 void BM_NetworkingStage(benchmark::State& state) {
   const auto ratio = static_cast<double>(state.range(0));

@@ -17,9 +17,10 @@
 //                   fail recovery loudly with descriptive errors; the
 //                   truncation must recover exactly the intact prefix.
 //   overhead        the E12 churn workload runs with and without the
-//                   WalManager attached; journaling must cost ≤5% (plus a
-//                   small absolute slack for timer noise) on the admission
-//                   decision p99.
+//                   WalManager attached, as 5 interleaved passes per rep
+//                   whose best p99 each side keeps; journaling must cost
+//                   ≤5% (plus a small absolute slack for timer noise) on
+//                   the admission decision p99.
 //   bounded replay  recovery work is O(checkpoint + tail), not O(run):
 //                   with checkpoints every N events, recovery replays at
 //                   most N groups however long the run was; with
@@ -27,6 +28,8 @@
 //                   times are reported; the gate is structural.
 #include "bench_common.h"
 
+#include <algorithm>
+#include <limits>
 #include <string_view>
 
 #include "orchestrator/orchestrator.h"
@@ -270,6 +273,11 @@ int main(int argc, char** argv) {
   // ---- gate 3: journal overhead on E12 admission p99 --------------------
   const std::size_t reps = smoke ? 3 : std::max<std::size_t>(6, bench_reps() / 5);
   const double e12_horizon = smoke ? 40.0 : 120.0;
+  // Each rep runs both sides as interleaved passes and keeps each side's
+  // best p99 (perfbench's and E14's rule): a single pass's p99 is a
+  // handful of decisions, and one scheduler hiccup moves it by hundreds of
+  // microseconds.
+  constexpr std::size_t kPasses = 5;
   util::RunningStats p99_plain, p99_wal;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const auto rep_seed = util::derive_seed(env_seed(), 49, rep);
@@ -279,28 +287,37 @@ int main(int argc, char** argv) {
     const auto copts = e12_churn(0.9, e12_horizon, cluster);
     const auto trace =
         workload::generate_churn(copts, util::derive_seed(rep_seed, 1));
-    {
-      orchestrator::Orchestrator orch(cluster, trace.profile, hmn_pool(),
-                                      {});
-      p99_plain.add(orch.run(trace).latency_percentile_us(99.0));
+    double best_plain = std::numeric_limits<double>::infinity();
+    double best_wal = best_plain;
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+      {
+        orchestrator::Orchestrator orch(cluster, trace.profile, hmn_pool(),
+                                        {});
+        best_plain = std::min(best_plain,
+                              orch.run(trace).latency_percentile_us(99.0));
+      }
+      {
+        std::string journal;
+        recovery::WalOptions wopts;
+        wopts.checkpoint_every_events = 64;
+        orchestrator::Orchestrator orch(cluster, trace.profile, hmn_pool(),
+                                        {});
+        recovery::WalManager wal(orch, journal, wopts);
+        for (const auto& ev : trace.events) orch.handle(ev);
+        best_wal = std::min(best_wal,
+                            orch.report().latency_percentile_us(99.0));
+      }
     }
-    {
-      std::string journal;
-      recovery::WalOptions wopts;
-      wopts.checkpoint_every_events = 64;
-      orchestrator::Orchestrator orch(cluster, trace.profile, hmn_pool(),
-                                      {});
-      recovery::WalManager wal(orch, journal, wopts);
-      for (const auto& ev : trace.events) orch.handle(ev);
-      p99_wal.add(orch.report().latency_percentile_us(99.0));
-    }
+    p99_plain.add(best_plain);
+    p99_wal.add(best_wal);
   }
   // 5% relative plus a small absolute slack: at microsecond scale the
   // timer's own jitter would otherwise dominate the verdict.
   gates.check("overhead", p99_wal.mean() <= p99_plain.mean() * 1.05 + 25.0);
-  std::printf("\njournal overhead (E12 churn, %zu reps): admission p99 "
-              "%.0f us plain vs %.0f us journaled (%+.1f%%)\n",
-              reps, p99_plain.mean(), p99_wal.mean(),
+  std::printf("\njournal overhead (E12 churn, %zu reps, best of %zu "
+              "passes): admission p99 %.0f us plain vs %.0f us journaled "
+              "(%+.1f%%)\n",
+              reps, kPasses, p99_plain.mean(), p99_wal.mean(),
               p99_plain.mean() > 0.0
                   ? 100.0 * (p99_wal.mean() / p99_plain.mean() - 1.0)
                   : 0.0);

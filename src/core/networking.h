@@ -71,7 +71,9 @@ struct NetworkingResult {
 /// the router's dead-edge mask, never on residual bandwidth, so they stay
 /// valid for as long as both are unchanged — across virtual links, across
 /// routers and across mapper calls.  The type holds no pointer into the
-/// cluster: an owner that moves cannot leave it dangling.
+/// cluster: an owner that moves cannot leave it dangling.  Only a router
+/// over a graph with a cycle fills them; on a forest it walks the unique
+/// path and needs no table.
 struct LatencyTables {
   /// Per destination node id; an empty slot means "not computed yet".
   std::vector<std::vector<double>> to_dest;
@@ -86,6 +88,14 @@ struct LatencyTables {
 /// this one object.  It keeps one A*Prune scratch for every link it
 /// routes.
 ///
+/// On its first route the router finds out, by one BFS, whether the
+/// cluster graph is a forest (every tree fabric is: a switched cluster, a
+/// switch tree, and the shards and regions cut from them).  If it is, each
+/// route walks the unique path and replays A*Prune's checks along it
+/// (graph::astar_prune_on_forest), which gives the search's answer bit for
+/// bit without the search or an ar[] table.  On a graph with a cycle it
+/// runs graph::astar_prune_bottleneck over the ar[] tables.
+///
 /// `dead_edges`, when non-null, is indexed by EdgeId: a flagged edge reads
 /// as zero residual bandwidth and infinite latency, both in the search and
 /// in the latency-to-destination Dijkstra.  The infinite latency is what
@@ -99,7 +109,8 @@ class LinkRouter {
                       const std::vector<bool>* dead_edges = nullptr);
   /// Borrows `tables`, which must have been filled for latencies equal to
   /// those of `state.cluster()` with no dead edges (or be empty), and must
-  /// outlive the router.  Tables of another node count are reset.
+  /// outlive the router.  Tables of another node count are reset.  A router
+  /// over a forest leaves them as they are.
   LinkRouter(const ResidualState& state, LatencyTables& tables);
 
   LinkRouter(const LinkRouter&) = delete;
@@ -121,11 +132,15 @@ class LinkRouter {
   /// Algorithm 1's ar[] for `dest`, computed on first use.
   [[nodiscard]] const std::vector<double>& lat_to_dest(NodeId dest);
 
+  enum class Fabric : std::uint8_t { kUnknown, kForest, kCyclic };
+
   const ResidualState* state_;
   const std::vector<bool>* dead_edges_;
   LatencyTables own_tables_;  // unused while borrowing
   LatencyTables* tables_;     // &own_tables_ or the borrowed tables
   graph::AStarPruneScratch scratch_;
+  Fabric fabric_ = Fabric::kUnknown;  // found out on the first route
+  graph::Forest forest_;              // empty unless kForest
 };
 
 /// Runs the Networking stage over a completed placement, reserving

@@ -15,9 +15,11 @@
 //     pruned outright.
 //
 // `astar_prune_bottleneck` is that modified algorithm, faithful to the
-// paper's pseudocode.  `astar_prune_ksp` is the general additive K-path
-// form, provided because the library exposes the substrate, and used by the
-// tests to cross-check the modified variant on latency-feasibility.
+// paper's pseudocode.  `astar_prune_on_forest` gives its answer, bit for
+// bit, on a graph without a cycle by walking the unique path instead of
+// searching.  `astar_prune_ksp` is the general additive K-path form,
+// provided because the library exposes the substrate, and used by the tests
+// to cross-check the modified variant on latency-feasibility.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "graph/dijkstra.h"
+#include "graph/forest.h"
 #include "graph/graph.h"
 
 namespace hmn::graph {
@@ -95,7 +98,8 @@ struct AStarPruneOptions {
 
 /// Caller-owned working memory of `astar_prune_bottleneck`: the chain
 /// arena, the frontier heap, the per-node Pareto labels, and the ar[]
-/// Dijkstra buffers used when the caller passes no `lat_to_dest`.  A
+/// Dijkstra buffers used when the caller passes no `lat_to_dest`; and of
+/// `astar_prune_on_forest`: the walked path and its ar[] values.  A
 /// router that keeps one scratch across calls stops allocating once the
 /// buffers have grown to the largest search; one scratch may serve graphs
 /// of different sizes.  Results do not depend on what earlier calls left
@@ -110,6 +114,8 @@ struct AStarPruneScratch {
   std::vector<NodeId> touched;  // nodes whose label lists are non-empty
   ShortestPaths ar;             // ar[] computed in place of lat_to_dest
   DijkstraScratch ar_heap;
+  Path walk;                    // the forest path, in path order
+  std::vector<double> walk_ar;  // ar[] of the forest path's nodes
 };
 
 /// The paper's modified 1-constrained A*Prune (Algorithm 1).
@@ -231,6 +237,80 @@ template <typename BwFn, typename LatFn>
   return astar_prune_bottleneck(g, origin, destination, demand_bw,
                                 max_latency, residual_bw, latency, opts,
                                 scratch);
+}
+
+/// The modified A*Prune on a forest: what `astar_prune_bottleneck` returns
+/// for the same arguments, bit for bit (the same edges, bottleneck_bw and
+/// total_latency, or nullopt in the same cases), without the search or the
+/// ar[] Dijkstra.  `forest` must have been built over the graph the edge
+/// functions describe.  Why it is exact:
+///
+///   * On a forest A*Prune can only return the unique simple path or
+///     nullopt.  Each node is reached by one partial path, so it gets one
+///     label, and there are no ties and no loops; a branch off the path is
+///     a dead end, since leaving it toward the destination revisits a node.
+///   * A*Prune prunes step i (edge e_i into node v_i) when
+///     residual_bw(e_i) < demand_bw, then when acc_i + ar[v_i] >
+///     max_latency, where acc_i is the latency summed from `origin` in path
+///     order.  Pruning a step of the only path means nullopt, so the walk
+///     replays these per-step checks on the same values.  A walk that only
+///     tests the total acc_k <= max_latency is not the same: at a bound
+///     within an ulp of the path latency, a rounded prefix plus a rounded
+///     suffix can exceed the bound while the total does not.
+///   * On a tree Dijkstra sets each ar[v] once, to ar[w] + latency(e) for
+///     the next node w toward the destination, and keeps it only below
+///     +inf.  So ar[] along the path is the suffix sum accumulated from the
+///     destination, which the walk computes with the same additions, in
+///     O(path length).  Summing each suffix in path order instead rounds
+///     differently.
+///   * The up-front ar[origin] > max_latency check is replayed as well.
+///     It equals step 1's latency check whenever both sums are finite,
+///     because IEEE addition is commutative.
+///   * Dead edges read as zero bandwidth and infinite latency through
+///     `residual_bw` and `latency`, as in the search and in the Dijkstra,
+///     which skips infinite edges and so leaves ar = +inf behind them.
+///   * Nodes in different components give nullopt, as A*Prune does: its
+///     Dijkstra leaves ar[origin] = +inf and its search never reaches the
+///     destination.
+///
+/// Only the returned path allocates once `scratch` has grown to the
+/// longest path.
+template <typename BwFn, typename LatFn>
+// hmn-lint: hot-path
+[[nodiscard]] std::optional<ConstrainedPath> astar_prune_on_forest(
+    const Forest& forest, NodeId origin, NodeId destination, double demand_bw,
+    double max_latency, BwFn&& residual_bw, LatFn&& latency,
+    AStarPruneScratch& scratch) {
+  if (origin == destination) return ConstrainedPath{};
+  const Path& walk = scratch.walk;
+  if (!forest.path(origin, destination, scratch.walk)) return std::nullopt;
+
+  // ar[i] of the path's i-th node: 0 at the destination, then Dijkstra's
+  // d + w toward the origin.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double>& ar = scratch.walk_ar;
+  ar.resize(walk.size() + 1);
+  ar[walk.size()] = 0.0;
+  for (std::size_t i = walk.size(); i > 0; --i) {
+    const double nd = ar[i] + latency(walk[i - 1]);
+    ar[i - 1] = nd < kInf ? nd : kInf;
+  }
+  if (ar[0] > max_latency) return std::nullopt;
+
+  double acc = 0.0;
+  double bottleneck = kInf;
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    const double bw = residual_bw(walk[i]);
+    if (bw < demand_bw) return std::nullopt;  // bandwidth pruning (Eq. 9)
+    acc = acc + latency(walk[i]);
+    if (acc + ar[i + 1] > max_latency) return std::nullopt;  // Eq. 8
+    bottleneck = std::min(bottleneck, bw);
+  }
+  ConstrainedPath out;
+  out.edges = walk;
+  out.bottleneck_bw = bottleneck;
+  out.total_latency = acc;
+  return out;
 }
 
 /// General A*Prune: the K shortest loop-free paths by additive length

@@ -1,5 +1,6 @@
 #include "io/spec.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -25,6 +26,20 @@ bool require_number(const JsonValue& obj, const std::string& key, double& out,
     return false;
   }
   out = v->as_number();
+  return true;
+}
+
+/// Fetches a required link bandwidth or latency, which must be a finite
+/// number >= 0: a negative latency on an undirected link would make the
+/// router's latency Dijkstra relax that link back and forth forever.
+bool require_link_value(const JsonValue& obj, const std::string& key,
+                        double& out, std::string& error,
+                        const std::string& context) {
+  if (!require_number(obj, key, out, error, context)) return false;
+  if (!std::isfinite(out) || out < 0.0) {
+    error = context + ": \"" + key + "\" must be a finite number >= 0";
+    return false;
+  }
   return true;
 }
 
@@ -89,8 +104,9 @@ std::variant<model::PhysicalCluster, SpecError> load_cluster_json(
     model::LinkProps p;
     if (!require_number(link, "a", a, error, context) ||
         !require_number(link, "b", b, error, context) ||
-        !require_number(link, "bw_mbps", p.bandwidth_mbps, error, context) ||
-        !require_number(link, "lat_ms", p.latency_ms, error, context)) {
+        !require_link_value(link, "bw_mbps", p.bandwidth_mbps, error,
+                            context) ||
+        !require_link_value(link, "lat_ms", p.latency_ms, error, context)) {
       return SpecError{error};
     }
     if (a < 0 || b < 0 || a >= static_cast<double>(topo.graph.node_count()) ||
@@ -149,10 +165,10 @@ std::variant<model::VirtualEnvironment, SpecError> load_venv_json(
     model::VirtualLinkDemand demand;
     if (!require_number(link, "src", src, error, context) ||
         !require_number(link, "dst", dst, error, context) ||
-        !require_number(link, "vbw_mbps", demand.bandwidth_mbps, error,
-                        context) ||
-        !require_number(link, "vlat_ms", demand.max_latency_ms, error,
-                        context)) {
+        !require_link_value(link, "vbw_mbps", demand.bandwidth_mbps, error,
+                            context) ||
+        !require_link_value(link, "vlat_ms", demand.max_latency_ms, error,
+                            context)) {
       return SpecError{error};
     }
     if (src < 0 || dst < 0 ||

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "core/networking.h"
 #include "testing/fixtures.h"
+#include "topology/contraction.h"
 #include "util/rng.h"
 #include "workload/scenario.h"
 
@@ -322,6 +325,8 @@ TEST(LinkRouter, DeadEdgesAreAvoidedEvenAtZeroBandwidth) {
 
 // A router that borrows ar[] tables another router filled routes exactly
 // like a router that owns fresh ones, link after link, as both reserve.
+// Over the switched cluster, a tree, the routers walk their paths and the
+// borrowed tables stay empty.
 TEST(LinkRouter, BorrowedTablesRouteLikeOwnedOnes) {
   for (const auto kind :
        {workload::ClusterKind::kTorus2D, workload::ClusterKind::kSwitched}) {
@@ -346,10 +351,16 @@ TEST(LinkRouter, BorrowedTablesRouteLikeOwnedOnes) {
         (void)warm.route(s, d, demand);
       }
     }
-    const auto filled = std::count_if(
-        shared.to_dest.begin(), shared.to_dest.end(),
-        [](const std::vector<double>& t) { return !t.empty(); });
-    EXPECT_GT(filled, 20);
+    auto filled = [&] {
+      return std::count_if(
+          shared.to_dest.begin(), shared.to_dest.end(),
+          [](const std::vector<double>& t) { return !t.empty(); });
+    };
+    if (kind == workload::ClusterKind::kTorus2D) {
+      EXPECT_GT(filled(), 20);
+    } else {
+      EXPECT_EQ(filled(), 0);
+    }
 
     ResidualState borrowed_state(cluster);
     ResidualState owned_state(cluster);
@@ -370,7 +381,179 @@ TEST(LinkRouter, BorrowedTablesRouteLikeOwnedOnes) {
       owned_state.reserve_bw(b->edges, demand.bandwidth_mbps);
     }
     EXPECT_GT(routed, 100u);
+    if (kind == workload::ClusterKind::kSwitched) {
+      EXPECT_EQ(filled(), 0);
+    }
   }
+}
+
+// A cluster over `topo` whose links carry random bandwidths and inexact
+// latencies, so that prefix and suffix latency sums round differently.
+model::PhysicalCluster inexact_cluster(topology::Topology topo,
+                                       util::Rng& rng) {
+  const std::size_t hosts = topo.host_count();
+  std::vector<model::LinkProps> links(topo.graph.edge_count());
+  for (auto& link : links) {
+    constexpr double kLatencies[] = {0.1, 1.0 / 3.0, 30.0 / 7.0};
+    link.bandwidth_mbps = rng.chance(0.2) ? 100.0 : rng.uniform(10.0, 1000.0);
+    link.latency_ms =
+        rng.chance(0.75) ? kLatencies[rng.index(3)] : rng.uniform(0.05, 9.0);
+  }
+  return model::PhysicalCluster::build(
+      std::move(topo), std::vector<model::HostCapacity>(hosts), links);
+}
+
+// On a forest the router walks the unique path instead of searching; its
+// answer must equal the modified A*Prune's, run directly with the router's
+// edge rules (a dead edge reads as zero bandwidth and infinite latency),
+// query after query while bandwidth is reserved along the found paths.
+// The latency bounds sit on the path latency and one ulp either side of
+// it, where a walk that checks only the total, or that sums ar[] in the
+// wrong order, answers differently.
+TEST(LinkRouter, ForestRoutesMatchAStarPrune) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Rng rng(2009);
+
+  std::vector<model::PhysicalCluster> forests;
+  forests.push_back(inexact_cluster(topology::star(12), rng));
+  forests.push_back(inexact_cluster(topology::line(9), rng));
+  forests.push_back(inexact_cluster(topology::switch_tree(60, 4, 3), rng));
+  forests.push_back(workload::make_paper_cluster(
+      workload::ClusterKind::kSwitched, 1));
+  for (const std::size_t size : {2u, 7u, 23u, 48u}) {
+    forests.push_back(
+        inexact_cluster(topology::random_cluster(size, 0.0, rng), rng));
+  }
+  // Induced sub-forests: dropping nodes of a switch tree splits it into
+  // components, so some pairs have no path at all.
+  for (int i = 0; i < 3; ++i) {
+    const auto tree =
+        inexact_cluster(topology::switch_tree(40, 4, 2), rng);
+    std::vector<NodeId> kept;
+    for (std::size_t v = 0; v < tree.node_count(); ++v) {
+      if (rng.chance(0.8)) kept.push_back(NodeId{static_cast<unsigned>(v)});
+    }
+    forests.push_back(topology::induced_subcluster(tree, kept).cluster);
+  }
+
+  std::size_t queries = 0, found = 0, mismatches = 0;
+  // Refused at a bound equal to the path's own latency although wide
+  // enough: a step's prefix plus suffix rounded above the total.
+  std::size_t tight_refusals = 0;
+  auto compare = [&](const model::PhysicalCluster& cluster,
+                     core::ResidualState& st,
+                     const std::vector<bool>* dead, core::LinkRouter& router,
+                     int rounds) {
+    auto is_dead = [&](EdgeId e) {
+      return dead != nullptr && (*dead)[e.index()];
+    };
+    auto bw = [&](EdgeId e) { return is_dead(e) ? 0.0 : st.residual_bw(e); };
+    auto lat = [&](EdgeId e) {
+      return is_dead(e) ? kInf : cluster.link(e).latency_ms;
+    };
+    graph::AStarPruneScratch scratch;
+    auto search = [&](NodeId s, NodeId d, double demand, double bound) {
+      return graph::astar_prune_bottleneck(cluster.graph(), s, d, demand,
+                                           bound, bw, lat, {}, scratch);
+    };
+    const std::size_t nodes = cluster.node_count();
+    for (int i = 0; i < rounds; ++i) {
+      const NodeId s{static_cast<unsigned>(rng.index(nodes))};
+      const NodeId d{static_cast<unsigned>(rng.index(nodes))};
+      // The path latency as the search sums it, unconstrained.
+      const auto free = search(s, d, 0.0, kInf);
+      const double path_lat = free.has_value() ? free->total_latency : 1.0;
+      const double demand =
+          rng.chance(0.25) ? 0.0 : rng.uniform(0.0, 400.0);
+      const auto loose = search(s, d, demand, kInf);
+      const double bounds[] = {path_lat, std::nextafter(path_lat, -kInf),
+                               std::nextafter(path_lat, kInf),
+                               path_lat * rng.uniform(0.5, 1.5), kInf};
+      for (std::size_t b = 0; b < std::size(bounds); ++b) {
+        const double bound = bounds[b];
+        ++queries;
+        const model::VirtualLinkDemand vl{demand, bound};
+        const auto got = router.route(s, d, vl);
+        const auto want = search(s, d, demand, bound);
+        const bool same =
+            got.has_value() == want.has_value() &&
+            (!got.has_value() ||
+             (got->edges == want->edges &&
+              got->bottleneck_bw == want->bottleneck_bw &&
+              got->total_latency == want->total_latency));
+        if (!same && ++mismatches <= 5) {
+          ADD_FAILURE() << "route " << s.value() << " -> " << d.value()
+                        << " demand " << demand << " bound " << bound
+                        << ": router " << (got ? "found" : "refused")
+                        << ", A*Prune " << (want ? "found" : "refused");
+        }
+        if (b == 0 && loose.has_value() && !want.has_value()) {
+          ++tight_refusals;
+        }
+      }
+      // Reserve along the path the search finds at the drawn demand, so
+      // later queries see less bandwidth.
+      if (loose.has_value() && !loose->edges.empty() &&
+          std::isfinite(loose->total_latency)) {
+        ++found;
+        st.reserve_bw(loose->edges, demand);
+      }
+    }
+  };
+
+  for (const auto& forest : forests) {
+    // Intact, with its ar[] tables borrowed: a forest router fills none.
+    {
+      core::ResidualState st(forest);
+      core::LatencyTables tables;
+      core::LinkRouter router(st, tables);
+      compare(forest, st, nullptr, router, 400);
+      EXPECT_TRUE(std::all_of(tables.to_dest.begin(), tables.to_dest.end(),
+                              [](const auto& t) { return t.empty(); }));
+    }
+    // A dead-edge mask, as repair_mapping passes.
+    {
+      core::ResidualState st(forest);
+      std::vector<bool> dead(forest.link_count(), false);
+      for (std::size_t e = 0; e < dead.size(); ++e) dead[e] = rng.chance(0.1);
+      core::LinkRouter router(st, &dead);
+      compare(forest, st, &dead, router, 300);
+    }
+    // Failed links and a failed node, as the healer's masked views carry.
+    {
+      auto damaged = forest;
+      for (std::size_t e = 0; e < damaged.link_count(); ++e) {
+        if (rng.chance(0.1)) {
+          damaged.fail_link(EdgeId{static_cast<unsigned>(e)});
+        }
+      }
+      damaged.fail_node(
+          NodeId{static_cast<unsigned>(rng.index(damaged.node_count()))});
+      core::ResidualState st(damaged);
+      core::LinkRouter router(st);
+      compare(damaged, st, nullptr, router, 300);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << queries << " queries";
+  EXPECT_GT(found, 1000u);
+  EXPECT_GT(tight_refusals, 0u);
+
+  // Fabrics with a cycle still search, and fill their ar[] tables: the
+  // torus, and a line with one doubled link, whose parallel edges a walk
+  // could not choose between.
+  topology::Topology doubled = topology::line(6);
+  doubled.graph.add_edge(NodeId{2}, NodeId{3});
+  for (const auto& cyclic :
+       {workload::make_paper_cluster(workload::ClusterKind::kTorus2D, 1),
+        inexact_cluster(std::move(doubled), rng)}) {
+    core::ResidualState st(cyclic);
+    core::LatencyTables tables;
+    core::LinkRouter router(st, tables);
+    compare(cyclic, st, nullptr, router, 200);
+    EXPECT_TRUE(std::any_of(tables.to_dest.begin(), tables.to_dest.end(),
+                            [](const auto& t) { return !t.empty(); }));
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // round-trips through the writers.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
+
 #include "io/json.h"
 #include "io/json_parser.h"
 #include "io/spec.h"
@@ -187,6 +190,35 @@ TEST(SpecLoader, RejectsMalformedSpecs) {
   EXPECT_TRUE(is_err(io::load_venv_json(
       R"({"guests":[{"vproc_mips":1,"vmem_mb":1,"vstor_gb":1}],)"
       R"("links":[{"src":0,"dst":3,"vbw_mbps":1,"vlat_ms":1}]})")));
+
+  // Negative link values: a negative latency would make the router's
+  // latency Dijkstra relax the link back and forth forever.  The error
+  // names the field and the link.
+  auto message = [](auto&& v) {
+    const auto* err = std::get_if<io::SpecError>(&v);
+    return err != nullptr ? err->message : std::string("accepted");
+  };
+  const std::string hosts =
+      R"({"nodes":[{"proc_mips":1,"mem_mb":4096,"stor_gb":1},)"
+      R"({"proc_mips":1,"mem_mb":4096,"stor_gb":1},)"
+      R"({"proc_mips":1,"mem_mb":4096,"stor_gb":1}],"links":[)"
+      R"({"a":0,"b":1,"bw_mbps":1000,"lat_ms":5},)"
+      R"({"a":1,"b":2,"bw_mbps":1000,"lat_ms":5},)";
+  EXPECT_EQ(message(io::load_cluster_json(
+                hosts + R"({"a":2,"b":0,"bw_mbps":1000,"lat_ms":-5}]})")),
+            "link 2: \"lat_ms\" must be a finite number >= 0");
+  EXPECT_EQ(message(io::load_cluster_json(
+                hosts + R"({"a":2,"b":0,"bw_mbps":-1,"lat_ms":5}]})")),
+            "link 2: \"bw_mbps\" must be a finite number >= 0");
+  const std::string guests =
+      R"({"guests":[{"vproc_mips":1,"vmem_mb":1,"vstor_gb":1},)"
+      R"({"vproc_mips":1,"vmem_mb":1,"vstor_gb":1}],"links":[)";
+  EXPECT_EQ(message(io::load_venv_json(
+                guests + R"({"src":0,"dst":1,"vbw_mbps":-2,"vlat_ms":9}]})")),
+            "virtual link 0: \"vbw_mbps\" must be a finite number >= 0");
+  EXPECT_EQ(message(io::load_venv_json(
+                guests + R"({"src":0,"dst":1,"vbw_mbps":2,"vlat_ms":-9}]})")),
+            "virtual link 0: \"vlat_ms\" must be a finite number >= 0");
 }
 
 TEST(SpecLoader, MissingFileReported) {
