@@ -2,7 +2,8 @@
 // Dijkstra, the modified A*Prune (with and without dominance pruning),
 // the link router's forest walk against the search on a 1280-host tree,
 // DFS variants, generators, and the three HMN stages in isolation — the
-// Hosting and Migration stages also at E16's 1000-host size.
+// Hosting and Migration stages also at E16's 1000-host size, empty and
+// loaded.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -214,6 +215,46 @@ void BM_MigrationStage_Tree1000(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MigrationStage_Tree1000);
+
+// The same fabric loaded as the sharded workload's shards are: other
+// tenants leave each host a seeded 5-100 % of its memory.  Most hosts then
+// cannot take a memory-heavy guest, so Hosting's picks and Migration's
+// target scan spend their time on hosts that fail Eqs. 2-3 — the
+// multilevel refiner's whole-level pass on a busy shard.
+const model::PhysicalCluster& tree1000_loaded_cluster() {
+  static const auto cluster = [] {
+    util::Rng rng(1);
+    auto caps = workload::generate_hosts(1000, workload::paper_host_profile(),
+                                         rng);
+    util::Rng load(3);
+    for (model::HostCapacity& c : caps) c.mem_mb *= load.uniform(0.05, 1.0);
+    return model::PhysicalCluster::build(topology::switch_tree(1000, 8, 4),
+                                         std::move(caps),
+                                         workload::paper_link_props());
+  }();
+  return cluster;
+}
+
+void BM_HostingStage_Tree1000Loaded(benchmark::State& state) {
+  for (auto _ : state) {
+    core::ResidualState st(tree1000_loaded_cluster());
+    auto r = core::run_hosting(tree1000_tenant(), st);
+    benchmark::DoNotOptimize(r.ok);
+  }
+}
+BENCHMARK(BM_HostingStage_Tree1000Loaded);
+
+void BM_MigrationStage_Tree1000Loaded(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::ResidualState st(tree1000_loaded_cluster());
+    auto hosted = core::run_hosting(tree1000_tenant(), st);
+    state.ResumeTiming();
+    auto r = core::run_migration(tree1000_tenant(), st, hosted.guest_host);
+    benchmark::DoNotOptimize(r.migrations);
+  }
+}
+BENCHMARK(BM_MigrationStage_Tree1000Loaded);
 
 // The sharded workload's fabric (E14's scaled switch tree at 1280 hosts),
 // routed between 256 fixed random host pairs.  LinkRouter walks each unique

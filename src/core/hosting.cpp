@@ -8,60 +8,26 @@
 namespace hmn::core {
 namespace {
 
-/// Host list sorted by residual CPU, descending, with NodeId as a
-/// deterministic tiebreak — the order the paper re-sorts into after every
-/// assignment.  An assignment changes one host's residual CPU, so
-/// reposition() moves that host alone into its sorted slot.  The order is
-/// a strict total one, so the sorted list is unique and a full re-sort
-/// would give the same list: O(n) per assignment instead of O(n log n),
-/// which matters on the hundreds of hosts of a multilevel whole-level pass.
-class HostList {
- public:
-  explicit HostList(const ResidualState& state)
-      : state_(&state), hosts_(state.cluster().hosts()) {
-    std::sort(hosts_.begin(), hosts_.end(),
-              [&](NodeId a, NodeId b) { return before(a, b); });
+/// The host with the most residual CPU among those `accept` admits, the
+/// lowest NodeId on ties; invalid() when it admits none.  The paper
+/// re-sorts its host list by residual CPU after every assignment and takes
+/// the first host that fits; (residual CPU descending, NodeId ascending)
+/// is a strict total order, so that host is exactly this one-pass pick.
+/// cluster.hosts() ascends by NodeId, so the first maximum seen wins ties.
+// hmn-lint: hot-path
+template <typename Accept>
+NodeId most_residual_cpu(const ResidualState& state, Accept accept) {
+  NodeId best = NodeId::invalid();
+  double best_proc = 0.0;
+  for (const NodeId h : state.cluster().hosts()) {
+    const double r = state.residual_proc(h);
+    if (best.valid() && !(r > best_proc)) continue;
+    if (!accept(h)) continue;
+    best = h;
+    best_proc = r;
   }
-
-  /// Restores the order after `moved`'s residual CPU changed.
-  // hmn-lint: hot-path
-  void reposition(NodeId moved) {
-    const auto at = std::find(hosts_.begin(), hosts_.end(), moved);
-    auto cmp = [&](NodeId a, NodeId b) { return before(a, b); };
-    if (at + 1 != hosts_.end() && before(*(at + 1), moved)) {
-      // Less residual CPU than before: slide toward the back.
-      const auto slot = std::lower_bound(at + 1, hosts_.end(), moved, cmp);
-      std::rotate(at, at + 1, slot);
-    } else if (at != hosts_.begin() && before(moved, *(at - 1))) {
-      // More residual CPU (a negative demand): slide toward the front.
-      const auto slot = std::upper_bound(hosts_.begin(), at, moved, cmp);
-      std::rotate(slot, at, at + 1);
-    }
-  }
-
-  [[nodiscard]] NodeId first() const { return hosts_.front(); }
-
-  /// First host (in residual-CPU order) that fits `req`, or invalid().
-  [[nodiscard]] NodeId first_fitting(const model::GuestRequirements& req) const {
-    for (const NodeId h : hosts_) {
-      if (state_->fits(req, h)) return h;
-    }
-    return NodeId::invalid();
-  }
-
- private:
-  /// More residual CPU first, then the lower NodeId.
-  [[nodiscard]] bool before(NodeId a, NodeId b) const {
-    const double ra = state_->residual_proc(a);
-    const double rb = state_->residual_proc(b);
-    // hmn-lint: allow(float-eq, comparator tie-break; an epsilon here would break strict weak ordering)
-    if (ra != rb) return ra > rb;
-    return a < b;
-  }
-
-  const ResidualState* state_;
-  std::vector<NodeId> hosts_;
-};
+  return best;
+}
 
 }  // namespace
 
@@ -120,14 +86,8 @@ NodeId affinity_host(const model::VirtualEnvironment& venv,
   auto up = [&](NodeId h) { return down == nullptr || !(*down)[h.index()]; };
   const NodeId peer = heaviest_placed_neighbor(venv, guest_host, guest).host;
   if (peer.valid() && up(peer) && state.fits(req, peer)) return peer;
-  NodeId best = NodeId::invalid();
-  for (const NodeId h : state.cluster().hosts()) {
-    if (!up(h) || !state.fits(req, h)) continue;
-    if (!best.valid() || state.residual_proc(h) > state.residual_proc(best)) {
-      best = h;
-    }
-  }
-  return best;
+  return most_residual_cpu(
+      state, [&](NodeId h) { return up(h) && state.fits(req, h); });
 }
 
 HostingResult run_hosting(const model::VirtualEnvironment& venv,
@@ -139,12 +99,19 @@ HostingResult run_hosting(const model::VirtualEnvironment& venv,
     return result;
   }
 
-  HostList hosts(state);
   auto assigned = [&](GuestId g) { return result.guest_host[g.index()].valid(); };
   auto assign = [&](GuestId g, NodeId h) {
     state.place(venv.guest(g), h);
     result.guest_host[g.index()] = h;
-    hosts.reposition(h);
+  };
+  // The first host, fitting or not, and the first that fits `req`, of the
+  // host list in residual-CPU order.
+  auto first = [&] {
+    return most_residual_cpu(state, [](NodeId) { return true; });
+  };
+  auto first_fitting = [&](const model::GuestRequirements& req) {
+    return most_residual_cpu(state,
+                             [&](NodeId h) { return state.fits(req, h); });
   };
 
   if (opts.policy == HostingPolicy::kBalanceOnly) {
@@ -159,7 +126,7 @@ HostingResult run_hosting(const model::VirtualEnvironment& venv,
       return venv.guest(a).proc_mips > venv.guest(b).proc_mips;
     });
     for (const GuestId g : order) {
-      const NodeId h = hosts.first_fitting(venv.guest(g));
+      const NodeId h = first_fitting(venv.guest(g));
       if (!h.valid()) {
         result.detail = "no host fits guest " + std::to_string(g.value());
         return result;
@@ -179,14 +146,14 @@ HostingResult run_hosting(const model::VirtualEnvironment& venv,
 
     if (!s_done && !d_done) {
       // Try to co-locate both endpoints on the most-available-CPU host.
-      const NodeId top = hosts.first();
+      const NodeId top = first();
       if (vs != vd && state.fits_both(venv.guest(vs), venv.guest(vd), top)) {
         assign(vs, top);
         assign(vd, top);
         continue;
       }
       if (vs == vd) {  // self-loop virtual link: one guest to place
-        const NodeId h = hosts.first_fitting(venv.guest(vs));
+        const NodeId h = first_fitting(venv.guest(vs));
         if (!h.valid()) {
           result.detail = "no host fits guest " + std::to_string(vs.value());
           return result;
@@ -199,13 +166,13 @@ HostingResult run_hosting(const model::VirtualEnvironment& venv,
       const GuestId g1 = venv.guest(vs).proc_mips >= venv.guest(vd).proc_mips
                              ? vs : vd;
       const GuestId g2 = g1 == vs ? vd : vs;
-      const NodeId h1 = hosts.first_fitting(venv.guest(g1));
+      const NodeId h1 = first_fitting(venv.guest(g1));
       if (!h1.valid()) {
         result.detail = "no host fits guest " + std::to_string(g1.value());
         return result;
       }
       assign(g1, h1);
-      const NodeId h2 = hosts.first_fitting(venv.guest(g2));
+      const NodeId h2 = first_fitting(venv.guest(g2));
       if (!h2.valid()) {
         result.detail = "no host fits guest " + std::to_string(g2.value());
         return result;
@@ -221,7 +188,7 @@ HostingResult run_hosting(const model::VirtualEnvironment& venv,
     const NodeId peer_host = result.guest_host[done.index()];
     NodeId target = state.fits(venv.guest(todo), peer_host)
                         ? peer_host
-                        : hosts.first_fitting(venv.guest(todo));
+                        : first_fitting(venv.guest(todo));
     if (!target.valid()) {
       result.detail = "no host fits guest " + std::to_string(todo.value());
       return result;
@@ -235,7 +202,7 @@ HostingResult run_hosting(const model::VirtualEnvironment& venv,
   for (std::size_t gi = 0; gi < venv.guest_count(); ++gi) {
     const GuestId g{static_cast<GuestId::underlying_type>(gi)};
     if (assigned(g)) continue;
-    const NodeId h = hosts.first_fitting(venv.guest(g));
+    const NodeId h = first_fitting(venv.guest(g));
     if (!h.valid()) {
       result.detail = "no host fits isolated guest " + std::to_string(gi);
       return result;

@@ -4,8 +4,10 @@
 // Virtual links are processed in descending bandwidth order; both endpoints
 // of a high-bandwidth link are co-located on the host with the most
 // available CPU whenever memory and storage allow, reducing physical-link
-// usage.  The host list is back in residual-CPU order after every
-// assignment, exactly as the paper prescribes.
+// usage.  The paper re-sorts its host list by residual CPU after every
+// assignment and takes the first host that fits; each pick here is that
+// host, found in one pass over the hosts: the most residual CPU among
+// those that fit, the lowest NodeId on ties.
 #pragma once
 
 #include <cstdint>

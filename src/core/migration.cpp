@@ -26,20 +26,34 @@ double colocated_bandwidth(const model::VirtualEnvironment& venv,
   return sum;
 }
 
-/// The paper's victim rule for one victim `req` on host index `origin`: the
-/// first host in `order` (residual CPU descending) that the victim fits and
-/// whose Eq. 10 after the move is below `current_lbf`; hosts.size() when
-/// none is.  Writes that factor to `lbf_after`.
+/// The order targets are tried in: least loaded (largest residual CPU)
+/// first, the lower NodeId on ties — a strict total order.
+bool least_loaded_first(std::span<const double> rproc,
+                        const std::vector<NodeId>& hosts, std::size_t a,
+                        std::size_t b) {
+  if (rproc[a] != rproc[b]) return rproc[a] > rproc[b];
+  return hosts[a] < hosts[b];
+}
+
+/// The paper's victim rule for one victim `req` on host index `origin`: of
+/// the other hosts, least loaded first (residual CPU descending, NodeId
+/// ascending), the first that the victim fits and whose Eq. 10 after the
+/// move is below `current_lbf`; hosts.size() when none is.  Writes that
+/// factor to `lbf_after`.  `candidates` is scratch space.
 ///
-/// The scan stops early once no later candidate can pass.  Moving the
-/// victim, of CPU demand p, from o to c keeps the sum of residuals, so it
-/// changes the exact variance behind Eq. 10 by 2 p (p + r_o - r_c) / n,
-/// which never decreases along the scan when p > 0 — nor does its
-/// floating-point evaluation below, every step of which is monotone in
-/// r_c.  Once it exceeds the rounding margin, every later candidate's
-/// one-pass variance (load_balance_factor_if_moved) is at least the
-/// variance behind `current_lbf`, and sqrt is monotone, so
-/// `after < current_lbf` fails.
+/// Few hosts can pass, so the hosts are filtered first and only the
+/// survivors are put in order.  Moving the victim, of CPU demand p, from o
+/// to c keeps the sum of residuals, so it changes the exact variance behind
+/// Eq. 10 by 2 p (p + r_o - r_c) / n, which never decreases as r_c falls
+/// when p > 0 — nor does its floating-point evaluation below, every step
+/// of which is monotone in r_c.  Once it exceeds the rounding margin, the
+/// candidate's one-pass variance (load_balance_factor_if_moved) is at
+/// least the variance behind `current_lbf`, and sqrt is monotone, so
+/// `after < current_lbf` fails: the filter drops such hosts, which are
+/// exactly the ones after the point where a least-loaded-first scan could
+/// stop.  Hosts the victim does not fit are dropped too.  Sorting the
+/// survivors by the same strict total order gives them in the full scan's
+/// relative order, so the first that improves is the host it commits.
 /// The margin covers two evaluations, with u = 2^-53 and s = max|r_i| + p
 /// bounding every residual before and after the move.  The one-pass
 /// evaluation errs by at most (3n + 3) u s^2 to first order: n u s^2 in the
@@ -52,16 +66,17 @@ double colocated_bandwidth(const model::VirtualEnvironment& venv,
 /// the two moved entries and evaluating the change itself add at most
 /// 22 u s^2 / n.  The total is below (3n + 14) eps s^2 with eps = 2u; the
 /// margin 16 (n + 8) eps s^2 covers it more than five times over, so the
-/// stop never skips a move the full scan would commit.  An overflowing s^2
-/// gives an infinite margin and a full scan.  With p <= 0 the change is
-/// not monotone and the scan is exhaustive.
+/// filter never drops a move the full scan would commit.  An overflowing
+/// s^2 gives an infinite margin and drops no host.  With p <= 0 the change
+/// is not monotone and only the fit test filters.
 // hmn-lint: hot-path
 std::size_t first_improving_target(const ResidualState& state,
                                    std::span<const double> rproc,
-                                   std::span<const std::size_t> order,
                                    std::size_t origin,
                                    const model::GuestRequirements& req,
-                                   double current_lbf, double& lbf_after) {
+                                   double current_lbf,
+                                   std::vector<std::size_t>& candidates,
+                                   double& lbf_after) {
   const auto& hosts = state.cluster().hosts();
   const double p = req.proc_mips;
   const auto n = static_cast<double>(rproc.size());
@@ -70,12 +85,19 @@ std::size_t first_improving_target(const ResidualState& state,
   s += p;
   const double margin =
       16.0 * (n + 8.0) * std::numeric_limits<double>::epsilon() * s * s;
-  for (const std::size_t cand : order) {
+  candidates.clear();
+  for (std::size_t cand = 0; cand < hosts.size(); ++cand) {
     if (cand == origin) continue;
     if (p > 0.0 && 2.0 * p * (p + rproc[origin] - rproc[cand]) / n > margin) {
-      break;
+      continue;
     }
-    if (!state.fits(req, hosts[cand])) continue;
+    if (state.fits(req, hosts[cand])) candidates.push_back(cand);
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [&](std::size_t a, std::size_t b) {
+              return least_loaded_first(rproc, hosts, a, b);
+            });
+  for (const std::size_t cand : candidates) {
     const double after =
         load_balance_factor_if_moved(rproc, origin, cand, p);
     if (after < current_lbf) {
@@ -113,6 +135,8 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
   }
 
   double current_lbf = result.initial_lbf;
+  std::vector<std::size_t> candidates;
+  candidates.reserve(hosts.size());
   for (;;) {
     if (opts.max_migrations != 0 && result.migrations >= opts.max_migrations) {
       break;
@@ -126,14 +150,6 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
       if (origin == hosts.size() || rproc[i] < rproc[origin]) origin = i;
     }
     if (origin == hosts.size()) break;  // nothing mapped anywhere
-
-    // Candidate targets from least loaded (largest residual CPU) upward.
-    std::vector<std::size_t> order(hosts.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (rproc[a] != rproc[b]) return rproc[a] > rproc[b];
-      return hosts[a] < hosts[b];
-    });
 
     GuestId victim = GuestId::invalid();
     std::size_t target = hosts.size();
@@ -153,12 +169,17 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
           victim = g;
         }
       }
-      target = first_improving_target(state, rproc, order, origin,
+      target = first_improving_target(state, rproc, origin,
                                       venv.guest(victim), current_lbf,
-                                      lbf_after);
+                                      candidates, lbf_after);
     } else {
-      // kBestImprovement: exhaustive over (guest, target); commit the
-      // steepest descent step.
+      // kBestImprovement: exhaustive over (guest, target) in least-loaded
+      // order; commit the steepest descent step.
+      std::vector<std::size_t> order(hosts.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return least_loaded_first(rproc, hosts, a, b);
+      });
       for (const GuestId g : guests_on[origin]) {
         const model::GuestRequirements& req = venv.guest(g);
         for (const std::size_t cand : order) {

@@ -110,6 +110,66 @@ bool route_region(const model::PhysicalCluster& fine,
 
 }  // namespace
 
+GuestId unhostable_guest(const model::PhysicalCluster& level,
+                         const std::vector<NodeId>& region,
+                         const model::VirtualEnvironment& venv,
+                         const std::vector<NodeId>& placed,
+                         const std::vector<GuestId>& group) {
+  for (const GuestId g : group) {
+    const model::GuestRequirements& req = venv.guest(g);
+    if (!(req.mem_mb >= 0.0 && req.stor_gb >= 0.0)) return GuestId::invalid();
+  }
+  // Residuals of the region hosts that hold placed guests, each charged by
+  // the subtractions ResidualState::place makes, in ascending guest order;
+  // then ordered by node, as the region is.
+  struct Charged {
+    NodeId host;
+    double mem_mb;
+    double stor_gb;
+  };
+  std::vector<Charged> charged;
+  for (std::size_t g = 0; g < placed.size(); ++g) {
+    const NodeId h = placed[g];
+    if (!h.valid() || !std::binary_search(region.begin(), region.end(), h)) {
+      continue;
+    }
+    auto at = std::find_if(charged.begin(), charged.end(),
+                           [&](const Charged& c) { return c.host == h; });
+    if (at == charged.end()) {
+      charged.push_back(
+          {h, level.capacity(h).mem_mb, level.capacity(h).stor_gb});
+      at = charged.end() - 1;
+    }
+    const model::GuestRequirements& req = venv.guest(gid(g));
+    at->mem_mb -= req.mem_mb;
+    at->stor_gb -= req.stor_gb;
+  }
+  std::sort(charged.begin(), charged.end(),
+            [](const Charged& a, const Charged& b) { return a.host < b.host; });
+
+  for (const GuestId g : group) {
+    const model::GuestRequirements& req = venv.guest(g);
+    auto next = charged.begin();
+    bool fits = false;
+    for (const NodeId h : region) {
+      if (!level.is_host(h)) continue;
+      double mem = level.capacity(h).mem_mb;
+      double stor = level.capacity(h).stor_gb;
+      while (next != charged.end() && next->host < h) ++next;
+      if (next != charged.end() && next->host == h) {
+        mem = next->mem_mb;
+        stor = next->stor_gb;
+      }
+      if (mem >= req.mem_mb && stor >= req.stor_gb) {
+        fits = true;
+        break;
+      }
+    }
+    if (!fits) return g;
+  }
+  return GuestId::invalid();
+}
+
 MultilevelMapper::MultilevelMapper(MultilevelOptions opts)
     : MultilevelMapper(std::move(opts), nullptr) {}
 
@@ -243,8 +303,15 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
 
     // Hosts `guests` (with their induced internal links) on the subcluster
     // of `region`, charging prior placements; writes fine_gh on success.
+    // A guest that fits on no region host once those placements are
+    // charged would fail Hosting, so such a try builds nothing.
     auto try_host = [&](const std::vector<GuestId>& guests,
                         const std::vector<NodeId>& region) {
+      stage.restart();
+      const bool hostable =
+          !unhostable_guest(fine, region, venv, fine_gh, guests).valid();
+      outcome.stats.hosting_seconds += stage.elapsed_seconds();
+      if (!hostable) return false;
       model::VirtualEnvironment sub_venv;
       std::vector<std::size_t> local_guest(venv.guest_count(), 0);
       std::vector<char> in_set(venv.guest_count(), 0);

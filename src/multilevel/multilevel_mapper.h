@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/hmn_mapper.h"
 #include "core/mapper.h"
@@ -63,6 +64,23 @@ struct MultilevelOptions {
   /// Optional progress observer (display only).
   LevelObserver observer;
 };
+
+/// The refiner's check before it hosts a group of guests on a region of a
+/// level (DESIGN §8): the first guest of `group` that fits (Eqs. 2-3) on no
+/// host of `region` once the guests `placed` puts inside the region are
+/// charged, in ascending guest order — the residuals core::ResidualState
+/// holds for the region when its Hosting stage starts.  Hosting only
+/// shrinks memory and storage residuals, so when this names a guest,
+/// core::run_hosting fails on the region.  invalid() when every guest of
+/// the group fits some host, or when one has a negative (or NaN) memory
+/// or storage demand, whose placement could grow a residual.  `region`
+/// holds ascending level node ids; `placed` maps every guest of `venv` to
+/// its level host, invalid() when not placed yet.
+[[nodiscard]] GuestId unhostable_guest(const model::PhysicalCluster& level,
+                                       const std::vector<NodeId>& region,
+                                       const model::VirtualEnvironment& venv,
+                                       const std::vector<NodeId>& placed,
+                                       const std::vector<GuestId>& group);
 
 class MultilevelMapper final : public core::Mapper {
  public:

@@ -90,7 +90,9 @@ PlacementRouter::PlacementRouter(const model::PhysicalCluster& fabric,
     refresh_headroom(s);
   }
   if (opts_.threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(opts_.threads);
+    // The caller is one of the threads (admit_batch); never pass 0, which
+    // ThreadPool reads as the hardware concurrency.
+    pool_ = std::make_unique<util::ThreadPool>(opts_.threads - 1);
   }
 }
 
@@ -232,14 +234,28 @@ std::vector<RouterDecision> PlacementRouter::admit_batch(
       }
     };
 
-    if (pool_ != nullptr) {
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (per_shard[s].empty()) continue;
-        pool_->submit([&run_shard, s] { run_shard(s); });
+    // The caller admits the round's first busy shard itself and the pool
+    // takes the rest: most rounds have one busy shard, so most run with no
+    // hand-off at all.  The pool's tasks hold references into this frame,
+    // so they are joined before anything leaves it, an exception included.
+    std::size_t own = 0;
+    while (per_shard[own].empty()) ++own;  // `pending` is not empty
+    try {
+      for (std::size_t s = own + 1; pool_ != nullptr && s < shards_.size();
+           ++s) {
+        if (!per_shard[s].empty()) {
+          pool_->submit([&run_shard, s] { run_shard(s); });
+        }
       }
+      run_shard(own);
+    } catch (...) {
+      if (pool_ != nullptr) pool_->wait_idle();
+      throw;
+    }
+    if (pool_ != nullptr) {
       pool_->wait_idle();
     } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) run_shard(s);
+      for (std::size_t s = own + 1; s < shards_.size(); ++s) run_shard(s);
     }
 
     std::vector<std::size_t> still;

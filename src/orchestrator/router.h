@@ -53,8 +53,10 @@ struct RouterOptions {
   /// see topology::partition_cluster).  1 degenerates to flat admission
   /// through the identical code path — the E14 baseline.
   std::size_t shards = 4;
-  /// Worker threads for admit_batch; <= 1 runs serially.  Decisions are
-  /// identical either way.
+  /// Threads that admit_batch runs shards on, the caller included: the
+  /// caller admits each round's first busy shard and a pool of
+  /// threads - 1 workers takes the others.  <= 1 runs serially.  Decisions
+  /// are identical either way.
   std::size_t threads = 1;
   /// Shards probed per request before falling back (power-of-two-choices).
   std::size_t probe_choices = 2;
@@ -155,7 +157,8 @@ class PlacementRouter {
   RouterOptions opts_;
   topology::ClusterPartition partition_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  std::unique_ptr<util::ThreadPool> pool_;  // null when threads <= 1
+  std::unique_ptr<util::ThreadPool> pool_;  // threads - 1 workers; null
+                                            // when threads <= 1
 
   struct Placement {
     std::size_t shard = 0;

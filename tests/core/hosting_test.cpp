@@ -1,12 +1,14 @@
 // Tests for the Hosting stage (Section 4.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 
 #include "core/hosting.h"
 #include "core/networking.h"
 #include "core/residual.h"
 #include "testing/fixtures.h"
+#include "topology/topologies.h"
 #include "util/rng.h"
 
 namespace {
@@ -315,6 +317,208 @@ TEST(AffinityHost, DownNeighborHostFallsBackToMostResidualCpu) {
 
   const std::vector<bool> all_down(3, true);
   EXPECT_FALSE(core::affinity_host(venv, st, placed, a, &all_down).valid());
+}
+
+// ---- The paper's rule, literally.
+
+/// Section 4.1 as the paper states it: the host list sorted by residual CPU
+/// (most first, the lower NodeId on ties) and sorted again after every
+/// assignment.  Each pick is the first host of the list that fits; the
+/// co-location try takes the first host, fitting or not.  run_hosting
+/// finds each pick in one pass over the hosts and must make the same
+/// picks.  `tie_picks` counts picks whose next host in the list has the
+/// same residual CPU and fits too, so NodeId alone decided them.
+core::HostingResult reference_hosting(const VirtualEnvironment& venv,
+                                      ResidualState& state,
+                                      const HostingOptions& opts,
+                                      std::size_t& tie_picks) {
+  core::HostingResult result;
+  result.guest_host.assign(venv.guest_count(), NodeId::invalid());
+  if (state.cluster().host_count() == 0) return result;
+  std::vector<NodeId> hosts = state.cluster().hosts();
+  auto resort = [&] {
+    std::sort(hosts.begin(), hosts.end(), [&](NodeId a, NodeId b) {
+      const double ra = state.residual_proc(a);
+      const double rb = state.residual_proc(b);
+      if (ra != rb) return ra > rb;
+      return a < b;
+    });
+  };
+  resort();
+  auto assigned = [&](GuestId g) {
+    return result.guest_host[g.index()].valid();
+  };
+  auto assign = [&](GuestId g, NodeId h) {
+    state.place(venv.guest(g), h);
+    result.guest_host[g.index()] = h;
+    resort();
+  };
+  // Assigns `g` to the first host in the list that fits it; false if none.
+  auto assign_first_fitting = [&](GuestId g) {
+    const auto& req = venv.guest(g);
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      if (!state.fits(req, hosts[i])) continue;
+      if (i + 1 < hosts.size() &&
+          state.residual_proc(hosts[i + 1]) ==
+              state.residual_proc(hosts[i]) &&
+          state.fits(req, hosts[i + 1])) {
+        ++tie_picks;
+      }
+      assign(g, hosts[i]);
+      return true;
+    }
+    return false;
+  };
+
+  if (opts.policy == core::HostingPolicy::kBalanceOnly) {
+    std::vector<GuestId> order;
+    for (std::size_t i = 0; i < venv.guest_count(); ++i) {
+      order.push_back(g(static_cast<unsigned>(i)));
+    }
+    std::stable_sort(order.begin(), order.end(), [&](GuestId a, GuestId b) {
+      return venv.guest(a).proc_mips > venv.guest(b).proc_mips;
+    });
+    for (const GuestId guest : order) {
+      if (!assign_first_fitting(guest)) return result;
+    }
+    result.ok = true;
+    return result;
+  }
+
+  for (const VirtLinkId l : ordered_links(venv, opts.order, opts.shuffle_seed)) {
+    const auto [vs, vd] = venv.endpoints(l);
+    if (assigned(vs) && assigned(vd)) continue;
+    if (!assigned(vs) && !assigned(vd)) {
+      if (vs != vd &&
+          state.fits_both(venv.guest(vs), venv.guest(vd), hosts.front())) {
+        const NodeId top = hosts.front();
+        assign(vs, top);
+        assign(vd, top);
+        continue;
+      }
+      if (vs == vd) {
+        if (!assign_first_fitting(vs)) return result;
+        continue;
+      }
+      const GuestId g1 =
+          venv.guest(vs).proc_mips >= venv.guest(vd).proc_mips ? vs : vd;
+      const GuestId g2 = g1 == vs ? vd : vs;
+      if (!assign_first_fitting(g1) || !assign_first_fitting(g2)) {
+        return result;
+      }
+      continue;
+    }
+    const GuestId done = assigned(vs) ? vs : vd;
+    const GuestId todo = assigned(vs) ? vd : vs;
+    const NodeId peer = result.guest_host[done.index()];
+    if (state.fits(venv.guest(todo), peer)) {
+      assign(todo, peer);
+    } else if (!assign_first_fitting(todo)) {
+      return result;
+    }
+  }
+  for (std::size_t i = 0; i < venv.guest_count(); ++i) {
+    const GuestId guest = g(static_cast<unsigned>(i));
+    if (!assigned(guest) && !assign_first_fitting(guest)) return result;
+  }
+  result.ok = true;
+  return result;
+}
+
+TEST(Hosting, OnePassPicksMatchTheResortedList) {
+  // Integer capacities and demands make residual-CPU ties common, so the
+  // NodeId tie-break decides many picks; a pick that went to the higher
+  // NodeId on a tie would differ from the reference.
+  util::Rng rng(423);
+  std::size_t hosted = 0;
+  std::size_t failed = 0;
+  std::size_t tie_picks = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t host_count = 2 + rng.index(30);
+    std::vector<model::HostCapacity> caps;
+    for (std::size_t h = 0; h < host_count; ++h) {
+      caps.push_back({500.0 * static_cast<double>(1 + rng.index(4)),
+                      256.0 * static_cast<double>(1 + rng.index(16)),
+                      100.0 * static_cast<double>(1 + rng.index(10))});
+    }
+    // Half the fabrics interleave switches with hosts.
+    const model::PhysicalCluster cluster =
+        trial % 2 == 0
+            ? line_cluster(std::move(caps))
+            : model::PhysicalCluster::build(
+                  topology::switch_tree(host_count, 1 + rng.index(4), 2),
+                  std::move(caps), model::LinkProps{1000.0, 5.0});
+
+    VirtualEnvironment venv;
+    const std::size_t guests = 1 + rng.index(24);
+    for (std::size_t i = 0; i < guests; ++i) {
+      // CPU demands may be negative: CPU is the objective, not a constraint.
+      venv.add_guest({static_cast<double>(rng.index(1001)) - 300.0,
+                      64.0 * static_cast<double>(1 + rng.index(24)),
+                      10.0 * static_cast<double>(1 + rng.index(30))});
+    }
+    // Some links are self-loops; guests no link touches stay isolated.
+    const std::size_t links = rng.index(2 * guests);
+    for (std::size_t l = 0; l < links; ++l) {
+      const auto a = static_cast<unsigned>(rng.index(guests));
+      const auto b = rng.index(10) == 0
+                         ? a
+                         : static_cast<unsigned>(rng.index(guests));
+      venv.add_link(g(a), g(b),
+                    {static_cast<double>(1 + rng.index(5)), 60.0});
+    }
+
+    // Other tenants' load, the same on both sides.
+    ResidualState state(cluster);
+    for (const NodeId h : cluster.hosts()) {
+      if (rng.index(3) != 0) continue;
+      const model::GuestRequirements load{
+          100.0 * static_cast<double>(rng.index(10)),
+          std::min(cluster.capacity(h).mem_mb,
+                   128.0 * static_cast<double>(rng.index(16))),
+          0.0};
+      state.place(load, h);
+    }
+
+    for (const auto policy :
+         {core::HostingPolicy::kAffinity, core::HostingPolicy::kBalanceOnly}) {
+      for (const auto order :
+           {LinkOrder::kBandwidthDescending, LinkOrder::kBandwidthAscending,
+            LinkOrder::kRandom}) {
+        if (policy == core::HostingPolicy::kBalanceOnly &&
+            order != LinkOrder::kBandwidthDescending) {
+          continue;  // the link-blind policy reads no link order
+        }
+        HostingOptions opts;
+        opts.policy = policy;
+        opts.order = order;
+        opts.shuffle_seed = static_cast<std::uint64_t>(trial);
+        ResidualState got_state = state;
+        ResidualState want_state = state;
+        const auto got = run_hosting(venv, got_state, opts);
+        const auto want = reference_hosting(venv, want_state, opts, tie_picks);
+        const auto where = ::testing::Message()
+                           << "trial " << trial << ", policy "
+                           << static_cast<int>(policy) << ", order "
+                           << static_cast<int>(order);
+        ASSERT_EQ(got.ok, want.ok) << where << ": " << got.detail;
+        ASSERT_EQ(got.guest_host, want.guest_host) << where;
+        for (const NodeId h : cluster.hosts()) {
+          ASSERT_EQ(got_state.residual_proc(h), want_state.residual_proc(h))
+              << where;
+          ASSERT_EQ(got_state.residual_mem(h), want_state.residual_mem(h))
+              << where;
+          ASSERT_EQ(got_state.residual_stor(h), want_state.residual_stor(h))
+              << where;
+        }
+        (got.ok ? hosted : failed) += 1;
+      }
+    }
+  }
+  // The battery reaches successes, failures and NodeId-decided ties.
+  EXPECT_GT(hosted, 300u);
+  EXPECT_GT(failed, 100u);
+  EXPECT_GT(tie_picks, 1000u);
 }
 
 // ---- The Eqs. 2-3 infeasibility certificate.

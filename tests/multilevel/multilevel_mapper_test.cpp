@@ -11,10 +11,13 @@
 #include <vector>
 
 #include "core/hmn_mapper.h"
+#include "core/hosting.h"
+#include "core/residual.h"
 #include "core/validator.h"
 #include "model/physical_cluster.h"
 #include "multilevel/multilevel_mapper.h"
 #include "orchestrator/router.h"
+#include "topology/contraction.h"
 #include "topology/topologies.h"
 #include "util/rng.h"
 #include "workload/presets.h"
@@ -218,6 +221,149 @@ TEST(MultilevelMapperTest, RouterDelegationStaysThreadCountInvariant) {
   EXPECT_GT(admitted_serial, 0u);
   EXPECT_EQ(admitted_serial, admitted_parallel);
   EXPECT_EQ(sig_serial, sig_parallel);
+}
+
+// ---- The refiner's check before a group try.
+
+/// Runs what the refiner's try_host runs on a region: Hosting of `group`
+/// (with its internal links) on the subcluster `region` induces, with every
+/// guest `placed` puts inside the region charged first, in ascending order.
+bool hosting_succeeds(const model::PhysicalCluster& level,
+                      const std::vector<NodeId>& region,
+                      const model::VirtualEnvironment& venv,
+                      const std::vector<NodeId>& placed,
+                      const std::vector<GuestId>& group) {
+  const topology::SubCluster sub = topology::induced_subcluster(level, region);
+  core::ResidualState state(sub.cluster);
+  for (std::size_t g = 0; g < placed.size(); ++g) {
+    const auto at = std::lower_bound(sub.to_parent_node.begin(),
+                                     sub.to_parent_node.end(), placed[g]);
+    if (!placed[g].valid() || at == sub.to_parent_node.end() ||
+        *at != placed[g]) {
+      continue;
+    }
+    state.place(venv.guest(GuestId{static_cast<unsigned>(g)}),
+                NodeId{static_cast<unsigned>(at - sub.to_parent_node.begin())});
+  }
+  model::VirtualEnvironment sub_venv;
+  std::vector<std::size_t> local(venv.guest_count(), group.size());
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    local[group[i].index()] = i;
+    (void)sub_venv.add_guest(venv.guest(group[i]));
+  }
+  for (std::size_t l = 0; l < venv.link_count(); ++l) {
+    const VirtLinkId id{static_cast<unsigned>(l)};
+    const auto ep = venv.endpoints(id);
+    if (local[ep.src.index()] == group.size() ||
+        local[ep.dst.index()] == group.size()) {
+      continue;
+    }
+    (void)sub_venv.add_link(
+        GuestId{static_cast<unsigned>(local[ep.src.index()])},
+        GuestId{static_cast<unsigned>(local[ep.dst.index()])}, venv.link(id));
+  }
+  return core::run_hosting(sub_venv, state).ok;
+}
+
+TEST(UnhostableGuest, FiresOnlyWhereHostingFails) {
+  util::Rng rng(1723);
+  std::size_t fired = 0;
+  std::size_t passed = 0;
+  std::size_t passed_but_failed = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    // A loaded switch-tree level: other tenants leave each host 5-100 % of
+    // its memory.
+    const std::size_t hosts = 8 + rng.index(57);
+    std::vector<model::HostCapacity> caps;
+    for (std::size_t h = 0; h < hosts; ++h) {
+      caps.push_back({1000.0, 4096.0 * rng.uniform(0.05, 1.0),
+                      4096.0 * rng.uniform(0.5, 1.0)});
+    }
+    const auto level = model::PhysicalCluster::build(
+        topology::switch_tree(hosts, 2 + rng.index(7), 2 + rng.index(3)),
+        std::move(caps), model::LinkProps{1000.0, 1.0});
+
+    // A region: the whole level, or a random subset of its nodes.
+    std::vector<NodeId> region;
+    const bool whole = rng.index(4) == 0;
+    const double keep = rng.uniform(0.02, 0.4);
+    for (std::size_t n = 0; n < level.node_count(); ++n) {
+      if (whole || rng.uniform(0.0, 1.0) < keep) {
+        region.push_back(NodeId{static_cast<unsigned>(n)});
+      }
+    }
+    if (region.empty()) continue;
+
+    model::VirtualEnvironment venv;
+    const std::size_t guests = 2 + rng.index(14);
+    for (std::size_t i = 0; i < guests; ++i) {
+      venv.add_guest({static_cast<double>(rng.index(600)),
+                      rng.uniform(256.0, 3072.0), rng.uniform(50.0, 400.0)});
+    }
+    for (std::size_t i = 1; i < guests; ++i) {
+      if (rng.index(3) == 0) continue;
+      venv.add_link(GuestId{static_cast<unsigned>(rng.index(i))},
+                    GuestId{static_cast<unsigned>(i)}, {1.0, 60.0});
+    }
+
+    // Earlier groups' placements, anywhere on the level, each where it fit;
+    // the rest of the guests form the group.
+    std::vector<NodeId> placed(guests, NodeId::invalid());
+    std::vector<GuestId> group;
+    core::ResidualState charged(level);
+    for (std::size_t i = 0; i < guests; ++i) {
+      const GuestId guest{static_cast<unsigned>(i)};
+      const NodeId h = level.hosts()[rng.index(hosts)];
+      if (rng.index(2) == 0 && charged.fits(venv.guest(guest), h)) {
+        charged.place(venv.guest(guest), h);
+        placed[i] = h;
+      } else {
+        group.push_back(guest);
+      }
+    }
+    if (group.empty()) continue;
+
+    const bool ok = hosting_succeeds(level, region, venv, placed, group);
+    const GuestId unhostable =
+        multilevel::unhostable_guest(level, region, venv, placed, group);
+    if (unhostable.valid()) {
+      ++fired;
+      EXPECT_FALSE(ok) << "trial " << trial << ": guest "
+                       << unhostable.value();
+      EXPECT_NE(std::find(group.begin(), group.end(), unhostable),
+                group.end());
+    } else {
+      ++passed;
+      passed_but_failed += ok ? 0 : 1;
+    }
+  }
+  // The battery reaches both outcomes, and the check is only a necessary
+  // condition: some groups it lets through still fail Hosting.
+  EXPECT_GT(fired, 100u);
+  EXPECT_GT(passed, 100u);
+  EXPECT_GT(passed_but_failed, 0u);
+}
+
+TEST(UnhostableGuest, NegativeDemandsNeverFire) {
+  // A guest of -600 MB placed first would free room for the 700-MB guest
+  // that fits nowhere now, so the check cannot name it.
+  const auto level = model::PhysicalCluster::build(
+      topology::switch_tree(2, 2, 2),
+      std::vector<model::HostCapacity>(2, {1000.0, 512.0, 512.0}),
+      model::LinkProps{1000.0, 1.0});
+  model::VirtualEnvironment venv;
+  const GuestId big = venv.add_guest({10.0, 700.0, 10.0});
+  const GuestId frees = venv.add_guest({10.0, -600.0, 10.0});
+  std::vector<NodeId> region(level.node_count());
+  for (std::size_t n = 0; n < region.size(); ++n) {
+    region[n] = NodeId{static_cast<unsigned>(n)};
+  }
+  const std::vector<NodeId> placed(2, NodeId::invalid());
+  EXPECT_EQ(multilevel::unhostable_guest(level, region, venv, placed, {big}),
+            big);
+  EXPECT_FALSE(
+      multilevel::unhostable_guest(level, region, venv, placed, {big, frees})
+          .valid());
 }
 
 }  // namespace

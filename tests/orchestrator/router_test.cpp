@@ -200,6 +200,7 @@ TEST(PlacementRouterTest, DecisionLogIdenticalAcrossThreadCounts) {
 
   const std::string serial = run(1);
   EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, run(2));  // the caller and one pool worker
   EXPECT_EQ(serial, run(4));
   EXPECT_EQ(serial, run(16));
 }
