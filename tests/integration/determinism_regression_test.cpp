@@ -19,6 +19,7 @@
 #include "core/incremental.h"
 #include "core/migration.h"
 #include "core/repair.h"
+#include "extensions/heuristic_pool.h"
 #include "extensions/replica_spread.h"
 #include "io/trace.h"
 #include "multilevel/multilevel_mapper.h"
@@ -304,6 +305,78 @@ TEST(PinnedDecisions, FailstormShapedRun) {
   EXPECT_EQ(healed, 52u);
   EXPECT_EQ(degraded, 40u);
   EXPECT_EQ(restored, 30u);
+}
+
+/// Counts one pool entry's calls and failures.  The flat orchestrator maps
+/// on one thread, so plain counters suffice.
+class CountingMapper final : public hmn::core::Mapper {
+ public:
+  struct Counts {
+    std::size_t calls = 0;
+    std::size_t failed = 0;
+  };
+  CountingMapper(hmn::core::MapperPtr inner, Counts& counts)
+      : inner_(std::move(inner)), counts_(&counts) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] hmn::core::MapOutcome map(
+      const hmn::model::PhysicalCluster& cluster,
+      const hmn::model::VirtualEnvironment& venv,
+      std::uint64_t seed) const override {
+    hmn::core::MapOutcome out = inner_->map(cluster, venv, seed);
+    ++counts_->calls;
+    if (!out.ok()) ++counts_->failed;
+    return out;
+  }
+
+ private:
+  hmn::core::MapperPtr inner_;
+  Counts* counts_;
+};
+
+// The churn value below was captured from the code as it stood before the
+// Eqs. 2-3 certificate gained its exhaustive packing search.  Like the
+// values above, it holds for x86-64 builds without -ffast-math.
+
+/// The churn shape at test scale: the paper's 40-host switched cluster at
+/// 1.2x offered memory load (Little's law over 4-10 guests of 512-1536 MB,
+/// Pareto lifetimes), the default pool with its RA fallback, and a defrag
+/// pass after every departure.  At this load HMN often fails, so RA runs,
+/// and most of its calls cannot place the tenant at all.
+TEST(PinnedDecisions, ChurnOverloadRunFingerprint) {
+  const auto cluster = hmn::workload::make_paper_cluster(
+      hmn::workload::ClusterKind::kSwitched, 20090922);
+  hmn::workload::ChurnOptions copts;
+  copts.horizon = 240.0;
+  copts.mean_lifetime = 12.0;
+  copts.lifetime = hmn::workload::LifetimeDistribution::kPareto;
+  copts.profile = hmn::workload::high_level_profile();
+  copts.profile.mem_mb = {512.0, 1536.0};
+  copts.max_grow_guests = 3;
+  double total_mem = 0.0;
+  for (const hmn::NodeId h : cluster.hosts()) {
+    total_mem += cluster.capacity(h).mem_mb;
+  }
+  copts.arrival_rate = 1.2 * total_mem / (copts.mean_lifetime * 7.0 * 1024.0);
+  const auto trace = hmn::workload::generate_churn(copts, 0xC4u);
+
+  CountingMapper::Counts hmn_counts;
+  CountingMapper::Counts ra_counts;
+  std::vector<hmn::core::MapperPtr> entries =
+      hmn::extensions::default_pool().release();
+  ASSERT_EQ(entries.size(), 2u);
+  ASSERT_EQ(entries[1]->name(), "RA");
+  hmn::extensions::HeuristicPool pool;
+  pool.add(std::make_unique<CountingMapper>(std::move(entries[0]), hmn_counts));
+  pool.add(std::make_unique<CountingMapper>(std::move(entries[1]), ra_counts));
+  Orchestrator orch(cluster, trace.profile, std::move(pool));
+  const OrchestratorReport& report = orch.run(trace);
+
+  EXPECT_TRUE(report.invariant_violations.empty());
+  EXPECT_GT(ra_counts.calls, 0u);
+  EXPECT_GT(ra_counts.failed, 0u);
+  EXPECT_LT(ra_counts.failed, ra_counts.calls);
+  EXPECT_EQ(hmn_counts.failed, ra_counts.calls);
+  EXPECT_EQ(orch.run_fingerprint(), 0x95494a0f8862410cULL);
 }
 
 TEST(PinnedDecisions, ShardedMultilevelRouterSignature) {
