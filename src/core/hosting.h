@@ -71,7 +71,8 @@ struct HostingResult {
 enum class FitConstraint : std::uint8_t {
   kMemory,   // Eq. 2
   kStorage,  // Eq. 3
-  /// One guest, on no host both: each host fails Eq. 2 or Eq. 3.
+  /// One guest, on no host both: each host fails Eq. 2 or Eq. 3.  With
+  /// no guest named: no placement of all the guests at once meets both.
   kMemoryOrStorage,
 };
 
@@ -80,17 +81,22 @@ enum class FitConstraint : std::uint8_t {
 struct InfeasibilityCertificate {
   FitConstraint constraint = FitConstraint::kMemory;
   /// The guest that fits on no host; invalid() when the environment's
-  /// total demand exceeds the hosts' total capacity.
+  /// total demand exceeds the hosts' total capacity, or when the guests
+  /// fit one at a time but no placement packs all of them.
   GuestId guest = GuestId::invalid();
-  std::string detail;  // names the equation and the guest or the totals
+  std::string detail;  // names the equations and the guest or the totals
 };
 
-/// Checks two necessary conditions of Eqs. 2-3 on `cluster` as given (for
-/// a tenant, the residual view its mapper receives): every guest fits on
-/// some host with the host empty, and the guests' total memory and storage
-/// do not exceed the hosts'.  Returns a certificate when one fails, and
-/// nullopt otherwise — which does not mean a placement exists.  Never
-/// fires on an instance that sequential fits()/place() calls can pack.
+/// Checks Eqs. 2-3 on `cluster` as given (for a tenant, the residual view
+/// its mapper receives), in three steps: the guests' total memory and
+/// storage do not exceed the hosts', every guest fits on some host with
+/// the host empty, and a depth-first search over placements of all the
+/// guests, capped at a fixed number of placements, finds one.  Returns a
+/// certificate when a step fails.  nullopt means that a placement exists
+/// or that the search gave up at its cap.  Never fires on an instance that
+/// sequential fits()/place() calls can pack.  A tenant with a negative (or
+/// NaN) demand gets no certificate: a negative demand frees room for the
+/// guests placed after it, which none of the three steps accounts for.
 [[nodiscard]] std::optional<InfeasibilityCertificate> certify_infeasible(
     const model::PhysicalCluster& cluster,
     const model::VirtualEnvironment& venv);

@@ -3,6 +3,7 @@
 
 #include "baselines/composite_mappers.h"
 #include "baselines/random_host_mapper.h"
+#include "core/hosting.h"
 #include "core/validator.h"
 #include "testing/fixtures.h"
 #include "workload/scenario.h"
@@ -196,15 +197,17 @@ TEST(Baselines, AllValidOnPaperSwitchedScenario) {
 
 TEST(RandomBaselines, CertifiedInstanceFailsBeforeTheFirstTry) {
   // Aggregate memory (Eq. 2): 3 x 700 MB on 2 hosts of 1000 MB; one guest
-  // larger than any host's storage (Eq. 3).
+  // larger than any host's storage (Eq. 3); 3 x 600 MB on the same hosts,
+  // which only the packing search rules out: any two overflow a host.
   const auto cluster = line_cluster(2, {1000, 1000, 1000});
   struct Case {
     model::VirtualEnvironment venv;
     const char* eq;
   };
   const Case cases[] = {
-      {chain_venv(3, {10, 700, 10}), "Eq. 2"},
+      {chain_venv(3, {10, 700, 10}), "Eq. 2 (memory)"},
       {chain_venv(2, {10, 10, 1500}), "Eq. 3"},
+      {chain_venv(3, {10, 600, 10}), "Eq. 2 and Eq. 3"},
   };
   BaselineOptions opts;
   opts.max_tries = 50;
@@ -220,6 +223,30 @@ TEST(RandomBaselines, CertifiedInstanceFailsBeforeTheFirstTry) {
       EXPECT_NE(out.detail.find(c.eq), std::string::npos)
           << mapper->name() << ": " << out.detail;
     }
+  }
+}
+
+TEST(RandomBaselines, SearchAtItsCapLeavesEveryTryToRun) {
+  // Nine guests of 515-523 MB on eight hosts of 1000-1007 MB: no host holds
+  // two, so nothing packs, yet each guest fits alone and the totals fit.
+  // All guests and hosts differ, so no placement is a repeat, and the
+  // search would need about 8! placements to exhaust them.
+  std::vector<model::HostCapacity> caps;
+  for (int h = 0; h < 8; ++h) caps.push_back({1000, 1000.0 + h, 1000});
+  const auto cluster = line_cluster(std::move(caps));
+  model::VirtualEnvironment venv;
+  for (int g = 0; g < 9; ++g) venv.add_guest({10, 515.0 + g, 10});
+  EXPECT_FALSE(core::certify_infeasible(cluster, venv).has_value());
+
+  BaselineOptions opts;
+  opts.max_tries = 40;
+  const RandomDfsMapper r(opts);
+  const RandomAStarMapper ra(opts);
+  for (const core::Mapper* mapper : {static_cast<const core::Mapper*>(&r),
+                                     static_cast<const core::Mapper*>(&ra)}) {
+    const auto out = mapper->map(cluster, venv, 1);
+    EXPECT_EQ(out.error, MapErrorCode::kTriesExhausted) << mapper->name();
+    EXPECT_EQ(out.stats.tries, opts.max_tries) << mapper->name();
   }
 }
 

@@ -607,9 +607,77 @@ TEST(CertifyInfeasible, NeverFiresOnAPackableInstance) {
     EXPECT_FALSE(oracle.exact) << "trial " << trial << ": " << cert->detail;
     EXPECT_FALSE(oracle.sequential) << "trial " << trial << ": " << cert->detail;
   }
-  // The seeded sweep reaches both sides of the certificate.
+  // The seeded sweep reaches both sides of the certificate, and the
+  // packing search certifies every instance no assignment packs.
   EXPECT_GT(certified, 100u);
-  EXPECT_GT(infeasible, certified);
+  EXPECT_EQ(certified, infeasible);
+}
+
+TEST(CertifyInfeasible, ExactOnRepeatedGuestsAndHosts) {
+  // Demands and capacities from a few values each, so that identical
+  // guests and hosts with equal residuals, which the search tries once,
+  // are common.
+  util::Rng rng(2027);
+  const int host_mem[] = {10, 12, 20};
+  const int host_stor[] = {10, 20};
+  const int guest_mem[] = {3, 4, 6, 7};
+  const int guest_stor[] = {3, 6};
+  std::size_t certified = 0;
+  std::size_t packable = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    TenthsInstance inst;
+    const std::size_t hosts = 1 + rng.index(4);
+    const std::size_t guests = 1 + rng.index(6);
+    for (std::size_t h = 0; h < hosts; ++h) {
+      inst.host_t.push_back({host_mem[rng.index(3)], host_stor[rng.index(2)]});
+    }
+    for (std::size_t g = 0; g < guests; ++g) {
+      inst.guest_t.push_back(
+          {guest_mem[rng.index(4)], guest_stor[rng.index(2)]});
+    }
+    const PackingOracle oracle(inst);
+    const auto cert = core::certify_infeasible(inst.cluster(), inst.venv());
+    EXPECT_EQ(cert.has_value(), !oracle.exact)
+        << "trial " << trial << ": " << (cert ? cert->detail : "no cert");
+    if (cert.has_value()) {
+      EXPECT_FALSE(oracle.sequential) << "trial " << trial;
+      ++certified;
+    }
+    if (oracle.exact) ++packable;
+  }
+  EXPECT_GT(certified, 50u);
+  EXPECT_GT(packable, 50u);
+}
+
+TEST(CertifyInfeasible, NegativeDemandsNeverFire) {
+  // One 100 MB host: a guest of -50 MB placed first leaves 150 MB, room
+  // for the 120-MB guest, so fits()/place() pack the pair in that order.
+  const auto cluster = line_cluster({{1000, 100, 100}});
+  VirtualEnvironment venv;
+  const GuestId frees = venv.add_guest({10, -50, 1});
+  const GuestId big = venv.add_guest({10, 120, 1});
+  ResidualState st(cluster);
+  const NodeId host = cluster.hosts()[0];
+  ASSERT_TRUE(st.fits(venv.guest(frees), host));
+  st.place(venv.guest(frees), host);
+  ASSERT_TRUE(st.fits(venv.guest(big), host));
+  const auto cert = core::certify_infeasible(cluster, venv);
+  EXPECT_FALSE(cert.has_value()) << cert->detail;
+
+  // The same for storage.
+  VirtualEnvironment stor;
+  stor.add_guest({10, 1, -50});
+  stor.add_guest({10, 1, 120});
+  EXPECT_FALSE(core::certify_infeasible(cluster, stor));
+
+  // And for the packing search: three 60-MB guests on two 100-MB hosts
+  // pack once a -20 MB guest has made room on one of them.
+  const auto two = line_cluster(2, {1000, 100, 100});
+  VirtualEnvironment pack;
+  for (const double mem : {60.0, 60.0, 60.0, -20.0}) {
+    pack.add_guest({10, mem, 1});
+  }
+  EXPECT_FALSE(core::certify_infeasible(two, pack));
 }
 
 TEST(CertifyInfeasible, ExactFitsInTenthsAreNotCertified) {
@@ -666,6 +734,17 @@ TEST(CertifyInfeasible, NamesTheBindingConstraintAndGuest) {
   EXPECT_EQ(cert->guest, g(0));
   EXPECT_NE(cert->detail.find("Eq. 2"), std::string::npos) << cert->detail;
   EXPECT_NE(cert->detail.find("Eq. 3"), std::string::npos) << cert->detail;
+
+  // Three 0.6 MB guests on two 1.0 MB hosts: each fits alone and the
+  // totals fit, but any two of them overflow a host.
+  TenthsInstance pack{{{10, 50}, {10, 50}}, {{6, 1}, {6, 1}, {6, 1}}};
+  cert = core::certify_infeasible(pack.cluster(), pack.venv());
+  ASSERT_TRUE(cert.has_value());
+  EXPECT_EQ(cert->constraint, core::FitConstraint::kMemoryOrStorage);
+  EXPECT_FALSE(cert->guest.valid());
+  EXPECT_NE(cert->detail.find("Eq. 2 and Eq. 3"), std::string::npos)
+      << cert->detail;
+  EXPECT_NE(cert->detail.find("3 guests"), std::string::npos) << cert->detail;
 }
 
 }  // namespace
