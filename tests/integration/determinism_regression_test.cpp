@@ -662,4 +662,113 @@ TEST(PinnedDecisions, StagesOnLargeFabrics) {
   EXPECT_GT(migrations, 0u);
 }
 
+// The defrag values below were captured from the code as it stood before
+// the best-improvement Migration scan filtered its pairs, the re-route
+// reused the Migration stage's residual state and the commit moved the
+// routed paths.  Like the values above, they hold for x86-64 builds without
+// -ffast-math.
+
+/// Folds every committed defrag pass as the observer sees it, after the
+/// commit: the pass's migration count, every tenant's guest hosts and link
+/// paths, and the bits of the cluster's residual CPU.  The run fingerprint
+/// folds placement hashes only, so it cannot see which paths the re-route
+/// picked.
+class DefragDigest final : public hmn::orchestrator::TxnObserver {
+ public:
+  explicit DefragDigest(const Orchestrator& orch) : orch_(&orch) {}
+
+  void on_event_begin(std::uint64_t /*event_index*/,
+                      const hmn::workload::TenantEvent& /*ev*/) override {}
+  void on_event_end(std::uint64_t /*event_index*/, double /*time*/,
+                    std::uint64_t /*fingerprint*/) override {}
+  void on_txn(const hmn::orchestrator::TxnRecord& txn) override {
+    if (txn.kind != hmn::orchestrator::TxnKind::kDefragCommit) return;
+    ++passes;
+    migrations += txn.detail;
+    mix(txn.detail);
+    const hmn::emulator::TenancyManager& mgr = orch_->tenancy();
+    for (const hmn::emulator::TenantId id : mgr.tenant_ids()) {
+      const hmn::core::Mapping& m = mgr.tenant(id)->mapping;
+      mix(id);
+      for (const hmn::NodeId h : m.guest_host) mix(h.value());
+      for (const hmn::graph::Path& path : m.link_paths) {
+        mix(path.size());
+        if (!path.empty()) ++routed_links;
+        for (const hmn::EdgeId e : path) mix(e.value());
+      }
+    }
+    for (const double r : mgr.residual_host_proc()) mix(bits(r));
+  }
+
+  std::uint64_t hash = hmn::orchestrator::kFingerprintSeed;
+  std::size_t passes = 0;
+  std::size_t migrations = 0;
+  std::size_t routed_links = 0;  // non-empty paths over all folded passes
+
+ private:
+  void mix(std::uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ULL;
+  }
+
+  const Orchestrator* orch_;
+};
+
+/// E12's churn at its top load on one paper cluster: 4-10 host-scale guests
+/// (0.5-1.5 GB, density 0.2) at 1.3x offered memory load, Pareto lifetimes
+/// with a mean of 12, a fifth of the tenants growing by up to 3 guests,
+/// HMN-only admission and a defrag pass after every departure.
+DefragDigest defrag_digest(hmn::workload::ClusterKind kind,
+                           std::uint64_t& run_fingerprint) {
+  const auto cluster = hmn::workload::make_paper_cluster(kind, 0xDEF4A6u);
+  hmn::workload::ChurnOptions copts;
+  copts.horizon = 120.0;
+  copts.mean_lifetime = 12.0;
+  copts.lifetime = hmn::workload::LifetimeDistribution::kPareto;
+  copts.min_guests = 4;
+  copts.max_guests = 10;
+  copts.density = 0.2;
+  copts.profile = hmn::workload::high_level_profile();
+  copts.profile.mem_mb = {512.0, 1536.0};
+  copts.grow_probability = 0.2;
+  copts.max_grow_guests = 3;
+  double total_mem = 0.0;
+  for (const hmn::NodeId h : cluster.hosts()) {
+    total_mem += cluster.capacity(h).mem_mb;
+  }
+  copts.arrival_rate = 1.3 * total_mem / (copts.mean_lifetime * 7.0 * 1024.0);
+  const auto trace = hmn::workload::generate_churn(copts, 0xDEF4A7u);
+
+  hmn::extensions::HeuristicPool pool;
+  pool.add(std::make_unique<hmn::core::HmnMapper>());
+  Orchestrator orch(cluster, trace.profile, std::move(pool));
+  DefragDigest digest(orch);
+  orch.set_txn_observer(&digest);
+  const OrchestratorReport& report = orch.run(trace);
+  EXPECT_TRUE(report.invariant_violations.empty());
+  EXPECT_EQ(report.defrag.committed, digest.passes);
+  run_fingerprint = orch.run_fingerprint();
+  return digest;
+}
+
+TEST(PinnedDecisions, DefragPassesOnBothPaperClusters) {
+  std::uint64_t switched_fp = 0;
+  std::uint64_t torus_fp = 0;
+  const DefragDigest switched =
+      defrag_digest(hmn::workload::ClusterKind::kSwitched, switched_fp);
+  const DefragDigest torus =
+      defrag_digest(hmn::workload::ClusterKind::kTorus2D, torus_fp);
+  for (const DefragDigest* d : {&switched, &torus}) {
+    EXPECT_GT(d->passes, 100u);
+    EXPECT_GT(d->migrations, d->passes);
+    EXPECT_GT(d->routed_links, 1000u);
+  }
+  // Both clusters share the seeded hosts, so they place alike and share
+  // one run fingerprint; only the digest sees their different paths.
+  EXPECT_EQ(switched_fp, 0xd3f30b4a0d2ad8acULL);
+  EXPECT_EQ(torus_fp, 0xd3f30b4a0d2ad8acULL);
+  EXPECT_EQ(switched.hash, 0x21c94fa121b58aeaULL);
+  EXPECT_EQ(torus.hash, 0x86bcf3e08d999b1eULL);
+}
+
 }  // namespace
