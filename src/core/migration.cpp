@@ -35,6 +35,81 @@ bool least_loaded_first(std::span<const double> rproc,
   return hosts[a] < hosts[b];
 }
 
+/// Eq. 10's change, in closed form, for the moves off one origin host, and
+/// the rounding margin that makes it a sound filter before the O(n)
+/// load_balance_factor_if_moved.  Both victim policies filter with it.
+///
+/// Moving a guest of CPU demand p from origin o to host c keeps the sum of
+/// residuals, so it changes the exact population variance of the residuals
+/// by d = 2 p (p + r_o - r_c) / n, which costs O(1).  Let u = 2^-53,
+/// eps = 2u, and s = max|r_i| + max|p| over the guests whose moves are
+/// tested, which bounds every residual before and after any of those
+/// moves.  The one-pass evaluation A errs from the exact variance of the
+/// values it sums by at most (3n + 3) u s^2 to first order: n u s^2 in the
+/// sum of squares over n, (2n + 1) u s^2 in the squared mean, 2 u s^2 in
+/// the final divide and subtraction.  Rounding the two moved entries and
+/// evaluating d add at most 22 u s^2 / n, so |A - V - d| <= E with
+/// E = (3n + 3) u s^2 + 22 u s^2 / n, where V is the exact variance of
+/// today's residuals.  The margin is M = 16 (n + 8) eps s^2.
+///
+/// *Above M a move cannot improve.*  `current_lbf` is the two-pass
+/// stddev_population of today's residuals on the first iteration (error at
+/// most (n + 3) u s^2) and the previous iteration's one-pass value on later
+/// ones, computed on exactly today's residuals (state.place and
+/// state.remove round the moved entries as that evaluation did).  The two
+/// errors sum to below (3n + 14) eps s^2, which M covers more than five
+/// times over, so d > M gives an A at least the variance behind
+/// `current_lbf`; sqrt is monotone, so `after < current_lbf` fails.
+///
+/// *Far above the best move, a move cannot be the best.*  Let d* be the
+/// smallest d of the fitting moves with d <= M, and X such a move.  A move
+/// Y with d > d* + 2M has A(Y) - A(X) > 2M - 2E > 29 (n + 8) eps s^2.  Every
+/// A is below s^2 (1 + n eps), so the gap between the square roots exceeds
+/// 14 (n + 8) eps s, while the two roundings of sqrt lose at most eps s;
+/// and A(X) >= -E, so when A(X) is clamped to 0, A(Y) > 0 and Y's factor
+/// is positive.  Either way Y's factor is strictly above X's: Y is never
+/// the first minimum a best-improvement scan ends on.
+///
+/// The bounds assume no overflow and no harmful underflow.  M is infinite,
+/// and nothing is dropped, unless s^2 is a normal double (an underflowing
+/// operation then errs by at most u s^2, inside the slack) and
+/// 16 (n + 8) s^2 is finite (every sum of squares and every d is then
+/// finite too).  A move is dropped only when its d and M are both finite:
+/// a NaN d, which a NaN demand gives, is kept, and its NaN factor never
+/// improves, as in the full scan.
+class MoveFilter {
+ public:
+  /// `max_demand` bounds |p| over every guest whose moves are tested.
+  MoveFilter(std::span<const double> rproc, std::size_t origin,
+             double max_demand)
+      : n_(static_cast<double>(rproc.size())), r_origin_(rproc[origin]) {
+    double s = 0.0;
+    for (const double r : rproc) s = std::max(s, std::abs(r));
+    s += max_demand;
+    const double scaled = 16.0 * (n_ + 8.0) * s * s;
+    if (std::isnormal(s * s) && std::isfinite(scaled)) {
+      margin_ = scaled * std::numeric_limits<double>::epsilon();
+    }
+  }
+
+  /// d for a guest of CPU demand `p` moved to a host of residual `r_cand`.
+  [[nodiscard]] double change(double p, double r_cand) const {
+    return 2.0 * p * (p + r_origin_ - r_cand) / n_;
+  }
+  /// M, or infinity when the bounds above do not hold.
+  [[nodiscard]] double margin() const { return margin_; }
+  /// True when a move of change `d` may be skipped against `limit` (M, or
+  /// d* + 2M): d and M are finite and d exceeds the limit.
+  [[nodiscard]] bool drops(double d, double limit) const {
+    return std::isfinite(margin_) && std::isfinite(d) && d > limit;
+  }
+
+ private:
+  double n_;
+  double r_origin_;
+  double margin_ = std::numeric_limits<double>::infinity();
+};
+
 /// The paper's victim rule for one victim `req` on host index `origin`: of
 /// the other hosts, least loaded first (residual CPU descending, NodeId
 /// ascending), the first that the victim fits and whose Eq. 10 after the
@@ -42,33 +117,11 @@ bool least_loaded_first(std::span<const double> rproc,
 /// factor to `lbf_after`.  `candidates` is scratch space.
 ///
 /// Few hosts can pass, so the hosts are filtered first and only the
-/// survivors are put in order.  Moving the victim, of CPU demand p, from o
-/// to c keeps the sum of residuals, so it changes the exact variance behind
-/// Eq. 10 by 2 p (p + r_o - r_c) / n, which never decreases as r_c falls
-/// when p > 0 — nor does its floating-point evaluation below, every step
-/// of which is monotone in r_c.  Once it exceeds the rounding margin, the
-/// candidate's one-pass variance (load_balance_factor_if_moved) is at
-/// least the variance behind `current_lbf`, and sqrt is monotone, so
-/// `after < current_lbf` fails: the filter drops such hosts, which are
-/// exactly the ones after the point where a least-loaded-first scan could
-/// stop.  Hosts the victim does not fit are dropped too.  Sorting the
-/// survivors by the same strict total order gives them in the full scan's
-/// relative order, so the first that improves is the host it commits.
-/// The margin covers two evaluations, with u = 2^-53 and s = max|r_i| + p
-/// bounding every residual before and after the move.  The one-pass
-/// evaluation errs by at most (3n + 3) u s^2 to first order: n u s^2 in the
-/// sum of squares over n, (2n + 1) u s^2 in the squared mean, 2 u s^2 in
-/// the final divide and subtraction.  `current_lbf` is the two-pass
-/// stddev_population of the same residuals on the first iteration (error
-/// at most (n + 3) u s^2) and the previous iteration's one-pass value on
-/// later ones, computed on exactly today's residuals (state.place and
-/// state.remove round the moved entries as that evaluation did).  Rounding
-/// the two moved entries and evaluating the change itself add at most
-/// 22 u s^2 / n.  The total is below (3n + 14) eps s^2 with eps = 2u; the
-/// margin 16 (n + 8) eps s^2 covers it more than five times over, so the
-/// filter never drops a move the full scan would commit.  An overflowing
-/// s^2 gives an infinite margin and drops no host.  With p <= 0 the change
-/// is not monotone and only the fit test filters.
+/// survivors are put in order: MoveFilter drops the hosts with d > M,
+/// which cannot improve, and the fit test the hosts the victim does not
+/// fit.  Sorting the survivors by the same strict total order gives them
+/// in the full scan's relative order, so the first that improves is the
+/// host the full scan commits.
 // hmn-lint: hot-path
 std::size_t first_improving_target(const ResidualState& state,
                                    std::span<const double> rproc,
@@ -79,16 +132,11 @@ std::size_t first_improving_target(const ResidualState& state,
                                    double& lbf_after) {
   const auto& hosts = state.cluster().hosts();
   const double p = req.proc_mips;
-  const auto n = static_cast<double>(rproc.size());
-  double s = 0.0;
-  for (const double r : rproc) s = std::max(s, std::abs(r));
-  s += p;
-  const double margin =
-      16.0 * (n + 8.0) * std::numeric_limits<double>::epsilon() * s * s;
+  const MoveFilter filter(rproc, origin, std::abs(p));
   candidates.clear();
   for (std::size_t cand = 0; cand < hosts.size(); ++cand) {
     if (cand == origin) continue;
-    if (p > 0.0 && 2.0 * p * (p + rproc[origin] - rproc[cand]) / n > margin) {
+    if (filter.drops(filter.change(p, rproc[cand]), filter.margin())) {
       continue;
     }
     if (state.fits(req, hosts[cand])) candidates.push_back(cand);
@@ -106,6 +154,70 @@ std::size_t first_improving_target(const ResidualState& state,
     }
   }
   return hosts.size();
+}
+
+/// One fitting move in kBestImprovement's scan.
+struct Move {
+  std::size_t guest = 0;  // position in the origin's guest list
+  std::size_t host = 0;   // host index
+  double change = 0.0;    // MoveFilter::change
+};
+
+/// kBestImprovement for the guests on host index `origin`: of every move
+/// of one of them to another host it fits, the one with the smallest
+/// Eq. 10 after the move, if that is below `lbf_after` (the current factor
+/// on entry); among equal factors, the first in the full scan's order,
+/// which takes the guests in `guests` order and, for each, the hosts least
+/// loaded first, NodeId on ties.  Writes the move to `victim` and `target`
+/// and its factor to `lbf_after`, and leaves all three when no move
+/// improves.  `moves` is scratch space.
+///
+/// Only the moves whose O(n) evaluation can decide the result pay for it:
+/// MoveFilter drops those with d > M, which cannot improve, and those with
+/// d > d* + 2M, whose factor is above another fitting move's.  The rest
+/// are evaluated in the full scan's relative order under the same strict
+/// `after < lbf_after` rule, so the move committed is the full scan's.
+// hmn-lint: hot-path
+void best_improving_move(const model::VirtualEnvironment& venv,
+                         const ResidualState& state,
+                         std::span<const double> rproc, std::size_t origin,
+                         std::span<const GuestId> guests,
+                         std::vector<Move>& moves, GuestId& victim,
+                         std::size_t& target, double& lbf_after) {
+  const auto& hosts = state.cluster().hosts();
+  double max_demand = 0.0;
+  for (const GuestId g : guests) {
+    max_demand = std::max(max_demand, std::abs(venv.guest(g).proc_mips));
+  }
+  const MoveFilter filter(rproc, origin, max_demand);
+  moves.clear();
+  double best_change = std::numeric_limits<double>::infinity();  // d*
+  for (std::size_t k = 0; k < guests.size(); ++k) {
+    const model::GuestRequirements& req = venv.guest(guests[k]);
+    for (std::size_t cand = 0; cand < hosts.size(); ++cand) {
+      if (cand == origin || !state.fits(req, hosts[cand])) continue;
+      const double d = filter.change(req.proc_mips, rproc[cand]);
+      if (filter.drops(d, filter.margin())) continue;
+      moves.push_back({k, cand, d});
+      best_change = std::min(best_change, d);
+    }
+  }
+  const double cutoff = best_change + 2.0 * filter.margin();
+  std::erase_if(moves,
+                [&](const Move& m) { return filter.drops(m.change, cutoff); });
+  std::sort(moves.begin(), moves.end(), [&](const Move& a, const Move& b) {
+    if (a.guest != b.guest) return a.guest < b.guest;
+    return least_loaded_first(rproc, hosts, a.host, b.host);
+  });
+  for (const Move& m : moves) {
+    const double after = load_balance_factor_if_moved(
+        rproc, origin, m.host, venv.guest(guests[m.guest]).proc_mips);
+    if (after < lbf_after) {
+      victim = guests[m.guest];
+      target = m.host;
+      lbf_after = after;
+    }
+  }
 }
 
 }  // namespace
@@ -137,6 +249,7 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
   double current_lbf = result.initial_lbf;
   std::vector<std::size_t> candidates;
   candidates.reserve(hosts.size());
+  std::vector<Move> moves;
   for (;;) {
     if (opts.max_migrations != 0 && result.migrations >= opts.max_migrations) {
       break;
@@ -173,26 +286,8 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
                                       venv.guest(victim), current_lbf,
                                       candidates, lbf_after);
     } else {
-      // kBestImprovement: exhaustive over (guest, target) in least-loaded
-      // order; commit the steepest descent step.
-      std::vector<std::size_t> order(hosts.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return least_loaded_first(rproc, hosts, a, b);
-      });
-      for (const GuestId g : guests_on[origin]) {
-        const model::GuestRequirements& req = venv.guest(g);
-        for (const std::size_t cand : order) {
-          if (cand == origin) continue;
-          const double after = load_balance_factor_if_moved(
-              rproc, origin, cand, req.proc_mips);
-          if (after < lbf_after && state.fits(req, hosts[cand])) {
-            victim = g;
-            target = cand;
-            lbf_after = after;
-          }
-        }
-      }
+      best_improving_move(venv, state, rproc, origin, guests_on[origin],
+                          moves, victim, target, lbf_after);
     }
 
     if (target == hosts.size()) break;  // no improving move: stage ends

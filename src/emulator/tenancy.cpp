@@ -339,7 +339,7 @@ TenancyManager::GrowthResult TenancyManager::grow(
 }
 
 bool TenancyManager::update_mappings(
-    const std::vector<std::pair<TenantId, core::Mapping>>& updates) {
+    std::vector<std::pair<TenantId, core::Mapping>> updates) {
   std::set<TenantId> seen;
   for (const auto& [id, mapping] : updates) {
     const auto it = tenants_.find(id);
@@ -363,11 +363,11 @@ bool TenancyManager::update_mappings(
   // Install, then verify the aggregate; roll back wholesale on violation.
   std::vector<core::Mapping> previous;
   previous.reserve(updates.size());
-  for (const auto& [id, mapping] : updates) {
+  for (auto& [id, mapping] : updates) {
     Tenant& tenant = tenants_.at(id);
     previous.push_back(std::move(tenant.mapping));
     apply_mapping(tenant.venv, previous.back(), -1.0);
-    tenant.mapping = mapping;
+    tenant.mapping = std::move(mapping);
     apply_mapping(tenant.venv, tenant.mapping, +1.0);
   }
 

@@ -108,9 +108,9 @@ class TenancyManager {
   /// step of a defragmentation pass).  Every new mapping must cover its
   /// tenant's current venv; the aggregate reservation after the swap must
   /// respect every host's memory/storage and every link's bandwidth.  On
-  /// any violation nothing changes and false is returned.
-  bool update_mappings(
-      const std::vector<std::pair<TenantId, core::Mapping>>& updates);
+  /// any violation nothing changes and false is returned.  Takes ownership
+  /// of the updates: each new mapping is moved in, not copied.
+  bool update_mappings(std::vector<std::pair<TenantId, core::Mapping>> updates);
 
   [[nodiscard]] std::size_t tenant_count() const { return tenants_.size(); }
   /// Ids of all running tenants in ascending order.

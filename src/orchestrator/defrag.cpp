@@ -1,5 +1,6 @@
 #include "orchestrator/defrag.h"
 
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -66,12 +67,14 @@ DefragResult run_defrag(emulator::TenancyManager& mgr,
   result.migrations = moved.migrations;
   result.migration_seconds = stage.elapsed_seconds();
 
-  // Global routing pass: every inter-host link afresh, heaviest first.
+  // Global routing pass: every inter-host link afresh, heaviest first, on
+  // the same state.  The placement carries no paths, so every link's
+  // residual bandwidth in `state` is its capacity; Migration changed only
+  // CPU, memory and storage, which routing never reads.
   stage.restart();
-  core::ResidualState net_state(mgr.cluster(), combined, placement);
-  core::LinkRouter router(net_state, mgr.latency_tables());
-  const core::NetworkingResult net = core::run_networking(
-      combined, net_state, placement.guest_host, {}, &router);
+  core::LinkRouter router(state, mgr.latency_tables());
+  core::NetworkingResult net = core::run_networking(
+      combined, state, placement.guest_host, {}, &router);
   result.reroute_seconds = stage.elapsed_seconds();
   if (!net.ok) {
     result.detail = "re-route failed: " + net.detail;
@@ -89,11 +92,13 @@ DefragResult run_defrag(emulator::TenancyManager& mgr,
         placement.guest_host.begin() +
             static_cast<std::ptrdiff_t>(slice.guest_end));
     mapping.link_paths.assign(
-        net.link_paths.begin() + static_cast<std::ptrdiff_t>(slice.link_begin),
-        net.link_paths.begin() + static_cast<std::ptrdiff_t>(slice.link_end));
+        std::make_move_iterator(net.link_paths.begin() +
+                                static_cast<std::ptrdiff_t>(slice.link_begin)),
+        std::make_move_iterator(net.link_paths.begin() +
+                                static_cast<std::ptrdiff_t>(slice.link_end)));
     updates.emplace_back(slice.id, std::move(mapping));
   }
-  if (!mgr.update_mappings(updates)) {
+  if (!mgr.update_mappings(std::move(updates))) {
     result.detail = "commit rejected by TenancyManager";
     return result;
   }
