@@ -29,12 +29,16 @@ bool require_number(const JsonValue& obj, const std::string& key, double& out,
   return true;
 }
 
-/// Fetches a required link bandwidth or latency, which must be a finite
-/// number >= 0: a negative latency on an undirected link would make the
-/// router's latency Dijkstra relax that link back and forth forever.
-bool require_link_value(const JsonValue& obj, const std::string& key,
-                        double& out, std::string& error,
-                        const std::string& context) {
+/// Fetches a required member that must be a finite number >= 0: a link's
+/// bandwidth or latency, a host's memory or storage, a guest's memory or
+/// storage demand.  A negative latency on an undirected link would make the
+/// router's latency Dijkstra relax that link back and forth forever; a
+/// negative demand would free room on its host for the other guests, and a
+/// negative capacity has no meaning under Eqs. 2-3.  CPU stays unchecked:
+/// residual CPU may go negative (Section 3.2).
+bool require_nonnegative(const JsonValue& obj, const std::string& key,
+                         double& out, std::string& error,
+                         const std::string& context) {
   if (!require_number(obj, key, out, error, context)) return false;
   if (!std::isfinite(out) || out < 0.0) {
     error = context + ": \"" + key + "\" must be a finite number >= 0";
@@ -87,8 +91,9 @@ std::variant<model::PhysicalCluster, SpecError> load_cluster_json(
     if (is_host) {
       model::HostCapacity cap;
       if (!require_number(node, "proc_mips", cap.proc_mips, error, context) ||
-          !require_number(node, "mem_mb", cap.mem_mb, error, context) ||
-          !require_number(node, "stor_gb", cap.stor_gb, error, context)) {
+          !require_nonnegative(node, "mem_mb", cap.mem_mb, error, context) ||
+          !require_nonnegative(node, "stor_gb", cap.stor_gb, error,
+                               context)) {
         return SpecError{error};
       }
       caps.push_back(cap);
@@ -104,9 +109,9 @@ std::variant<model::PhysicalCluster, SpecError> load_cluster_json(
     model::LinkProps p;
     if (!require_number(link, "a", a, error, context) ||
         !require_number(link, "b", b, error, context) ||
-        !require_link_value(link, "bw_mbps", p.bandwidth_mbps, error,
-                            context) ||
-        !require_link_value(link, "lat_ms", p.latency_ms, error, context)) {
+        !require_nonnegative(link, "bw_mbps", p.bandwidth_mbps, error,
+                             context) ||
+        !require_nonnegative(link, "lat_ms", p.latency_ms, error, context)) {
       return SpecError{error};
     }
     if (a < 0 || b < 0 || a >= static_cast<double>(topo.graph.node_count()) ||
@@ -151,8 +156,9 @@ std::variant<model::VirtualEnvironment, SpecError> load_venv_json(
     if (!guest.is_object()) return SpecError{context + ": not an object"};
     model::GuestRequirements req;
     if (!require_number(guest, "vproc_mips", req.proc_mips, error, context) ||
-        !require_number(guest, "vmem_mb", req.mem_mb, error, context) ||
-        !require_number(guest, "vstor_gb", req.stor_gb, error, context)) {
+        !require_nonnegative(guest, "vmem_mb", req.mem_mb, error, context) ||
+        !require_nonnegative(guest, "vstor_gb", req.stor_gb, error,
+                             context)) {
       return SpecError{error};
     }
     venv.add_guest(req);
@@ -165,10 +171,10 @@ std::variant<model::VirtualEnvironment, SpecError> load_venv_json(
     model::VirtualLinkDemand demand;
     if (!require_number(link, "src", src, error, context) ||
         !require_number(link, "dst", dst, error, context) ||
-        !require_link_value(link, "vbw_mbps", demand.bandwidth_mbps, error,
-                            context) ||
-        !require_link_value(link, "vlat_ms", demand.max_latency_ms, error,
-                            context)) {
+        !require_nonnegative(link, "vbw_mbps", demand.bandwidth_mbps, error,
+                             context) ||
+        !require_nonnegative(link, "vlat_ms", demand.max_latency_ms, error,
+                             context)) {
       return SpecError{error};
     }
     if (src < 0 || dst < 0 ||

@@ -219,6 +219,34 @@ TEST(SpecLoader, RejectsMalformedSpecs) {
   EXPECT_EQ(message(io::load_venv_json(
                 guests + R"({"src":0,"dst":1,"vbw_mbps":2,"vlat_ms":-9}]})")),
             "virtual link 0: \"vlat_ms\" must be a finite number >= 0");
+
+  // Negative memory and storage: a negative demand would free room on its
+  // host for the other guests (guests of -50 and 120 MB would share a
+  // 100 MB host).  CPU stays unchecked, since residual CPU may go negative.
+  EXPECT_EQ(message(io::load_venv_json(
+                R"({"guests":[{"vproc_mips":1,"vmem_mb":-50,"vstor_gb":1},)"
+                R"({"vproc_mips":1,"vmem_mb":120,"vstor_gb":1}],"links":[]})")),
+            "guest 0: \"vmem_mb\" must be a finite number >= 0");
+  EXPECT_EQ(message(io::load_venv_json(
+                R"({"guests":[{"vproc_mips":1,"vmem_mb":1,"vstor_gb":1},)"
+                R"({"vproc_mips":1,"vmem_mb":1,"vstor_gb":-1}],"links":[]})")),
+            "guest 1: \"vstor_gb\" must be a finite number >= 0");
+  EXPECT_EQ(message(io::load_cluster_json(
+                R"({"nodes":[{"proc_mips":1,"mem_mb":-100,"stor_gb":1}],)"
+                R"("links":[]})")),
+            "node 0: \"mem_mb\" must be a finite number >= 0");
+  EXPECT_EQ(message(io::load_cluster_json(
+                R"({"nodes":[{"role":"switch"},)"
+                R"({"proc_mips":1,"mem_mb":100,"stor_gb":-1}],"links":[]})")),
+            "node 1: \"stor_gb\" must be a finite number >= 0");
+  EXPECT_EQ(message(io::load_venv_json(
+                R"({"guests":[{"vproc_mips":-5,"vmem_mb":0,"vstor_gb":0}],)"
+                R"("links":[]})")),
+            "accepted");
+  EXPECT_EQ(message(io::load_cluster_json(
+                R"({"nodes":[{"proc_mips":-5,"mem_mb":0,"stor_gb":0}],)"
+                R"("links":[]})")),
+            "accepted");
 }
 
 TEST(SpecLoader, MissingFileReported) {
