@@ -4,7 +4,9 @@
 // DFS variants, generators, and the three HMN stages in isolation — the
 // Hosting and Migration stages also at E16's 1000-host size, empty and
 // loaded — plus the Eqs. 2-3 certificate and the RA fallback on churn's
-// loaded 40-host view, and one defrag pass over churn's running tenants.
+// loaded 40-host view, one defrag pass over churn's running tenants, and
+// the two per-admission copies of a fixed fabric: a loaded shard's residual
+// view and the multilevel pyramid's coarse levels.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -18,9 +20,11 @@
 #include "graph/astar_prune.h"
 #include "graph/dfs_path.h"
 #include "graph/dijkstra.h"
+#include "multilevel/physical_coarsener.h"
 #include "orchestrator/defrag.h"
 #include "orchestrator/orchestrator.h"
 #include "sim/experiment.h"
+#include "topology/partition.h"
 #include "topology/topologies.h"
 #include "workload/host_generator.h"
 #include "workload/presets.h"
@@ -422,6 +426,62 @@ void BM_AStarPrune_Tree1280(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AStarPrune_Tree1280);
+
+// The sharded workload's largest shard: partition_cluster cuts the
+// 1280-host tree into 4 shards, the biggest of 768 hosts, and the shard's
+// manager holds seeded tenants (HMN-admitted, 6-14 guests each) until
+// about half its memory is reserved.  Every admission, heal and defrag
+// pass on the shard starts from the residual view timed here.
+const emulator::TenancyManager& shard768_manager() {
+  static const auto mgr = [] {
+    const auto part = topology::partition_cluster(tree1280_cluster(), 4);
+    const topology::ClusterShard* big = &part.shards[0];
+    for (const auto& sh : part.shards) {
+      if (sh.cluster.host_count() > big->cluster.host_count()) big = &sh;
+    }
+    extensions::HeuristicPool pool;
+    pool.add(std::make_unique<core::HmnMapper>());
+    auto m = std::make_unique<emulator::TenancyManager>(big->cluster,
+                                                        std::move(pool));
+    util::Rng rng(5);
+    for (std::uint64_t t = 0;
+         t < 4096 && m->utilization().mem_fraction < 0.5; ++t) {
+      workload::VenvGenOptions vopts;
+      vopts.guest_count = 6 + rng.index(9);
+      vopts.density = 0.3;
+      vopts.profile = workload::high_level_profile();
+      vopts.normalize_to = &m->cluster();
+      (void)m->admit("t", workload::generate_venv(vopts, rng), t);
+    }
+    return m;
+  }();
+  return *mgr;
+}
+
+void BM_ResidualView_Shard768(benchmark::State& state) {
+  const emulator::TenancyManager& mgr = shard768_manager();
+  for (auto _ : state) {
+    model::PhysicalCluster view = mgr.residual_cluster();
+    benchmark::DoNotOptimize(view);
+  }
+  state.counters["hosts"] = static_cast<double>(mgr.cluster().host_count());
+  state.counters["tenants"] = static_cast<double>(mgr.tenant_count());
+}
+BENCHMARK(BM_ResidualView_Shard768);
+
+// The multilevel pyramid over the whole 1280-host tree: what each
+// admission pays to re-aggregate capacities into the prebuilt levels.
+void BM_MaterializeLevels_Tree1280(benchmark::State& state) {
+  const auto& cluster = tree1280_cluster();
+  static const auto hier = multilevel::build_hierarchy(
+      cluster, multilevel::PhysicalCoarsenOptions{});
+  for (auto _ : state) {
+    auto levels = multilevel::materialize_levels(cluster, hier);
+    benchmark::DoNotOptimize(levels);
+  }
+  state.counters["levels"] = static_cast<double>(hier.contractions.size());
+}
+BENCHMARK(BM_MaterializeLevels_Tree1280);
 
 void BM_NetworkingStage(benchmark::State& state) {
   const auto ratio = static_cast<double>(state.range(0));

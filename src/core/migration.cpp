@@ -250,11 +250,12 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
   std::vector<std::size_t> candidates;
   candidates.reserve(hosts.size());
   std::vector<Move> moves;
+  // Residual CPU per host position; a move changes only its two entries.
+  std::vector<double> rproc = state.residual_proc_of_hosts();
   for (;;) {
     if (opts.max_migrations != 0 && result.migrations >= opts.max_migrations) {
       break;
     }
-    std::vector<double> rproc = state.residual_proc_of_hosts();
 
     // Most-loaded host = smallest residual CPU, among hosts with guests.
     std::size_t origin = hosts.size();
@@ -294,6 +295,8 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
     const model::GuestRequirements& req = venv.guest(victim);
     state.remove(req, hosts[origin]);
     state.place(req, hosts[target]);
+    rproc[origin] = state.residual_proc(hosts[origin]);
+    rproc[target] = state.residual_proc(hosts[target]);
     guest_host[victim.index()] = hosts[target];
     auto& src = guests_on[origin];
     src.erase(std::find(src.begin(), src.end(), victim));

@@ -54,19 +54,20 @@ const std::vector<double>& LinkRouter::lat_to_dest(NodeId dest) {
 std::optional<graph::ConstrainedPath> LinkRouter::route(
     NodeId src, NodeId dst, const model::VirtualLinkDemand& demand) {
   const graph::Graph& g = state_->cluster().graph();
-  if (fabric_ == Fabric::kUnknown) {
-    // O(V + E) once per router; the walk's buffers are sized here so that
-    // routing allocates nothing but the returned paths.
-    fabric_ = forest_.build(g) ? Fabric::kForest : Fabric::kCyclic;
-    if (fabric_ == Fabric::kForest) {
+  if (!probed_) {
+    // The forest is built once per fabric; the walk's buffers are sized
+    // here so that routing allocates nothing but the returned paths.
+    probed_ = true;
+    forest_ = state_->cluster().forest();
+    if (forest_ != nullptr) {
       scratch_.walk.reserve(g.node_count());
       scratch_.walk_ar.reserve(g.node_count() + 1);
     }
   }
   auto bw = [this](EdgeId e) { return residual_bw(e); };
   auto lat = [this](EdgeId e) { return latency(e); };
-  if (fabric_ == Fabric::kForest) {
-    return graph::astar_prune_on_forest(forest_, src, dst,
+  if (forest_ != nullptr) {
+    return graph::astar_prune_on_forest(*forest_, src, dst,
                                         demand.bandwidth_mbps,
                                         demand.max_latency_ms, bw, lat,
                                         scratch_);

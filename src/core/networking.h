@@ -88,10 +88,11 @@ struct LatencyTables {
 /// this one object.  It keeps one A*Prune scratch for every link it
 /// routes.
 ///
-/// On its first route the router finds out, by one BFS, whether the
-/// cluster graph is a forest (every tree fabric is: a switched cluster, a
-/// switch tree, and the shards and regions cut from them).  If it is, each
-/// route walks the unique path and replays A*Prune's checks along it
+/// On its first route the router asks the cluster for its fabric's forest
+/// (model::Fabric::forest, one BFS per fabric, shared by every router over
+/// it).  Every tree fabric has one: a switched cluster, a switch tree, and
+/// the shards, regions and coarse levels cut from them.  Then each route
+/// walks the unique path and replays A*Prune's checks along it
 /// (graph::astar_prune_on_forest), which gives the search's answer bit for
 /// bit without the search or an ar[] table.  On a graph with a cycle it
 /// runs graph::astar_prune_bottleneck over the ar[] tables.
@@ -132,15 +133,13 @@ class LinkRouter {
   /// Algorithm 1's ar[] for `dest`, computed on first use.
   [[nodiscard]] const std::vector<double>& lat_to_dest(NodeId dest);
 
-  enum class Fabric : std::uint8_t { kUnknown, kForest, kCyclic };
-
   const ResidualState* state_;
   const std::vector<bool>* dead_edges_;
   LatencyTables own_tables_;  // unused while borrowing
   LatencyTables* tables_;     // &own_tables_ or the borrowed tables
   graph::AStarPruneScratch scratch_;
-  Fabric fabric_ = Fabric::kUnknown;  // found out on the first route
-  graph::Forest forest_;              // empty unless kForest
+  bool probed_ = false;  // forest_ is known once the first route ran
+  const graph::Forest* forest_ = nullptr;  // the fabric's; null on a cycle
 };
 
 /// Runs the Networking stage over a completed placement, reserving

@@ -66,44 +66,55 @@ bool TenancyManager::edge_masked(EdgeId e) const {
 }
 
 // Every admission, heal, and defrag pass starts by materializing a residual
-// view; its per-node/per-edge vectors are all size-known and reserved.
+// view.  The view shares cluster_'s fabric: it costs the two resource
+// vectors, both size-known, and no graph.
 // hmn-lint: hot-path
 model::PhysicalCluster TenancyManager::residual_view(const Tenant* exclude,
                                                      bool biased) const {
-  // Hand the excluded tenant's reservations back into local copies; the
-  // member arrays stay untouched (this is a const view).
-  std::vector<double> proc = used_proc_;
-  std::vector<double> mem = used_mem_;
-  std::vector<double> stor = used_stor_;
-  std::vector<double> bw = used_bw_;
+  // With no tenant excluded the aggregates are read in place; otherwise the
+  // excluded tenant's reservations are handed back into local copies (this
+  // is a const view).
+  std::vector<double> own_proc;
+  std::vector<double> own_mem;
+  std::vector<double> own_stor;
+  std::vector<double> own_bw;
+  const std::vector<double>* proc = &used_proc_;
+  const std::vector<double>* mem = &used_mem_;
+  const std::vector<double>* stor = &used_stor_;
+  const std::vector<double>* bw = &used_bw_;
   if (exclude != nullptr) {
+    own_proc = used_proc_;
+    own_mem = used_mem_;
+    own_stor = used_stor_;
+    own_bw = used_bw_;
     const auto& venv = exclude->venv;
     for (std::size_t g = 0; g < venv.guest_count(); ++g) {
       const auto& req =
           venv.guest(GuestId{static_cast<GuestId::underlying_type>(g)});
       const std::size_t h = exclude->mapping.guest_host[g].index();
-      proc[h] -= req.proc_mips;
-      mem[h] -= req.mem_mb;
-      stor[h] -= req.stor_gb;
+      own_proc[h] -= req.proc_mips;
+      own_mem[h] -= req.mem_mb;
+      own_stor[h] -= req.stor_gb;
     }
     for (std::size_t l = 0; l < venv.link_count(); ++l) {
       const double demand =
           venv.link(VirtLinkId{static_cast<VirtLinkId::underlying_type>(l)})
               .bandwidth_mbps;
       for (const EdgeId e : exclude->mapping.link_paths[l]) {
-        bw[e.index()] -= demand;
+        own_bw[e.index()] -= demand;
       }
     }
+    proc = &own_proc;
+    mem = &own_mem;
+    stor = &own_stor;
+    bw = &own_bw;
   }
 
-  topology::Topology topo = cluster_.topology();  // copy
-  std::vector<model::HostCapacity> caps;
-  caps.reserve(cluster_.host_count());
+  // Switches and dead hosts keep the zero capacity they start with.
+  const bool any_down = down_count_ > 0;
+  std::vector<model::HostCapacity> caps(cluster_.node_count());
   for (const NodeId h : cluster_.hosts()) {
-    if (node_down_[h.index()]) {
-      caps.push_back({});  // a dead host offers nothing
-      continue;
-    }
+    if (any_down && node_down_[h.index()]) continue;
     const auto& cap = cluster_.capacity(h);
     // The biased (admission) view differs from the raw residual in two
     // ways: a headroom fraction of mem/stor is withheld so healing has
@@ -115,28 +126,26 @@ model::PhysicalCluster TenancyManager::residual_view(const Tenant* exclude,
     const double weight =
         biased && h.index() < host_weights_.size() ? host_weights_[h.index()]
                                                    : 1.0;
-    caps.push_back({
+    caps[h.index()] = {
         // Residual CPU may be negative (not a constraint); the mapper only
         // uses it as the balancing metric, so clamp for sanity.
-        std::max(0.0, cap.proc_mips - proc[h.index()]) * weight,
-        std::max(0.0, cap.mem_mb * keep - mem[h.index()]),
-        std::max(0.0, cap.stor_gb * keep - stor[h.index()]),
-    });
+        std::max(0.0, cap.proc_mips - (*proc)[h.index()]) * weight,
+        std::max(0.0, cap.mem_mb * keep - (*mem)[h.index()]),
+        std::max(0.0, cap.stor_gb * keep - (*stor)[h.index()]),
+    };
   }
-  std::vector<model::LinkProps> links;
-  links.reserve(cluster_.link_count());
-  for (std::size_t e = 0; e < cluster_.link_count(); ++e) {
+  std::vector<model::LinkProps> links(cluster_.link_count());
+  for (std::size_t e = 0; e < links.size(); ++e) {
     const auto id = EdgeId{static_cast<EdgeId::underlying_type>(e)};
-    if (edge_masked(id)) {
-      links.push_back({0.0, std::numeric_limits<double>::infinity()});
+    if (any_down && edge_masked(id)) {
+      links[e] = {0.0, std::numeric_limits<double>::infinity()};
       continue;
     }
-    links.push_back(
-        {std::max(0.0, cluster_.link(id).bandwidth_mbps - bw[e]),
-         cluster_.link(id).latency_ms});
+    links[e] = {std::max(0.0, cluster_.link(id).bandwidth_mbps - (*bw)[e]),
+                cluster_.link(id).latency_ms};
   }
-  model::PhysicalCluster view = model::PhysicalCluster::build(
-      std::move(topo), std::move(caps), std::move(links));
+  model::PhysicalCluster view = model::PhysicalCluster::with_resources(
+      cluster_, std::move(caps), std::move(links));
   // Carry the failure-domain annotation through: mappers only ever see
   // residual views, so without this copy the replica-spread stage would
   // never observe the domains installed on the base cluster.

@@ -247,7 +247,8 @@ class TenancyManager {
   /// masks; with `exclude` non-null that tenant's reservations are handed
   /// back (shared by residual_cluster() and the exclude-one views).  With
   /// `biased` the availability weights and admission headroom are applied
-  /// — the view a *new* tenant maps against.
+  /// — the view a *new* tenant maps against.  The view shares cluster_'s
+  /// fabric (PhysicalCluster::with_resources).
   [[nodiscard]] model::PhysicalCluster residual_view(
       const Tenant* exclude = nullptr, bool biased = false) const;
 };

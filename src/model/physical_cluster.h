@@ -1,15 +1,25 @@
 // The physical cluster: topology + per-node capacities + per-link
 // properties (the paper's graph c = (C, E_c) with proc/mem/stor and bw/lat).
 //
-// The cluster is immutable once built; mutable residual bookkeeping during
-// mapping lives in core::ResidualState so that a cluster can be shared by
-// many concurrent mapping runs.
+// A cluster is two parts.  The *fabric* (model::Fabric) is the graph, the
+// node roles, the host list and the graph's BFS forest: it never changes
+// once built and is shared, through a std::shared_ptr, by every copy of the
+// cluster and every cluster built over it with with_resources() (residual
+// views, scarred copies, coarse levels).  The *resources* (capacities, link
+// properties and failure domains) belong to each cluster value.  So a view
+// of a fixed fabric copies two resource vectors instead of a graph.
+//
+// Mutable residual bookkeeping during mapping lives in core::ResidualState
+// so that a cluster can be shared by many concurrent mapping runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
+#include "graph/forest.h"
 #include "graph/graph.h"
 #include "model/resources.h"
 #include "model/topology.h"
@@ -33,9 +43,46 @@ struct FailureDomains {
   }
 };
 
+/// The immutable part of a cluster: the topology, its host list and the
+/// graph's BFS forest.  Clusters hold it through a
+/// std::shared_ptr<const Fabric>, so every copy of a cluster and every
+/// cluster built over it (PhysicalCluster::with_resources) reads the same
+/// graph object, adjacency order and host order.
+class Fabric {
+ public:
+  explicit Fabric(topology::Topology topo);
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
+
+  [[nodiscard]] const topology::Topology& topology() const { return topo_; }
+  [[nodiscard]] const graph::Graph& graph() const { return topo_.graph; }
+  /// Host nodes in ascending NodeId order.
+  [[nodiscard]] const std::vector<NodeId>& hosts() const { return hosts_; }
+
+  /// The graph's BFS forest (graph::Forest::build), or nullptr when the
+  /// graph has a cycle.  Built on the first call, under std::call_once, so
+  /// concurrent callers build it once and only fabrics that route pay for
+  /// it.
+  [[nodiscard]] const graph::Forest* forest() const;
+
+  /// True when `other` has the same node roles and the same edges in the
+  /// same order, hence the same adjacency lists: the structure everything
+  /// cached per fabric depends on.  O(V + E).
+  [[nodiscard]] bool same_structure(const Fabric& other) const;
+
+ private:
+  topology::Topology topo_;
+  std::vector<NodeId> hosts_;
+  mutable std::once_flag forest_once_;
+  mutable graph::Forest forest_;
+  mutable bool is_forest_ = false;
+};
+
 class PhysicalCluster {
  public:
-  PhysicalCluster() = default;
+  /// An empty cluster.  Allocates nothing: it points at one shared empty
+  /// fabric without owning it.
+  PhysicalCluster();
 
   /// Builds a cluster over `topo`.  `host_caps` gives the capacity of each
   /// host node in topology host order (host_caps.size() must equal
@@ -49,6 +96,14 @@ class PhysicalCluster {
   static PhysicalCluster build(topology::Topology topo,
                                std::vector<HostCapacity> host_caps,
                                std::vector<LinkProps> link_props);
+
+  /// A cluster over `base`'s fabric with its own resources: `node_caps`
+  /// indexed by NodeId (switch entries zero) and `link_props` indexed by
+  /// EdgeId.  No failure domains.  Throws std::invalid_argument unless the
+  /// sizes equal base's node and edge counts.
+  static PhysicalCluster with_resources(const PhysicalCluster& base,
+                                        std::vector<HostCapacity> node_caps,
+                                        std::vector<LinkProps> link_props);
 
   /// Deducts the VMM's own consumption from every host (Section 3.1:
   /// "the amount of it used by the VMM is deducted from that resource
@@ -65,20 +120,35 @@ class PhysicalCluster {
   /// latency); both endpoints keep their capacity.
   void fail_link(EdgeId edge);
 
-  [[nodiscard]] const graph::Graph& graph() const { return topo_.graph; }
-  [[nodiscard]] const topology::Topology& topology() const { return topo_; }
+  /// The shared immutable part.  Two clusters with the same pointer have
+  /// the same graph, roles and hosts.
+  [[nodiscard]] const std::shared_ptr<const Fabric>& fabric() const {
+    return fabric_;
+  }
+  [[nodiscard]] const graph::Graph& graph() const { return fabric_->graph(); }
+  [[nodiscard]] const topology::Topology& topology() const {
+    return fabric_->topology();
+  }
+  /// The fabric's forest; nullptr when the graph has a cycle.
+  [[nodiscard]] const graph::Forest* forest() const {
+    return fabric_->forest();
+  }
 
   [[nodiscard]] std::size_t node_count() const {
-    return topo_.graph.node_count();
+    return graph().node_count();
   }
   [[nodiscard]] std::size_t link_count() const {
-    return topo_.graph.edge_count();
+    return graph().edge_count();
   }
-  [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
+  [[nodiscard]] std::size_t host_count() const { return hosts().size(); }
 
   /// Host nodes in ascending NodeId order.
-  [[nodiscard]] const std::vector<NodeId>& hosts() const { return hosts_; }
-  [[nodiscard]] bool is_host(NodeId n) const { return topo_.is_host(n); }
+  [[nodiscard]] const std::vector<NodeId>& hosts() const {
+    return fabric_->hosts();
+  }
+  [[nodiscard]] bool is_host(NodeId n) const {
+    return fabric_->topology().is_host(n);
+  }
 
   /// Capacity of a node (zero for switches).
   [[nodiscard]] const HostCapacity& capacity(NodeId n) const {
@@ -101,10 +171,9 @@ class PhysicalCluster {
   }
 
  private:
-  topology::Topology topo_;
-  std::vector<HostCapacity> capacity_;  // per node
-  std::vector<LinkProps> links_;        // per edge
-  std::vector<NodeId> hosts_;
+  std::shared_ptr<const Fabric> fabric_;  // null only once moved from
+  std::vector<HostCapacity> capacity_;    // per node
+  std::vector<LinkProps> links_;          // per edge
   FailureDomains domains_;  // empty unless annotated
 };
 

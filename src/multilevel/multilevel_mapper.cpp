@@ -211,16 +211,13 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
 
   // Structural pyramid: reuse the shared one when it matches this cluster.
   PhysicalHierarchy local;
-  const PhysicalHierarchy* hier = nullptr;
-  if (hierarchy_ != nullptr && hierarchy_->compatible(cluster)) {
-    hier = hierarchy_.get();
-  } else {
-    local = build_hierarchy(cluster, opts_.phys);
-    hier = &local;
-  }
+  const bool shared = hierarchy_ != nullptr && hierarchy_->compatible(cluster);
+  if (!shared) local = build_hierarchy(cluster, opts_.phys);
+  const PhysicalHierarchy* hier = shared ? hierarchy_.get() : &local;
   if (hier->contractions.empty()) return flat_.map(cluster, venv, seed);
+  // A local build's levels already carry this cluster's resources.
   const std::vector<model::PhysicalCluster> levels =
-      materialize_levels(cluster, *hier);
+      shared ? materialize_levels(cluster, *hier) : std::move(local.levels);
   notify("hierarchy", hier->contractions.size(),
          levels.back().graph().node_count(), venv.guest_count());
 

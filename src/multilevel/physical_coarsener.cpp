@@ -1,5 +1,6 @@
 #include "multilevel/physical_coarsener.h"
 
+#include <stdexcept>
 #include <utility>
 
 namespace hmn::multilevel {
@@ -7,13 +8,10 @@ namespace hmn::multilevel {
 PhysicalHierarchy build_hierarchy(const model::PhysicalCluster& base,
                                   const PhysicalCoarsenOptions& opts) {
   PhysicalHierarchy h;
-  h.base_nodes = base.graph().node_count();
-  h.base_edges = base.graph().edge_count();
-  h.base_hosts = base.host_count();
-
-  model::PhysicalCluster owned;  // materialized intermediate levels
-  const model::PhysicalCluster* cur = &base;
+  h.base = base.fabric();
   constexpr std::size_t kMaxLevels = 8;
+  h.levels.reserve(kMaxLevels);  // `cur` points into it
+  const model::PhysicalCluster* cur = &base;
   while (cur->graph().node_count() > opts.target_nodes &&
          h.contractions.size() < kMaxLevels) {
     topology::Contraction c = h.contractions.empty()
@@ -25,8 +23,8 @@ PhysicalHierarchy build_hierarchy(const model::PhysicalCluster& base,
       c = topology::contract_heavy_matching(*cur);
       if (c.group_count() >= cur->graph().node_count()) break;
     }
-    owned = topology::coarse_cluster(*cur, c);
-    cur = &owned;
+    h.levels.push_back(topology::coarse_cluster(*cur, c));
+    cur = &h.levels.back();
     h.contractions.push_back(std::move(c));
   }
   return h;
@@ -34,11 +32,17 @@ PhysicalHierarchy build_hierarchy(const model::PhysicalCluster& base,
 
 std::vector<model::PhysicalCluster> materialize_levels(
     const model::PhysicalCluster& base, const PhysicalHierarchy& h) {
+  if (!h.compatible(base)) {
+    throw std::invalid_argument(
+        "materialize_levels: the cluster does not have the hierarchy's "
+        "structure");
+  }
   std::vector<model::PhysicalCluster> out;
   out.reserve(h.contractions.size());
   const model::PhysicalCluster* cur = &base;
-  for (const topology::Contraction& c : h.contractions) {
-    out.push_back(topology::coarse_cluster(*cur, c));
+  for (std::size_t i = 0; i < h.contractions.size(); ++i) {
+    out.push_back(
+        topology::coarse_resources(h.levels[i], *cur, h.contractions[i]));
     cur = &out.back();
   }
   return out;

@@ -160,27 +160,37 @@ model::PhysicalCluster coarse_cluster(const model::PhysicalCluster& fine,
   Topology topo;
   topo.graph = graph::Graph(groups);
   topo.role.reserve(groups);
-  std::vector<model::HostCapacity> caps;
   for (std::size_t grp = 0; grp < groups; ++grp) {
-    if (c.group_hosts[grp] == 0) {
-      topo.role.push_back(NodeRole::kSwitch);
-      continue;
-    }
-    topo.role.push_back(NodeRole::kHost);
-    model::HostCapacity cap;
-    for (const NodeId m : c.members[grp]) {
+    topo.role.push_back(c.group_hosts[grp] == 0 ? NodeRole::kSwitch
+                                                : NodeRole::kHost);
+  }
+  for (const Contraction::CoarseEdge& ce : c.coarse_edges) {
+    topo.graph.add_edge(nid(ce.a), nid(ce.b));
+  }
+  const std::size_t hosts = topo.host_count();
+  const model::PhysicalCluster shape = model::PhysicalCluster::build(
+      std::move(topo), std::vector<model::HostCapacity>(hosts),
+      model::LinkProps{});
+  return coarse_resources(shape, fine, c);
+}
+
+model::PhysicalCluster coarse_resources(const model::PhysicalCluster& coarse,
+                                        const model::PhysicalCluster& fine,
+                                        const Contraction& c) {
+  std::vector<model::HostCapacity> caps(coarse.node_count());
+  for (const NodeId h : coarse.hosts()) {
+    model::HostCapacity& cap = caps[h.index()];
+    for (const NodeId m : c.members[h.index()]) {
       if (!fine.is_host(m)) continue;
       cap.proc_mips += fine.capacity(m).proc_mips;
       cap.mem_mb += fine.capacity(m).mem_mb;
       cap.stor_gb += fine.capacity(m).stor_gb;
     }
-    caps.push_back(cap);
   }
 
   std::vector<model::LinkProps> links;
   links.reserve(c.coarse_edges.size());
   for (const Contraction::CoarseEdge& ce : c.coarse_edges) {
-    topo.graph.add_edge(nid(ce.a), nid(ce.b));
     model::LinkProps trunk;
     trunk.bandwidth_mbps = 0.0;
     trunk.latency_ms = std::numeric_limits<double>::infinity();
@@ -190,8 +200,8 @@ model::PhysicalCluster coarse_cluster(const model::PhysicalCluster& fine,
     }
     links.push_back(trunk);
   }
-  return model::PhysicalCluster::build(std::move(topo), std::move(caps),
-                                       std::move(links));
+  return model::PhysicalCluster::with_resources(coarse, std::move(caps),
+                                                std::move(links));
 }
 
 SubCluster induced_subcluster(const model::PhysicalCluster& parent,

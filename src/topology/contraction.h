@@ -74,13 +74,22 @@ struct Contraction {
     const model::PhysicalCluster& fine);
 
 /// Materializes the coarse cluster of a contraction: group i becomes node
-/// i, a host-role node iff the group contains a host, with capacities
-/// summed over member hosts.  Each coarse edge becomes one trunk link with
-/// the crossing fine links' bandwidth summed and latency minimized (the
-/// optimistic bound: a coarse-level route is never penalized more than the
-/// best fine-level route underneath it).
+/// i, a host-role node iff the group contains a host, and coarse edge j
+/// becomes edge j.  Its resources are those of coarse_resources() over
+/// `fine`.
 [[nodiscard]] model::PhysicalCluster coarse_cluster(
     const model::PhysicalCluster& fine, const Contraction& c);
+
+/// The resource pass alone: a cluster over `coarse`'s fabric (a
+/// coarse_cluster() of `c`) whose capacities and links follow `fine`'s
+/// current ones.  A host node sums its member hosts' capacities, in member
+/// order.  Each trunk sums the crossing fine links' bandwidth and takes
+/// their minimum latency, in fine-edge order (the optimistic bound: a
+/// coarse-level route is never penalized more than the best fine-level
+/// route underneath it).  O(nodes + edges) of `fine`.
+[[nodiscard]] model::PhysicalCluster coarse_resources(
+    const model::PhysicalCluster& coarse, const model::PhysicalCluster& fine,
+    const Contraction& c);
 
 /// An induced subcluster plus remap tables back to the parent: the shared
 /// materialization used by partition_cluster's shards and the multilevel

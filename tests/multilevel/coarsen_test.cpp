@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "model/physical_cluster.h"
 #include "model/virtual_environment.h"
 #include "multilevel/physical_coarsener.h"
 #include "multilevel/virtual_coarsener.h"
+#include "topology/contraction.h"
 #include "topology/topologies.h"
 #include "util/rng.h"
 #include "workload/presets.h"
@@ -276,6 +279,135 @@ TEST(PhysicalCoarsenTest, CompatibilityGuardsDifferentFabrics) {
   EXPECT_TRUE(h.compatible(base));
   const auto other = make_fabric(128);
   EXPECT_FALSE(h.compatible(other));
+}
+
+/// A cluster over `topo` whose capacities and links all differ, so that
+/// sums and minima of different members give different bits.
+model::PhysicalCluster varied_cluster(topology::Topology topo) {
+  const std::size_t hosts = topo.host_count();
+  const std::size_t edges = topo.graph.edge_count();
+  std::vector<model::HostCapacity> caps;
+  for (std::size_t i = 0; i < hosts; ++i) {
+    const double x = static_cast<double>(i);
+    caps.push_back({1000.0 + 0.1 * x, 4096.0 - 0.3 * x, 512.0 + 0.7 * x});
+  }
+  std::vector<model::LinkProps> links;
+  for (std::size_t e = 0; e < edges; ++e) {
+    const double x = static_cast<double>(e % 97);
+    links.push_back({1000.0 - 0.9 * x, 0.5 + 0.01 * x});
+  }
+  return model::PhysicalCluster::build(std::move(topo), std::move(caps),
+                                       std::move(links));
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// materialize_levels over `base` against topology::coarse_cluster applied
+/// level by level: the same adjacency, roles and hosts, and the same
+/// capacities and link properties bit for bit, over the hierarchy's fabrics.
+void expect_levels_match_coarse_clusters(const model::PhysicalCluster& base,
+                                         const PhysicalHierarchy& h) {
+  const auto levels = multilevel::materialize_levels(base, h);
+  ASSERT_EQ(levels.size(), h.contractions.size());
+  model::PhysicalCluster fine = base;
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    const model::PhysicalCluster want =
+        topology::coarse_cluster(fine, h.contractions[i]);
+    const model::PhysicalCluster& got = levels[i];
+    EXPECT_EQ(got.fabric(), h.levels[i].fabric()) << "level " << i + 1;
+    ASSERT_EQ(got.node_count(), want.node_count());
+    ASSERT_EQ(got.link_count(), want.link_count());
+    EXPECT_EQ(got.topology().role, want.topology().role);
+    EXPECT_EQ(got.hosts(), want.hosts());
+    for (std::size_t n = 0; n < got.node_count(); ++n) {
+      const NodeId id{static_cast<NodeId::underlying_type>(n)};
+      const auto a = got.graph().neighbors(id);
+      const auto b = want.graph().neighbors(id);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k].neighbor, b[k].neighbor);
+        EXPECT_EQ(a[k].edge, b[k].edge);
+      }
+      const model::HostCapacity& x = got.capacity(id);
+      const model::HostCapacity& y = want.capacity(id);
+      EXPECT_TRUE(same_bits(x.proc_mips, y.proc_mips)) << "node " << n;
+      EXPECT_TRUE(same_bits(x.mem_mb, y.mem_mb)) << "node " << n;
+      EXPECT_TRUE(same_bits(x.stor_gb, y.stor_gb)) << "node " << n;
+    }
+    for (std::size_t e = 0; e < got.link_count(); ++e) {
+      const EdgeId id{static_cast<EdgeId::underlying_type>(e)};
+      EXPECT_TRUE(same_bits(got.link(id).bandwidth_mbps,
+                            want.link(id).bandwidth_mbps))
+          << "edge " << e;
+      EXPECT_TRUE(
+          same_bits(got.link(id).latency_ms, want.link(id).latency_ms))
+          << "edge " << e;
+    }
+    fine = want;
+  }
+}
+
+TEST(PhysicalCoarsenTest, MaterializedLevelsMatchCoarseClustersOnATree) {
+  const auto base = varied_cluster(topology::switch_tree(512, 8, 4));
+  PhysicalCoarsenOptions opts;
+  opts.target_nodes = 32;
+  const PhysicalHierarchy h = multilevel::build_hierarchy(base, opts);
+  ASSERT_GE(h.contractions.size(), 2u);
+  expect_levels_match_coarse_clusters(base, h);
+}
+
+TEST(PhysicalCoarsenTest, MaterializedLevelsMatchCoarseClustersOnATorus) {
+  const auto base = varied_cluster(topology::torus_2d(16, 16));
+  PhysicalCoarsenOptions opts;
+  opts.target_nodes = 24;
+  const PhysicalHierarchy h = multilevel::build_hierarchy(base, opts);
+  ASSERT_GE(h.contractions.size(), 2u);
+  expect_levels_match_coarse_clusters(base, h);
+}
+
+TEST(PhysicalCoarsenTest, MaterializedLevelsMatchCoarseClustersOnAScarredView) {
+  const auto base = varied_cluster(topology::switch_tree(512, 8, 4));
+  PhysicalCoarsenOptions opts;
+  opts.target_nodes = 32;
+  const PhysicalHierarchy h = multilevel::build_hierarchy(base, opts);
+
+  // An admission-style view: headroom withheld, CPU biased per host, some
+  // bandwidth reserved; then failed hosts (a whole rack among them) and
+  // failed links.
+  std::vector<model::HostCapacity> caps(base.node_count());
+  for (std::size_t i = 0; i < base.host_count(); ++i) {
+    const NodeId hst = base.hosts()[i];
+    const model::HostCapacity& c = base.capacity(hst);
+    const double weight = i % 3 == 0 ? 0.75 : 1.0;
+    caps[hst.index()] = {c.proc_mips * weight, c.mem_mb * 0.9 - 17.0,
+                         c.stor_gb * 0.9};
+  }
+  std::vector<model::LinkProps> links;
+  for (std::size_t e = 0; e < base.link_count(); ++e) {
+    const model::LinkProps& l =
+        base.link(EdgeId{static_cast<EdgeId::underlying_type>(e)});
+    links.push_back({l.bandwidth_mbps - static_cast<double>(e % 5) * 1.3,
+                     l.latency_ms});
+  }
+  model::PhysicalCluster view =
+      model::PhysicalCluster::with_resources(base, caps, links);
+  for (std::size_t i = 0; i < 8; ++i) view.fail_node(base.hosts()[i]);
+  view.fail_node(base.hosts()[100]);
+  view.fail_link(EdgeId{3});
+  view.fail_link(EdgeId{400});
+  ASSERT_TRUE(h.compatible(view));
+  expect_levels_match_coarse_clusters(view, h);
+}
+
+TEST(PhysicalCoarsenTest, MaterializeRefusesAnotherStructure) {
+  const auto base = make_fabric(256);
+  PhysicalCoarsenOptions opts;
+  opts.target_nodes = 32;
+  const PhysicalHierarchy h = multilevel::build_hierarchy(base, opts);
+  EXPECT_THROW((void)multilevel::materialize_levels(make_fabric(128), h),
+               std::invalid_argument);
 }
 
 TEST(PhysicalCoarsenTest, SmallFabricYieldsNoLevels) {

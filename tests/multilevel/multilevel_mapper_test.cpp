@@ -14,6 +14,7 @@
 #include "core/hosting.h"
 #include "core/residual.h"
 #include "core/validator.h"
+#include "emulator/tenancy.h"
 #include "model/physical_cluster.h"
 #include "multilevel/multilevel_mapper.h"
 #include "orchestrator/router.h"
@@ -129,6 +130,91 @@ TEST(MultilevelMapperTest, IncompatibleSharedHierarchyIsRebuiltLocally) {
   EXPECT_EQ(core::fingerprint(*out.mapping),
             core::fingerprint(*MultilevelMapper(opts).map(fabric, venv, 5)
                                    .mapping));
+}
+
+/// `fabric` with its node ids reversed: the same tree with the same node,
+/// edge and host counts, capacities and links, but other ids.
+model::PhysicalCluster reversed_ids(const model::PhysicalCluster& fabric) {
+  const topology::Topology& topo = fabric.topology();
+  const std::size_t n = topo.graph.node_count();
+  auto flip = [n](NodeId v) {
+    return NodeId{static_cast<NodeId::underlying_type>(n - 1 - v.index())};
+  };
+  topology::Topology reversed;
+  reversed.graph = graph::Graph(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    reversed.role.push_back(topo.role[n - 1 - i]);
+  }
+  std::vector<model::LinkProps> links;
+  for (std::size_t e = 0; e < topo.graph.edge_count(); ++e) {
+    const EdgeId id{static_cast<EdgeId::underlying_type>(e)};
+    reversed.graph.add_edge(flip(topo.graph.endpoints(id).a),
+                            flip(topo.graph.endpoints(id).b));
+    links.push_back(fabric.link(id));
+  }
+  std::vector<model::HostCapacity> caps;
+  for (std::size_t i = n; i-- > 0;) {
+    const NodeId v{static_cast<NodeId::underlying_type>(i)};
+    if (fabric.is_host(v)) caps.push_back(fabric.capacity(v));
+  }
+  return model::PhysicalCluster::build(std::move(reversed), std::move(caps),
+                                       std::move(links));
+}
+
+TEST(MultilevelMapperTest, SharedHierarchyOfAnotherWiringMapsLikeALocalBuild) {
+  // Equal node, edge and host counts are not the same fabric: a pyramid
+  // built over the tree must not serve the tree with its ids reversed.
+  const auto fabric = make_fabric(512);
+  const auto reversed = reversed_ids(fabric);
+  ASSERT_EQ(reversed.node_count(), fabric.node_count());
+  ASSERT_EQ(reversed.link_count(), fabric.link_count());
+  ASSERT_EQ(reversed.host_count(), fabric.host_count());
+
+  MultilevelOptions opts;
+  auto hier = std::make_shared<const multilevel::PhysicalHierarchy>(
+      multilevel::build_hierarchy(fabric, opts.phys));
+  EXPECT_FALSE(hier->compatible(reversed));
+  const MultilevelMapper shared(opts, hier);
+  const MultilevelMapper local(opts);
+  for (std::uint64_t t = 0; t < 20; ++t) {
+    const auto venv = make_venv(20, util::derive_seed(61, t), reversed);
+    const core::MapOutcome a = shared.map(reversed, venv, t);
+    const core::MapOutcome b = local.map(reversed, venv, t);
+    ASSERT_TRUE(b.ok()) << "tenant " << t << ": " << b.detail;
+    ASSERT_TRUE(a.ok()) << "tenant " << t << ": " << a.detail;
+    EXPECT_EQ(core::fingerprint(*a.mapping), core::fingerprint(*b.mapping))
+        << "tenant " << t;
+    EXPECT_EQ(a.stats.levels_used, b.stats.levels_used) << "tenant " << t;
+  }
+}
+
+TEST(MultilevelMapperTest, ResidualViewsShareTheManagersFabric) {
+  // The router prebuilds each shard's pyramid over the shard cluster, and
+  // its manager hands the mapper residual views of a copy of that cluster.
+  const auto fabric = make_fabric(256);
+  MultilevelOptions opts;
+  emulator::TenancyManager mgr(fabric);
+  const multilevel::PhysicalHierarchy hier =
+      multilevel::build_hierarchy(fabric, opts.phys);
+  ASSERT_FALSE(hier.contractions.empty());
+  EXPECT_EQ(mgr.residual_cluster().fabric(), fabric.fabric());
+  const auto admitted = mgr.admit("t", make_venv(12, 5, fabric), 5);
+  ASSERT_TRUE(admitted.ok()) << admitted.detail;
+  mgr.set_node_down(fabric.hosts()[7], true);
+  mgr.set_link_down(EdgeId{2}, true);
+  EXPECT_EQ(mgr.residual_cluster().fabric(), hier.base);
+  EXPECT_EQ(mgr.residual_cluster_excluding(*admitted.tenant).fabric(),
+            hier.base);
+  EXPECT_TRUE(hier.compatible(mgr.residual_cluster()));
+
+  orchestrator::RouterOptions ropts;
+  ropts.shards = 4;
+  const orchestrator::PlacementRouter router(fabric, ropts);
+  for (std::size_t s = 0; s < router.shard_count(); ++s) {
+    EXPECT_EQ(router.shard_manager(s).residual_cluster().fabric(),
+              router.shard(s).cluster.fabric())
+        << "shard " << s;
+  }
 }
 
 TEST(MultilevelMapperTest, DeterministicAcrossBlastFailureAndHeal) {
