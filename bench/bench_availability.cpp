@@ -39,7 +39,7 @@
 // fewer tenants.  Gates: aware must lose strictly fewer tenant-minutes
 // than blind in aggregate over the sweep; with failures disabled the two
 // must produce byte-identical decision signatures (the invisibility
-// invariant); and a fresh re-run and a recorded v3 trace must both
+// invariant); and a fresh re-run and a recorded trace must both
 // reproduce the live signature.
 #include "bench_common.h"
 
@@ -205,7 +205,7 @@ int run_e15(bool smoke) {
     gates.check("invisibility", invisible);
   }
 
-  // A blast-laden trace must survive a re-run and v3 record/replay.
+  // A blast-laden trace must survive a re-run and trace record/replay.
   {
     const auto seed = util::derive_seed(env_seed(), 47);
     const auto cluster = racked_cluster(seed);

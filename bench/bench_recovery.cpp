@@ -12,10 +12,13 @@
 //                   ALL of them) and recovered from the surviving bytes.
 //                   The resumed run's fingerprint AND encoded final state
 //                   must be byte-identical to the uninterrupted run's.
-//   corruption      a mid-stream bit flip, a doctored checkpoint, and a
-//                   journal truncated inside a frame: the first two must
-//                   fail recovery loudly with descriptive errors; the
-//                   truncation must recover exactly the intact prefix.
+//   corruption      a mid-stream bit flip, two doctored checkpoints (one
+//                   claims aggregates its mappings do not back, one names
+//                   a host the fabric lacks and is re-framed with a valid
+//                   CRC), and a journal truncated inside a frame: the
+//                   first three must fail recovery loudly with
+//                   descriptive errors; the truncation must recover
+//                   exactly the intact prefix.
 //   overhead        the E12 churn workload runs with and without the
 //                   WalManager attached, as 5 interleaved passes per rep
 //                   whose best p99 each side keeps; journaling must cost
@@ -156,12 +159,13 @@ bool crash_and_recover(const Reference& ref, const workload::CrashPoint& point,
 
 // --- gate 2: corruption canaries -----------------------------------------
 
-/// A bit-flipped journal and a doctored checkpoint must fail recovery
+/// A bit-flipped journal and two doctored checkpoints must fail recovery
 /// loudly; a truncation inside the final frame must recover exactly the
 /// intact prefix.  Runs standalone under `--canary` so CI has a dedicated
 /// guard against recovery going silently permissive.
 bool run_corruption_canaries(const Reference& ref) {
-  bool flip_loud = false, doctored_loud = false, truncation_clean = false;
+  bool flip_loud = false, doctored_loud = false, far_host_loud = false;
+  bool truncation_clean = false;
 
   // Bit flip in an early frame's payload: bytes follow, so this is rot.
   std::string corrupt = ref.journal;
@@ -197,6 +201,32 @@ bool run_corruption_canaries(const Reference& ref) {
     break;
   }
 
+  // A checkpoint naming a host the fabric lacks, framed with a valid CRC
+  // so the codec decodes it: restore must refuse the id before indexing
+  // anything by it (an out-of-bounds write, under a sanitizer an abort).
+  for (const auto& rec : parse.records) {
+    if (rec.type != recovery::RecordType::kCheckpoint) continue;
+    auto state = recovery::decode_state(rec.checkpoint);
+    if (state.tenancy.tenants.empty()) continue;
+    state.tenancy.tenants[0].mapping.guest_host[0] = NodeId{100000};
+    std::string journal;
+    recovery::JournalWriter w(journal);
+    w.checkpoint(rec.event_index, rec.fingerprint,
+                 recovery::encode_state(state));
+    try {
+      orchestrator::Orchestrator orch(ref.cluster, ref.trace.profile,
+                                      recovery_options());
+      (void)recovery::recover(orch, journal);
+      std::printf("out-of-range host: ACCEPTED — restore is broken\n");
+    } catch (const recovery::RecoveryError& e) {
+      far_host_loud = std::string_view(e.what()).find(
+                          "checkpoint state rejected") !=
+                      std::string_view::npos;
+      std::printf("out-of-range host: refused (\"%.60s...\")\n", e.what());
+    }
+    break;
+  }
+
   // Truncation inside the final frame: a crash artifact, recovered as the
   // intact prefix with the torn tail reported.
   orchestrator::Orchestrator orch(ref.cluster, ref.trace.profile,
@@ -210,7 +240,7 @@ bool run_corruption_canaries(const Reference& ref) {
   std::printf("truncated tail: recovered prefix through event %llu of %zu\n",
               (unsigned long long)rec.next_event_index,
               ref.trace.events.size());
-  return flip_loud && doctored_loud && truncation_clean;
+  return flip_loud && doctored_loud && far_host_loud && truncation_clean;
 }
 
 }  // namespace

@@ -64,13 +64,23 @@ struct Mapping {
   }
 };
 
-/// FNV-1a over the complete mapping value (every guest's host, every
+/// FNV-1a over every guest's host, in guest order: the placement hash
+/// each admission decision logs.  The orchestrator hashes a tenant's own
+/// mapping; the sharded router hashes it translated to parent-fabric host
+/// ids, so sharded and flat runs hash comparably.
+[[nodiscard]] inline std::uint64_t placement_hash(
+    const std::vector<NodeId>& guest_host) {
+  std::uint64_t h = util::kFnv1aBasis;
+  for (const NodeId host : guest_host) h = util::fnv1a_mix(h, host.value());
+  return h;
+}
+
+/// FNV-1a over the complete mapping value (the placement hash, then every
 /// path's length and edges).  Two mappings are byte-identical iff their
 /// fingerprints match — the determinism gates (bench_multilevel, the
 /// regression harness) compare these across repeated runs.
 [[nodiscard]] inline std::uint64_t fingerprint(const Mapping& m) {
-  std::uint64_t h = util::kFnv1aBasis;
-  for (const NodeId host : m.guest_host) h = util::fnv1a_mix(h, host.value());
+  std::uint64_t h = placement_hash(m.guest_host);
   for (const graph::Path& path : m.link_paths) {
     h = util::fnv1a_mix(h, path.size());
     for (const EdgeId e : path) h = util::fnv1a_mix(h, e.value());

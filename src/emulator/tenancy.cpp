@@ -215,9 +215,48 @@ void check_aggregate(const std::vector<double>& exact,
   }
 }
 
+/// Refuses a state that names a node or link `cluster` lacks, or whose
+/// failure masks do not cover it exactly.  The checkpoint codec has no
+/// cluster to check ids against, so restore checks them before applying.
+void check_ids(const model::PhysicalCluster& cluster,
+               const TenancyManager::State& state) {
+  auto refuse = [](const std::string& why) {
+    throw std::invalid_argument("restored tenancy state: " + why);
+  };
+  for (const Tenant& tenant : state.tenants) {
+    const std::string who = "tenant " + std::to_string(tenant.id);
+    if (tenant.mapping.guest_host.size() != tenant.venv.guest_count() ||
+        tenant.mapping.link_paths.size() != tenant.venv.link_count()) {
+      refuse(who + " has a mapping that does not match its guests and links");
+    }
+    for (const NodeId h : tenant.mapping.guest_host) {
+      if (h.index() >= cluster.node_count() || !cluster.is_host(h)) {
+        refuse(who + " places a guest on node " + std::to_string(h.value()) +
+               ", which is not a host of this cluster");
+      }
+    }
+    for (const graph::Path& path : tenant.mapping.link_paths) {
+      for (const EdgeId e : path) {
+        if (e.index() >= cluster.link_count()) {
+          refuse(who + " routes over link " + std::to_string(e.value()) +
+                 ", which this cluster lacks");
+        }
+      }
+    }
+  }
+  if (state.node_down.size() != cluster.node_count() ||
+      state.edge_down.size() != cluster.link_count()) {
+    refuse("failure masks cover " + std::to_string(state.node_down.size()) +
+           " nodes and " + std::to_string(state.edge_down.size()) +
+           " links, cluster has " + std::to_string(cluster.node_count()) +
+           " and " + std::to_string(cluster.link_count()));
+  }
+}
+
 }  // namespace
 
 void TenancyManager::restore_state(State state) {
+  check_ids(cluster_, state);
   tenants_.clear();
   used_proc_.assign(cluster_.node_count(), 0.0);
   used_mem_.assign(cluster_.node_count(), 0.0);
@@ -243,19 +282,11 @@ void TenancyManager::restore_state(State state) {
     used_bw_ = std::move(state.used_bw);
   }
   next_id_ = state.next_id;
-  node_down_.assign(cluster_.node_count(), false);
-  edge_down_.assign(cluster_.link_count(), false);
-  down_count_ = 0;
-  for (std::size_t n = 0;
-       n < state.node_down.size() && n < node_down_.size(); ++n) {
-    set_node_down(NodeId{static_cast<NodeId::underlying_type>(n)},
-                  state.node_down[n]);
-  }
-  for (std::size_t e = 0;
-       e < state.edge_down.size() && e < edge_down_.size(); ++e) {
-    set_link_down(EdgeId{static_cast<EdgeId::underlying_type>(e)},
-                  state.edge_down[e]);
-  }
+  node_down_ = std::move(state.node_down);
+  edge_down_ = std::move(state.edge_down);
+  down_count_ = static_cast<std::size_t>(
+      std::count(node_down_.begin(), node_down_.end(), true) +
+      std::count(edge_down_.begin(), edge_down_.end(), true));
   host_weights_ = std::move(state.host_weights);
   admission_headroom_ = state.admission_headroom;
 }

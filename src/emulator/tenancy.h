@@ -210,9 +210,12 @@ class TenancyManager {
   };
   [[nodiscard]] State export_state() const;
   /// Restores into a manager constructed over the same cluster and pool.
-  /// Any previous tenants are discarded.  Throws std::invalid_argument if
-  /// the state's `used_*` aggregates are present but inconsistent with
-  /// what its tenant mappings reserve.
+  /// Any previous tenants are discarded.  Throws std::invalid_argument,
+  /// before changing anything, if a mapping names a node that is not a
+  /// host of this cluster or a link it lacks, or if a failure mask's
+  /// length differs from the cluster's node or link count; and if the
+  /// state's `used_*` aggregates are present but inconsistent with what
+  /// its tenant mappings reserve.
   void restore_state(State state);
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/networking.h"
 #include "core/residual.h"
 #include "util/timer.h"
 
@@ -84,7 +85,7 @@ core::MapOutcome GreedyRankMapper::map(const model::PhysicalCluster& cluster,
 
   stage.restart();
   core::NetworkingResult routed =
-      core::run_networking(venv, state, placement, opts_.networking);
+      core::run_networking(venv, state, placement);
   MapOutcome out;
   out.stats.hosting_seconds = hosting_seconds;
   out.stats.networking_seconds = stage.elapsed_seconds();

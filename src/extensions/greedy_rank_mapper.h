@@ -14,25 +14,15 @@
 #pragma once
 
 #include "core/mapper.h"
-#include "core/networking.h"
 
 namespace hmn::extensions {
 
-struct GreedyRankOptions {
-  core::NetworkingOptions networking;
-};
-
 class GreedyRankMapper final : public core::Mapper {
  public:
-  explicit GreedyRankMapper(GreedyRankOptions opts = {}) : opts_(opts) {}
-
   [[nodiscard]] std::string name() const override { return "GreedyRank"; }
   [[nodiscard]] core::MapOutcome map(const model::PhysicalCluster& cluster,
                                      const model::VirtualEnvironment& venv,
                                      std::uint64_t seed) const override;
-
- private:
-  GreedyRankOptions opts_;
 };
 
 }  // namespace hmn::extensions

@@ -11,25 +11,15 @@
 #pragma once
 
 #include "core/mapper.h"
-#include "core/networking.h"
 
 namespace hmn::extensions {
 
-struct MinHostsOptions {
-  core::NetworkingOptions networking;
-};
-
 class MinHostsMapper final : public core::Mapper {
  public:
-  explicit MinHostsMapper(MinHostsOptions opts = {}) : opts_(opts) {}
-
   [[nodiscard]] std::string name() const override { return "MinHosts"; }
   [[nodiscard]] core::MapOutcome map(const model::PhysicalCluster& cluster,
                                      const model::VirtualEnvironment& venv,
                                      std::uint64_t seed) const override;
-
- private:
-  MinHostsOptions opts_;
 };
 
 }  // namespace hmn::extensions

@@ -1,5 +1,5 @@
-// A*Prune path search (Liu & Ramakrishnan, INFOCOM 2001) and the paper's
-// modified 1-constrained variant (Algorithm 1).
+// The paper's modified 1-constrained A*Prune (Algorithm 1), derived from
+// A*Prune (Liu & Ramakrishnan, INFOCOM 2001).
 //
 // The original A*Prune enumerates the K shortest paths subject to multiple
 // additive constraints, expanding partial paths in best-first order and
@@ -17,16 +17,13 @@
 // `astar_prune_bottleneck` is that modified algorithm, faithful to the
 // paper's pseudocode.  `astar_prune_on_forest` gives its answer, bit for
 // bit, on a graph without a cycle by walking the unique path instead of
-// searching.  `astar_prune_ksp` is the general additive K-path form,
-// provided because the library exposes the substrate, and used by the tests
-// to cross-check the modified variant on latency-feasibility.
+// searching.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "graph/dijkstra.h"
@@ -311,105 +308,6 @@ template <typename BwFn, typename LatFn>
   out.bottleneck_bw = bottleneck;
   out.total_latency = acc;
   return out;
-}
-
-/// General A*Prune: the K shortest loop-free paths by additive length
-/// `length(EdgeId)`, subject to additive constraints given as
-/// (weight fn, bound) pairs evaluated with Dijkstra lower-bound pruning.
-///
-/// This is the algorithm of the paper's reference [8], of which Algorithm 1
-/// is a specialization; exposing it makes the library usable for QoS
-/// routing beyond the mapping problem and lets tests cross-validate the
-/// modified variant.
-struct AdditiveConstraint {
-  std::vector<double> weight;  // per-edge weight, indexed by EdgeId
-  double bound;
-};
-
-template <typename LenFn>
-[[nodiscard]] std::vector<ConstrainedPath> astar_prune_ksp(
-    const Graph& g, NodeId origin, NodeId destination, std::size_t k,
-    LenFn&& length, const std::vector<AdditiveConstraint>& constraints) {
-  std::vector<ConstrainedPath> results;
-  if (k == 0) return results;
-  if (origin == destination) {
-    results.push_back(ConstrainedPath{});
-    return results;
-  }
-
-  // Lower bounds to destination: one Dijkstra per metric (length + each
-  // constraint).
-  const ShortestPaths len_bound =
-      dijkstra(g, destination, [&](EdgeId e) { return length(e); });
-  if (!len_bound.reachable(origin)) return results;
-  std::vector<ShortestPaths> cons_bound;
-  cons_bound.reserve(constraints.size());
-  for (const auto& c : constraints) {
-    cons_bound.push_back(
-        dijkstra(g, destination, [&](EdgeId e) { return c.weight[e.index()]; }));
-  }
-
-  struct KFrontier {
-    double est;  // accumulated length + lower bound (A* f-value)
-    double len;  // accumulated length (g-value)
-    std::vector<double> acc;  // accumulated constraint values
-    std::int32_t chain;
-    NodeId last;
-    bool operator<(const KFrontier& o) const { return est > o.est; }  // min-heap
-  };
-
-  std::vector<detail::ChainNode> arena;
-  std::priority_queue<KFrontier> set;
-  set.push({len_bound.dist[origin.index()], 0.0,
-            std::vector<double>(constraints.size(), 0.0), -1, origin});
-
-  auto on_path = [&](std::int32_t chain, NodeId n) {
-    if (n == origin) return true;
-    for (std::int32_t i = chain; i >= 0;
-         i = arena[static_cast<std::size_t>(i)].parent) {
-      if (arena[static_cast<std::size_t>(i)].node == n) return true;
-    }
-    return false;
-  };
-
-  while (!set.empty() && results.size() < k) {
-    KFrontier best = set.top();
-    set.pop();
-    if (best.last == destination) {
-      ConstrainedPath out;
-      out.total_latency = best.len;
-      out.bottleneck_bw = std::numeric_limits<double>::infinity();
-      for (std::int32_t i = best.chain; i >= 0;
-           i = arena[static_cast<std::size_t>(i)].parent) {
-        out.edges.push_back(arena[static_cast<std::size_t>(i)].edge);
-      }
-      std::reverse(out.edges.begin(), out.edges.end());
-      results.push_back(std::move(out));
-      continue;
-    }
-    for (const Adjacency& adj : g.neighbors(best.last)) {
-      if (on_path(best.chain, adj.neighbor)) continue;
-      bool feasible = true;
-      std::vector<double> acc = best.acc;
-      for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
-        acc[ci] += constraints[ci].weight[adj.edge.index()];
-        if (acc[ci] + cons_bound[ci].dist[adj.neighbor.index()] >
-            constraints[ci].bound) {
-          feasible = false;
-          break;
-        }
-      }
-      if (!feasible) continue;
-      const double nlen = best.len + length(adj.edge);
-      const double bound = len_bound.dist[adj.neighbor.index()];
-      // hmn-lint: allow(float-eq, infinity is an exact unreachable sentinel, not a computed value)
-      if (bound == std::numeric_limits<double>::infinity()) continue;
-      arena.push_back({adj.edge, adj.neighbor, best.chain});
-      set.push({nlen + bound, nlen, std::move(acc),
-                static_cast<std::int32_t>(arena.size() - 1), adj.neighbor});
-    }
-  }
-  return results;
 }
 
 }  // namespace hmn::graph

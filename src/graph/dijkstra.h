@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -106,36 +105,6 @@ template <typename WeightFn>
     cur = g.endpoints(e).other(cur);
   }
   return {rev.rbegin(), rev.rend()};
-}
-
-/// "Widest path" variant: maximizes the bottleneck (minimum) capacity along
-/// the path instead of minimizing a sum.  Used as a comparison baseline for
-/// the modified A*Prune in the ablation benches.
-template <typename CapacityFn>
-[[nodiscard]] std::vector<double> widest_path_capacities(const Graph& g,
-                                                         NodeId source,
-                                                         CapacityFn&& cap) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> width(g.node_count(), 0.0);
-  width[source.index()] = kInf;
-
-  using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry> heap;  // max-heap on width
-  heap.push({kInf, source});
-  while (!heap.empty()) {
-    const auto [w, u] = heap.top();
-    heap.pop();
-    if (w < width[u.index()]) continue;
-    for (const Adjacency& adj : g.neighbors(u)) {
-      const double c = cap(adj.edge);
-      const double nw = std::min(w, c);
-      if (nw > width[adj.neighbor.index()]) {
-        width[adj.neighbor.index()] = nw;
-        heap.push({nw, adj.neighbor});
-      }
-    }
-  }
-  return width;
 }
 
 }  // namespace hmn::graph

@@ -1,77 +1,14 @@
-// Structural metrics of graphs, used by the topology explorer, the
-// workload reports, and tests that pin down topology shapes.
+// Structural criticality of a graph: the cut vertices whose failure no
+// repair can route around (examples/resilience_report).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
-#include "graph/dijkstra.h"
 #include "graph/graph.h"
 
 namespace hmn::graph {
-
-struct DistanceMetrics {
-  double diameter = 0.0;           // longest shortest path (hops)
-  double average_distance = 0.0;   // mean over connected ordered pairs
-  bool connected = true;
-};
-
-/// Hop-count diameter and mean distance via one BFS-equivalent Dijkstra per
-/// node (unit weights).  O(n * (n + m) log n); fine for cluster-sized
-/// graphs.  For a disconnected graph, unreachable pairs are skipped and
-/// `connected` is false.
-[[nodiscard]] inline DistanceMetrics distance_metrics(const Graph& g) {
-  DistanceMetrics out;
-  const std::size_t n = g.node_count();
-  if (n < 2) return out;
-  auto unit = [](EdgeId) { return 1.0; };
-  double sum = 0.0;
-  std::size_t pairs = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto sp =
-        dijkstra(g, NodeId{static_cast<NodeId::underlying_type>(v)}, unit);
-    for (std::size_t u = 0; u < n; ++u) {
-      if (u == v) continue;
-      if (sp.dist[u] == std::numeric_limits<double>::infinity()) {
-        out.connected = false;
-        continue;
-      }
-      out.diameter = std::max(out.diameter, sp.dist[u]);
-      sum += sp.dist[u];
-      ++pairs;
-    }
-  }
-  out.average_distance = pairs > 0 ? sum / static_cast<double>(pairs) : 0.0;
-  return out;
-}
-
-/// Per-edge shortest-path load: how many ordered (s, t) shortest paths use
-/// each edge, one shortest path per pair (Dijkstra parent tree).  A cheap
-/// edge-betweenness proxy that predicts which physical links saturate
-/// first under uniformly spread traffic.
-[[nodiscard]] inline std::vector<std::size_t> shortest_path_edge_load(
-    const Graph& g) {
-  std::vector<std::size_t> load(g.edge_count(), 0);
-  const std::size_t n = g.node_count();
-  auto unit = [](EdgeId) { return 1.0; };
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto src = NodeId{static_cast<NodeId::underlying_type>(s)};
-    const auto sp = dijkstra(g, src, unit);
-    for (std::size_t t = 0; t < n; ++t) {
-      if (t == s) continue;
-      const auto dst = NodeId{static_cast<NodeId::underlying_type>(t)};
-      if (!sp.reachable(dst)) continue;
-      NodeId cur = dst;
-      while (cur != src) {
-        const EdgeId e = sp.parent_edge[cur.index()];
-        ++load[e.index()];
-        cur = g.endpoints(e).other(cur);
-      }
-    }
-  }
-  return load;
-}
 
 /// Articulation points (cut vertices): nodes whose removal disconnects
 /// their component.  For a cluster these are the *critical hosts/switches*
@@ -112,19 +49,6 @@ struct DistanceMetrics {
     if (components > 1) out.push_back(removed);
   }
   return out;
-}
-
-/// Degree histogram: result[d] = number of nodes with degree d.
-[[nodiscard]] inline std::vector<std::size_t> degree_histogram(
-    const Graph& g) {
-  std::vector<std::size_t> hist;
-  for (std::size_t v = 0; v < g.node_count(); ++v) {
-    const std::size_t d =
-        g.degree(NodeId{static_cast<NodeId::underlying_type>(v)});
-    if (d >= hist.size()) hist.resize(d + 1, 0);
-    ++hist[d];
-  }
-  return hist;
 }
 
 }  // namespace hmn::graph

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace hmn::io {
@@ -16,6 +18,17 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 double JsonValue::number_or(const std::string& key, double fallback) const {
   const JsonValue* v = find(key);
   return v != nullptr && v->is_number() ? v->as_number() : fallback;
+}
+
+std::optional<std::uint32_t> json_u32(const JsonValue& v) {
+  if (!v.is_number()) return std::nullopt;
+  const double d = v.as_number();
+  // floor(d) < d exactly when a finite d has a fractional part.
+  if (!std::isfinite(d) || d < 0.0 || std::floor(d) < d ||
+      d > static_cast<double>(std::numeric_limits<std::uint32_t>::max())) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(d);
 }
 
 namespace {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -79,6 +80,11 @@ class JsonValue {
  private:
   Storage value_;
 };
+
+/// `v` as a whole number in [0, 2^32): the one reader of JSON ids and
+/// counts.  nullopt for a non-number and for 0.5, -1, 1e300 or 4294967296,
+/// so no caller casts a double that does not fit.
+[[nodiscard]] std::optional<std::uint32_t> json_u32(const JsonValue& v);
 
 struct JsonParseError {
   std::string message;

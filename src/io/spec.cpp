@@ -47,6 +47,27 @@ bool require_nonnegative(const JsonValue& obj, const std::string& key,
   return true;
 }
 
+/// Fetches a required member holding an id below `limit` (a node or guest
+/// count), read with json_u32: a fraction, a negative or a value beyond
+/// 2^32 is refused before any cast.
+bool require_id(const JsonValue& obj, const std::string& key,
+                std::size_t limit, std::uint32_t& out, std::string& error,
+                const std::string& context) {
+  const JsonValue* v = obj.find(key);
+  const std::optional<std::uint32_t> id =
+      v == nullptr ? std::nullopt : json_u32(*v);
+  if (!id) {
+    error = context + ": \"" + key + "\" must be a whole-number id";
+    return false;
+  }
+  if (*id >= limit) {
+    error = context + ": endpoint out of range";
+    return false;
+  }
+  out = *id;
+  return true;
+}
+
 }  // namespace
 
 std::variant<model::PhysicalCluster, SpecError> load_cluster_json(
@@ -82,8 +103,7 @@ std::variant<model::PhysicalCluster, SpecError> load_cluster_json(
       return SpecError{context + ": role must be \"host\" or \"switch\""};
     }
     if (const JsonValue* id = node.find("id");
-        id != nullptr && id->is_number() &&
-        static_cast<std::size_t>(id->as_number()) != i) {
+        id != nullptr && json_u32(*id) != i) {
       return SpecError{context + ": ids must be dense and in order"};
     }
     topo.role.push_back(is_host ? topology::NodeRole::kHost
@@ -105,21 +125,16 @@ std::variant<model::PhysicalCluster, SpecError> load_cluster_json(
     const JsonValue& link = links->as_array()[i];
     const std::string context = "link " + std::to_string(i);
     if (!link.is_object()) return SpecError{context + ": not an object"};
-    double a = 0, b = 0;
+    std::uint32_t a = 0, b = 0;
     model::LinkProps p;
-    if (!require_number(link, "a", a, error, context) ||
-        !require_number(link, "b", b, error, context) ||
+    if (!require_id(link, "a", topo.graph.node_count(), a, error, context) ||
+        !require_id(link, "b", topo.graph.node_count(), b, error, context) ||
         !require_nonnegative(link, "bw_mbps", p.bandwidth_mbps, error,
                              context) ||
         !require_nonnegative(link, "lat_ms", p.latency_ms, error, context)) {
       return SpecError{error};
     }
-    if (a < 0 || b < 0 || a >= static_cast<double>(topo.graph.node_count()) ||
-        b >= static_cast<double>(topo.graph.node_count())) {
-      return SpecError{context + ": endpoint out of range"};
-    }
-    topo.graph.add_edge(NodeId{static_cast<NodeId::underlying_type>(a)},
-                        NodeId{static_cast<NodeId::underlying_type>(b)});
+    topo.graph.add_edge(NodeId{a}, NodeId{b});
     props.push_back(p);
   }
 
@@ -167,23 +182,17 @@ std::variant<model::VirtualEnvironment, SpecError> load_venv_json(
     const JsonValue& link = links->as_array()[i];
     const std::string context = "virtual link " + std::to_string(i);
     if (!link.is_object()) return SpecError{context + ": not an object"};
-    double src = 0, dst = 0;
+    std::uint32_t src = 0, dst = 0;
     model::VirtualLinkDemand demand;
-    if (!require_number(link, "src", src, error, context) ||
-        !require_number(link, "dst", dst, error, context) ||
+    if (!require_id(link, "src", venv.guest_count(), src, error, context) ||
+        !require_id(link, "dst", venv.guest_count(), dst, error, context) ||
         !require_nonnegative(link, "vbw_mbps", demand.bandwidth_mbps, error,
                              context) ||
         !require_nonnegative(link, "vlat_ms", demand.max_latency_ms, error,
                              context)) {
       return SpecError{error};
     }
-    if (src < 0 || dst < 0 ||
-        src >= static_cast<double>(venv.guest_count()) ||
-        dst >= static_cast<double>(venv.guest_count())) {
-      return SpecError{context + ": endpoint out of range"};
-    }
-    venv.add_link(GuestId{static_cast<GuestId::underlying_type>(src)},
-                  GuestId{static_cast<GuestId::underlying_type>(dst)}, demand);
+    venv.add_link(GuestId{src}, GuestId{dst}, demand);
   }
   return venv;
 }
@@ -210,13 +219,12 @@ std::variant<core::Mapping, SpecError> load_mapping_json(
   }
   core::Mapping mapping;
   for (std::size_t g = 0; g < hosts->as_array().size(); ++g) {
-    const JsonValue& v = hosts->as_array()[g];
-    if (!v.is_number() || v.as_number() < 0) {
+    const std::optional<std::uint32_t> host = json_u32(hosts->as_array()[g]);
+    if (!host) {
       return SpecError{"mapping spec: guest_host[" + std::to_string(g) +
-                       "] must be a non-negative node id"};
+                       "] must be a whole-number node id"};
     }
-    mapping.guest_host.push_back(
-        NodeId{static_cast<NodeId::underlying_type>(v.as_number())});
+    mapping.guest_host.push_back(NodeId{*host});
   }
   for (std::size_t l = 0; l < paths->as_array().size(); ++l) {
     const JsonValue& path = paths->as_array()[l];
@@ -226,11 +234,12 @@ std::variant<core::Mapping, SpecError> load_mapping_json(
     }
     graph::Path edges;
     for (const JsonValue& e : path.as_array()) {
-      if (!e.is_number() || e.as_number() < 0) {
+      const std::optional<std::uint32_t> edge = json_u32(e);
+      if (!edge) {
         return SpecError{"mapping spec: link_paths[" + std::to_string(l) +
                          "] contains a non-id entry"};
       }
-      edges.push_back(EdgeId{static_cast<EdgeId::underlying_type>(e.as_number())});
+      edges.push_back(EdgeId{*edge});
     }
     mapping.link_paths.push_back(std::move(edges));
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -19,6 +18,15 @@ void write_range(std::ostringstream& out, const char* name,
                  const workload::Range& r) {
   out << '"' << name << "\":[" << json_number(r.lo) << ','
       << json_number(r.hi) << ']';
+}
+
+void write_ids(std::string& out, const std::vector<std::uint32_t>& ids) {
+  out += '[';
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(ids[i]);
+  }
+  out += ']';
 }
 
 TraceParseError err(std::size_t line, std::string message) {
@@ -54,14 +62,12 @@ bool read_u32(const JsonValue& obj, const char* name, std::uint32_t& out,
     why = std::string("missing or non-numeric '") + name + "'";
     return false;
   }
-  const double d = v->as_number();
-  // hmn-lint: allow(float-eq, exact integrality check; floor(d) == d iff d is a whole number)
-  if (!std::isfinite(d) || d < 0.0 || d != std::floor(d) ||
-      d > static_cast<double>(std::numeric_limits<std::uint32_t>::max())) {
+  const std::optional<std::uint32_t> id = json_u32(*v);
+  if (!id) {
     why = std::string("'") + name + "' must be an integer in [0, 2^32)";
     return false;
   }
-  out = static_cast<std::uint32_t>(d);
+  out = *id;
   return true;
 }
 
@@ -104,17 +110,13 @@ bool read_group(const JsonValue& obj, const char* name,
   out.clear();
   out.reserve(arr.size());
   for (std::size_t i = 0; i < arr.size(); ++i) {
-    const JsonValue& m = arr[i];
-    const double d = m.is_number() ? m.as_number() : -1.0;
-    // hmn-lint: allow(float-eq, exact integrality check; floor(d) == d iff d is a whole number)
-    const bool whole = m.is_number() && std::isfinite(d) && d == std::floor(d);
-    if (!whole || d < 0.0 ||
-        d > static_cast<double>(std::numeric_limits<std::uint32_t>::max())) {
+    const std::optional<std::uint32_t> member = json_u32(arr[i]);
+    if (!member) {
       why = std::string("'") + name + "' member at offset " +
             std::to_string(i) + " must be an integer in [0, 2^32)";
       return false;
     }
-    const auto id = static_cast<std::uint32_t>(d);
+    const std::uint32_t id = *member;
     if (!out.empty() && id <= out.back()) {
       why = std::string("duplicate or unsorted member ") + std::to_string(id) +
             " in '" + name + "' at offset " + std::to_string(i);
@@ -126,6 +128,45 @@ bool read_group(const JsonValue& obj, const char* name,
 }
 
 }  // namespace
+
+std::string event_json(const workload::TenantEvent& ev) {
+  std::string out = "{\"t\":" + json_number(ev.time) + ",\"ev\":\"" +
+                    workload::to_string(ev.kind) + '"';
+  if (ev.kind == workload::EventKind::kBlastFail ||
+      ev.kind == workload::EventKind::kBlastRecover ||
+      ev.kind == workload::EventKind::kPowerFail ||
+      ev.kind == workload::EventKind::kPowerRecover) {
+    out += ",\"element\":" + std::to_string(ev.element) + ",\"hosts\":";
+    write_ids(out, ev.group_hosts);
+    out += ",\"links\":";
+    write_ids(out, ev.group_links);
+    return out + '}';
+  }
+  if (workload::is_failure_event(ev.kind)) {
+    return out + ",\"element\":" + std::to_string(ev.element) + '}';
+  }
+  out += ",\"tenant\":" + std::to_string(ev.tenant);
+  if (ev.kind == workload::EventKind::kArrive) {
+    out += ",\"guests\":" + std::to_string(ev.guest_count) +
+           ",\"density\":" + json_number(ev.density) + ",\"seed\":\"" +
+           std::to_string(ev.seed) + '"';
+    // Tier and replicas are written only when non-default.
+    if (ev.sla_tier != model::SlaTier::kStandard) {
+      out += ",\"tier\":\"";
+      out += model::to_string(ev.sla_tier);
+      out += '"';
+    }
+    if (ev.replica_n > 0) {
+      out += ",\"replica_n\":" + std::to_string(ev.replica_n) +
+             ",\"replica_k\":" + std::to_string(ev.replica_k);
+    }
+  } else if (ev.kind == workload::EventKind::kGrow) {
+    out += ",\"add_guests\":" + std::to_string(ev.add_guests) +
+           ",\"add_links\":" + std::to_string(ev.add_links) +
+           ",\"seed\":\"" + std::to_string(ev.seed) + '"';
+  }
+  return out + '}';
+}
 
 std::string write_trace(const workload::ChurnTrace& trace) {
   std::ostringstream out;
@@ -145,54 +186,7 @@ std::string write_trace(const workload::ChurnTrace& trace) {
   out << "}}\n";
 
   for (const workload::TenantEvent& ev : trace.events) {
-    out << "{\"t\":" << json_number(ev.time) << ",\"ev\":\""
-        << workload::to_string(ev.kind) << '"';
-    if (ev.kind == workload::EventKind::kBlastFail ||
-        ev.kind == workload::EventKind::kBlastRecover ||
-        ev.kind == workload::EventKind::kPowerFail ||
-        ev.kind == workload::EventKind::kPowerRecover) {
-      out << ",\"element\":" << ev.element << ",\"hosts\":[";
-      for (std::size_t i = 0; i < ev.group_hosts.size(); ++i) {
-        if (i != 0) out << ',';
-        out << ev.group_hosts[i];
-      }
-      out << "],\"links\":[";
-      for (std::size_t i = 0; i < ev.group_links.size(); ++i) {
-        if (i != 0) out << ',';
-        out << ev.group_links[i];
-      }
-      out << "]}\n";
-      continue;
-    }
-    if (workload::is_failure_event(ev.kind)) {
-      out << ",\"element\":" << ev.element << "}\n";
-      continue;
-    }
-    out << ",\"tenant\":" << ev.tenant;
-    switch (ev.kind) {
-      case workload::EventKind::kArrive:
-        out << ",\"guests\":" << ev.guest_count
-            << ",\"density\":" << json_number(ev.density)
-            << ",\"seed\":\"" << ev.seed << '"';
-        // v4 additions, written only when non-default so a tier-less,
-        // replica-less trace stays byte-identical to its v3 body.
-        if (ev.sla_tier != model::SlaTier::kStandard) {
-          out << ",\"tier\":\"" << model::to_string(ev.sla_tier) << '"';
-        }
-        if (ev.replica_n > 0) {
-          out << ",\"replica_n\":" << ev.replica_n
-              << ",\"replica_k\":" << ev.replica_k;
-        }
-        break;
-      case workload::EventKind::kGrow:
-        out << ",\"add_guests\":" << ev.add_guests
-            << ",\"add_links\":" << ev.add_links << ",\"seed\":\"" << ev.seed
-            << '"';
-        break;
-      default:
-        break;
-    }
-    out << "}\n";
+    out << event_json(ev) << '\n';
   }
   return out.str();
 }
@@ -201,7 +195,6 @@ std::variant<workload::ChurnTrace, TraceParseError> read_trace(
     std::string_view text) {
   workload::ChurnTrace trace;
   bool saw_header = false;
-  std::uint32_t version = 0;  // header-declared; gates v4-only constructs
   std::size_t line_no = 0;
   std::size_t pos = 0;
   std::unordered_set<std::uint32_t> arrived;  // tenant keys seen arriving
@@ -228,14 +221,15 @@ std::variant<workload::ChurnTrace, TraceParseError> read_trace(
           type->as_string() != "churn-trace") {
         return err(line_no, "missing churn-trace header");
       }
+      std::uint32_t version = 0;
       std::string vwhy;
       if (!read_u32(obj, "version", version, vwhy)) {
         return err(line_no, "header: " + vwhy);
       }
-      if (version < 1 || version > 4) {
+      if (version != 4) {
         return err(line_no, "unsupported trace version " +
                                 std::to_string(version) +
-                                " (this reader handles 1-4)");
+                                " (this reader reads only version 4)");
       }
       const JsonValue* profile = obj.find("profile");
       if (profile == nullptr || !profile->is_object() ||
@@ -246,8 +240,8 @@ std::variant<workload::ChurnTrace, TraceParseError> read_trace(
           !read_range(*profile, "link_lat_ms", trace.profile.link_lat_ms)) {
         return err(line_no, "malformed profile in header");
       }
-      // v3 additions, optional with backward-compatible defaults so v1/v2
-      // traces keep parsing; when present they must be well-formed.
+      // Optional (exponential MTTF and no critical links when absent);
+      // when present they must be well-formed.
       if (const JsonValue* dist = obj.find("mttf_dist"); dist != nullptr) {
         if (!dist->is_string()) {
           return err(line_no, "header: mttf_dist must be a string");
@@ -289,34 +283,21 @@ std::variant<workload::ChurnTrace, TraceParseError> read_trace(
     }
     const std::string& k = kind->as_string();
     std::string why;
-    // v4 field discipline (the v2 hardening standard: nothing malformed
-    // skips quietly).  Tier / replica declarations belong to arrive lines
-    // of version-4 traces only; anywhere else they signal a corrupted or
+    // Nothing malformed skips quietly: tier / replica declarations belong
+    // to arrive lines only; anywhere else they signal a corrupted or
     // hand-mangled trace and are rejected with the field named, not
     // silently ignored.
     for (const char* name : {"tier", "replica_n", "replica_k"}) {
-      if (obj.find(name) == nullptr) continue;
-      if (k != "arrive") {
+      if (obj.find(name) != nullptr && k != "arrive") {
         return err(line_no, "'" + std::string(name) +
                                 "' is only valid on arrive events (found on "
                                 "a " +
                                 k + " line)");
       }
-      if (version < 4) {
-        return err(line_no, "'" + std::string(name) +
-                                "' requires trace version 4 (header "
-                                "declares " +
-                                std::to_string(version) + ")");
-      }
     }
     if (k == "blast-fail" || k == "blast-recover" || k == "power-fail" ||
         k == "power-recover") {
       const bool power = k == "power-fail" || k == "power-recover";
-      if (power && version < 4) {
-        return err(line_no, k + " events require trace version 4 (header "
-                                "declares " +
-                                std::to_string(version) + ")");
-      }
       ev.kind = k == "blast-fail"      ? workload::EventKind::kBlastFail
                 : k == "blast-recover" ? workload::EventKind::kBlastRecover
                 : k == "power-fail"    ? workload::EventKind::kPowerFail
@@ -371,8 +352,7 @@ std::variant<workload::ChurnTrace, TraceParseError> read_trace(
         return err(line_no, "duplicate arrive for tenant " +
                                 std::to_string(ev.tenant));
       }
-      // v4 additions, optional with backward-compatible defaults
-      // (standard tier, no replicas) so v1-v3 arrive lines keep parsing.
+      // Optional: standard tier and no replicas when absent.
       if (const JsonValue* tier = obj.find("tier"); tier != nullptr) {
         if (!tier->is_string()) {
           return err(line_no, "arrive event: tier must be a string");

@@ -12,15 +12,12 @@
 //   {"t":4.02,"ev":"blast-fail","element":40,"hosts":[0,1,2],"links":[0,1,2,3]}
 //   {"t":6.10,"ev":"power-fail","element":1,"hosts":[1,5],"links":[0,4]}
 //
-// Format history: v1 churn only; v2 added per-element failure lines; v3
-// adds correlated blast groups (member lists on the line), the MTTF
-// distribution tag in the header, and `critical_link_fraction` in the
-// profile; v4 adds the SLA tier tag and k-of-n replica spec on arrive
-// lines (written only when non-default) and correlated power-domain
-// events, whose `element` is a *power-domain id*, not a node id.  The
-// parser accepts v1–v4 (every addition is optional with a
-// backward-compatible default, so a v3 reader's trace parses unchanged)
-// and rejects anything else.
+// The format is version 4, the only version the writer emits and the only
+// one the reader accepts; any other version is refused with a message
+// naming it.  Versions 1-3 lack some of the failure, blast, power, tier
+// and replica fields above.  The tier and replica fields are written only
+// when non-default.  A power event's `element` is a *power-domain id*, not
+// a node id.
 //
 // Seeds are 64-bit and therefore serialized as decimal *strings* — a JSON
 // number is a double and silently loses bits above 2^53.  Numbers are
@@ -41,6 +38,11 @@ namespace hmn::io {
 /// Serializes a trace to JSONL (header line + one line per event, each
 /// '\n'-terminated).
 [[nodiscard]] std::string write_trace(const workload::ChurnTrace& trace);
+
+/// One event as the JSON object write_trace puts on its line, without the
+/// newline.  The journal's readable view (recovery::journal_to_jsonl)
+/// embeds the same object in each EVENT_BEGIN line.
+[[nodiscard]] std::string event_json(const workload::TenantEvent& ev);
 
 struct TraceParseError {
   std::string message;

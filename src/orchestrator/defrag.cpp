@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/migration.h"
 #include "core/networking.h"
 #include "core/objective.h"
 #include "core/residual.h"
@@ -11,8 +12,7 @@
 
 namespace hmn::orchestrator {
 
-DefragResult run_defrag(emulator::TenancyManager& mgr,
-                        const DefragOptions& opts) {
+DefragResult run_defrag(emulator::TenancyManager& mgr) {
   DefragResult result;
   result.lbf_before = core::load_balance_factor(mgr.residual_host_proc());
   result.lbf_after = result.lbf_before;
@@ -63,7 +63,8 @@ DefragResult run_defrag(emulator::TenancyManager& mgr,
   util::Timer stage;
   core::ResidualState state(mgr.cluster(), combined, placement);
   const core::MigrationResult moved = core::run_migration(
-      combined, state, placement.guest_host, opts.migration);
+      combined, state, placement.guest_host,
+      {.victim = core::VictimPolicy::kBestImprovement});
   result.migrations = moved.migrations;
   result.migration_seconds = stage.elapsed_seconds();
 

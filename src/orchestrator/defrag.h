@@ -24,15 +24,9 @@
 #include <cstddef>
 #include <string>
 
-#include "core/migration.h"
 #include "emulator/tenancy.h"
 
 namespace hmn::orchestrator {
-
-struct DefragOptions {
-  core::MigrationOptions migration{
-      .victim = core::VictimPolicy::kBestImprovement};
-};
 
 struct DefragResult {
   bool committed = false;
@@ -49,14 +43,14 @@ struct DefragResult {
 
 /// Runs one defragmentation pass over every tenant of `mgr`.  Running
 /// tenants are never *lost*: on any infeasibility the pass aborts and the
-/// manager is untouched.  The re-route works on the Migration stage's own
-/// residual state: the aggregate placement carries no paths, so every
-/// link's residual bandwidth there is its capacity, and Migration changes
-/// only CPU, memory and storage, which routing never reads.  It borrows
-/// mgr.latency_tables(): it routes on mgr.cluster() with no dead-edge
-/// mask, which is exactly what those tables describe.  The routed paths
-/// are moved into the committed mappings, not copied.
-[[nodiscard]] DefragResult run_defrag(emulator::TenancyManager& mgr,
-                                      const DefragOptions& opts = {});
+/// manager is untouched.  Migration runs the kBestImprovement victim
+/// policy with no cap on moves.  The re-route works on the Migration
+/// stage's own residual state: the aggregate placement carries no paths,
+/// so every link's residual bandwidth there is its capacity, and Migration
+/// changes only CPU, memory and storage, which routing never reads.  It
+/// borrows mgr.latency_tables(): it routes on mgr.cluster() with no
+/// dead-edge mask, which is exactly what those tables describe.  The
+/// routed paths are moved into the committed mappings, not copied.
+[[nodiscard]] DefragResult run_defrag(emulator::TenancyManager& mgr);
 
 }  // namespace hmn::orchestrator

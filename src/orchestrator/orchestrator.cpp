@@ -1,10 +1,14 @@
 #include "orchestrator/orchestrator.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "core/mapping.h"
 #include "core/objective.h"
 #include "util/fnv1a.h"
 #include "util/rng.h"
@@ -110,11 +114,7 @@ void Orchestrator::observe_failure_event(const workload::TenantEvent& ev) {
 std::uint64_t Orchestrator::placement_hash(emulator::TenantId id) const {
   const emulator::Tenant* tenant = mgr_.tenant(id);
   if (tenant == nullptr) return 0;
-  std::uint64_t h = util::kFnv1aBasis;
-  for (const NodeId n : tenant->mapping.guest_host) {
-    h = util::fnv1a_mix(h, n.value());
-  }
-  return h;
+  return core::placement_hash(tenant->mapping.guest_host);
 }
 
 void Orchestrator::record(EventDecision decision) {
@@ -160,7 +160,7 @@ void Orchestrator::maybe_defrag(double now) {
   const std::size_t k = opts_.defrag_every_departures;
   if (k == 0 || departures_ % k != 0) return;
   const util::Timer timer;
-  const DefragResult pass = run_defrag(mgr_, opts_.defrag);
+  const DefragResult pass = run_defrag(mgr_);
   report_.defrag.total_seconds += timer.elapsed_seconds();
   report_.defrag.migration_seconds += pass.migration_seconds;
   report_.defrag.reroute_seconds += pass.reroute_seconds;
@@ -514,6 +514,22 @@ Orchestrator::State Orchestrator::export_state() const {
 }
 
 void Orchestrator::restore_state(State state) {
+  // GROW and DEPART look a live key's tenant up unchecked, so every key
+  // must name a tenant the state holds.
+  std::vector<emulator::TenantId> held;
+  held.reserve(state.tenancy.tenants.size());
+  for (const emulator::Tenant& t : state.tenancy.tenants) {
+    held.push_back(t.id);
+  }
+  std::sort(held.begin(), held.end());
+  for (const auto& [key, id] : state.live) {
+    if (!std::binary_search(held.begin(), held.end(), id)) {
+      throw std::invalid_argument(
+          "restored orchestrator state: live key " + std::to_string(key) +
+          " names tenant " + std::to_string(id) +
+          ", which the state does not hold");
+    }
+  }
   mgr_.restore_state(std::move(state.tenancy));
   healer_.restore_state(std::move(state.healer));
   queue_.restore_entries(std::move(state.queue));

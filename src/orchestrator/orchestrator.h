@@ -225,7 +225,6 @@ struct LostWindow {
 struct OrchestratorOptions {
   /// Run a defrag pass after every k-th departure (0 = never).
   std::size_t defrag_every_departures = 1;
-  DefragOptions defrag;
   /// Retry-queue policy (see RetryQueue).
   std::size_t retry_max_attempts = 8;
   std::size_t max_queue = 0;
@@ -376,6 +375,9 @@ class Orchestrator {
   [[nodiscard]] State export_state() const;
   /// Restores into an orchestrator constructed with the same cluster,
   /// profile, pool, and options.  Anything currently running is discarded.
+  /// Throws std::invalid_argument, before changing anything, if a `live`
+  /// key names a tenant the state does not hold, and wherever
+  /// TenancyManager::restore_state refuses the tenancy state.
   void restore_state(State state);
 
  private:

@@ -8,8 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "core/mapping.h"
 #include "extensions/replica_spread.h"
-#include "util/fnv1a.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -33,18 +33,6 @@ namespace {
 /// under a millisecond, and E14's p99 gate needs resolution there.
 constexpr double kLatencyUpperUs = 2e5;
 constexpr std::size_t kLatencyBuckets = 4096;
-
-/// FNV-1a over the guest placement translated to parent-fabric host ids —
-/// the same fingerprint the orchestrator logs, so sharded and flat runs
-/// hash comparably.
-std::uint64_t parent_placement_hash(const topology::ClusterShard& shard,
-                                    const std::vector<NodeId>& local_hosts) {
-  std::uint64_t h = util::kFnv1aBasis;
-  for (const NodeId local : local_hosts) {
-    h = util::fnv1a_mix(h, shard.parent_node(local).value());
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -226,8 +214,13 @@ std::vector<RouterDecision> PlacementRouter::admit_batch(
           decisions[i].admitted = true;
           decisions[i].shard = static_cast<std::int32_t>(s);
           admitted_id[i] = *res.tenant;
-          decisions[i].placement_hash = parent_placement_hash(
-              *st.shard, st.mgr.tenant(*res.tenant)->mapping.guest_host);
+          // Hashed over parent-fabric host ids, as core::placement_hash
+          // documents.
+          const auto& local = st.mgr.tenant(*res.tenant)->mapping.guest_host;
+          std::vector<NodeId> parent(local.size());
+          std::transform(local.begin(), local.end(), parent.begin(),
+                         [&](NodeId h) { return st.shard->parent_node(h); });
+          decisions[i].placement_hash = core::placement_hash(parent);
         } else {
           decisions[i].error = res.error;
         }
@@ -267,15 +260,21 @@ std::vector<RouterDecision> PlacementRouter::admit_batch(
   }
 
   // Serial epilogue: registry, log, latency accounting, fresh headroom.
+  // A rejected admission commits nothing, so only the shards that admitted
+  // a request have a new headroom.
+  std::vector<bool> changed(shards_.size(), false);
   for (std::size_t i = 0; i < n; ++i) {
     if (decisions[i].admitted) {
-      placements_[batch[i].key] = {static_cast<std::size_t>(decisions[i].shard),
-                                   admitted_id[i]};
+      const auto s = static_cast<std::size_t>(decisions[i].shard);
+      placements_[batch[i].key] = {s, admitted_id[i]};
+      changed[s] = true;
     }
     latency_.add(decisions[i].latency_us);
     log_.push_back(decisions[i]);
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) refresh_headroom(s);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (changed[s]) refresh_headroom(s);
+  }
   return decisions;
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "io/binfmt.h"
+#include "io/trace.h"
 #include "recovery/checkpoint.h"
 
 namespace hmn::recovery {
@@ -202,19 +203,8 @@ std::string journal_to_jsonl(std::string_view data) {
     out += '"';
     switch (rec.type) {
       case RecordType::kEventBegin:
-        std::snprintf(buf, sizeof(buf),
-                      ",\"event\":%" PRIu64
-                      ",\"time\":%.17g,\"kind\":\"%s\",\"tenant\":%u",
-                      rec.event_index, rec.event.time,
-                      workload::to_string(rec.event.kind), rec.event.tenant);
-        out += buf;
-        if (rec.event.kind == workload::EventKind::kArrive) {
-          std::snprintf(buf, sizeof(buf),
-                        ",\"guests\":%zu,\"tier\":\"%s\"",
-                        rec.event.guest_count,
-                        model::to_string(rec.event.sla_tier));
-          out += buf;
-        }
+        out += ",\"event\":" + std::to_string(rec.event_index) +
+               ",\"trace_event\":" + io::event_json(rec.event);
         break;
       case RecordType::kTxn:
         std::snprintf(buf, sizeof(buf),

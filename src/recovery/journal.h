@@ -159,9 +159,12 @@ struct JournalParse {
 [[nodiscard]] JournalParse parse_journal(std::string_view data);
 
 /// Renders a journal as JSONL for humans — one object per record, with a
-/// final {"type":"torn-tail",...} line when the tail was torn.  Checkpoint
-/// records render as size + metadata, not the full state.  Throws
-/// RecoveryError exactly where parse_journal would.
+/// final {"type":"torn-tail",...} line when the tail was torn.  An
+/// EVENT_BEGIN line ends with "trace_event", the event's full object as
+/// io::write_trace writes it, so a write_trace header followed by those
+/// objects reads back as the journaled events.  Checkpoint records render
+/// as size + metadata, not the full state.  Throws RecoveryError exactly
+/// where parse_journal would.
 [[nodiscard]] std::string journal_to_jsonl(std::string_view data);
 
 struct WalOptions {

@@ -1,6 +1,8 @@
 // Tests for the multi-tenant testbed manager.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/validator.h"
 #include "emulator/tenancy.h"
 #include "testing/fixtures.h"
@@ -32,6 +34,36 @@ TEST(Tenancy, AdmitsAndTracksTenant) {
   EXPECT_TRUE(core::validate_mapping(mgr.cluster(), tenant->venv,
                                      tenant->mapping)
                   .ok());
+}
+
+TEST(Tenancy, RestoreRefusesIdsTheClusterLacks) {
+  // A checkpoint decodes without a cluster to check ids against, so
+  // restore refuses a mapping naming a node or link this cluster lacks,
+  // and failure masks of another length, before applying any of it.
+  TenancyManager live(line_cluster(3));
+  ASSERT_TRUE(live.admit("a", pair_venv(), 1).ok());
+  const TenancyManager::State good = live.export_state();
+  auto refused = [](const TenancyManager::State& state) {
+    TenancyManager mgr(line_cluster(3));
+    EXPECT_THROW(mgr.restore_state(state), std::invalid_argument);
+    EXPECT_EQ(mgr.tenant_count(), 0u);
+  };
+  TenancyManager::State far_host = good;
+  far_host.tenants[0].mapping.guest_host[0] = NodeId{100000};
+  refused(far_host);
+  TenancyManager::State far_link = good;
+  far_link.tenants[0].mapping.link_paths[0].push_back(EdgeId{100000});
+  refused(far_link);
+  TenancyManager::State short_nodes = good;
+  short_nodes.node_down.pop_back();
+  refused(short_nodes);
+  TenancyManager::State long_links = good;
+  long_links.edge_down.push_back(true);
+  refused(long_links);
+
+  TenancyManager restored(line_cluster(3));
+  restored.restore_state(good);
+  EXPECT_EQ(restored.tenant_count(), 1u);
 }
 
 TEST(Tenancy, DistinctIdsPerTenant) {

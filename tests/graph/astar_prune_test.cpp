@@ -18,7 +18,6 @@ using graph::AStarPruneOptions;
 using graph::ConstrainedPath;
 using graph::Graph;
 using graph::astar_prune_bottleneck;
-using graph::astar_prune_ksp;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -347,127 +346,6 @@ TEST(AStarPrune, DominancePruningPreservesOptimum) {
     ASSERT_EQ(a.has_value(), b.has_value()) << "trial " << trial;
     if (a.has_value()) {
       EXPECT_NEAR(a->bottleneck_bw, b->bottleneck_bw, 1e-9);
-    }
-  }
-}
-
-// ---- General K-shortest-paths A*Prune.
-
-TEST(AStarPruneKsp, EnumeratesInLengthOrder) {
-  TestNet net(4);
-  net.edge(0, 1, 1, 1);  // lengths: 0-1-3 = 3, 0-2-3 = 5, 0-1-2-3? no edge
-  net.edge(1, 3, 1, 2);
-  net.edge(0, 2, 1, 2);
-  net.edge(2, 3, 1, 3);
-  const auto paths =
-      astar_prune_ksp(net.g, n(0), n(3), 5, net.lat_fn(), {});
-  ASSERT_EQ(paths.size(), 2u);
-  EXPECT_DOUBLE_EQ(paths[0].total_latency, 3.0);
-  EXPECT_DOUBLE_EQ(paths[1].total_latency, 5.0);
-}
-
-TEST(AStarPruneKsp, KZeroEmpty) {
-  TestNet net(2);
-  net.edge(0, 1, 1, 1);
-  EXPECT_TRUE(astar_prune_ksp(net.g, n(0), n(1), 0, net.lat_fn(), {}).empty());
-}
-
-TEST(AStarPruneKsp, SameNodeTrivialPath) {
-  TestNet net(1);
-  const auto paths = astar_prune_ksp(net.g, n(0), n(0), 3, net.lat_fn(), {});
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_TRUE(paths[0].edges.empty());
-}
-
-TEST(AStarPruneKsp, ConstraintPrunesPaths) {
-  TestNet net(3);
-  net.edge(0, 1, 1, 1);
-  net.edge(1, 2, 1, 1);
-  net.edge(0, 2, 1, 5);
-  // Additive constraint: "cost" of 1 per edge, bounded at 1 -> only the
-  // direct (single-edge) path qualifies, despite larger length.
-  graph::AdditiveConstraint cost;
-  cost.weight.assign(net.g.edge_count(), 1.0);
-  cost.bound = 1.0;
-  const auto paths =
-      astar_prune_ksp(net.g, n(0), n(2), 5, net.lat_fn(), {cost});
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].edges.size(), 1u);
-}
-
-TEST(AStarPruneKsp, MatchesBruteForceEnumeration) {
-  // Property: on random graphs, the K shortest constrained paths match an
-  // exhaustive enumeration of all simple paths, sorted by length, after
-  // filtering by the additive constraint.
-  hmn::util::Rng rng(2024);
-  for (int trial = 0; trial < 10; ++trial) {
-    TestNet net(8);
-    net.g = topology::random_connected_graph(8, 0.35, rng);
-    std::vector<double> cost(net.g.edge_count());
-    for (std::size_t e = 0; e < net.g.edge_count(); ++e) {
-      net.bw.push_back(1.0);
-      net.lat.push_back(rng.uniform(0.5, 3.0));
-      cost[e] = rng.uniform(0.1, 2.0);
-    }
-    graph::AdditiveConstraint constraint{cost, rng.uniform(2.0, 6.0)};
-
-    // Brute force: every simple 0->7 path whose cost fits, lengths sorted.
-    std::vector<double> lengths;
-    std::vector<bool> visited(8, false);
-    auto rec = [&](auto&& self, NodeId u, double len, double acc) -> void {
-      if (u == n(7)) {
-        lengths.push_back(len);
-        return;
-      }
-      for (const auto& adj : net.g.neighbors(u)) {
-        if (visited[adj.neighbor.index()]) continue;
-        const double nacc = acc + cost[adj.edge.index()];
-        if (nacc > constraint.bound) continue;
-        visited[adj.neighbor.index()] = true;
-        self(self, adj.neighbor, len + net.lat[adj.edge.index()], nacc);
-        visited[adj.neighbor.index()] = false;
-      }
-    };
-    visited[0] = true;
-    rec(rec, n(0), 0.0, 0.0);
-    std::sort(lengths.begin(), lengths.end());
-
-    const std::size_t k = std::min<std::size_t>(6, lengths.size() + 1);
-    const auto paths =
-        astar_prune_ksp(net.g, n(0), n(7), k, net.lat_fn(), {constraint});
-    ASSERT_EQ(paths.size(), std::min(k, lengths.size())) << "trial " << trial;
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      EXPECT_NEAR(paths[i].total_latency, lengths[i], 1e-9)
-          << "trial " << trial << " path " << i;
-      // Constraint really holds on the returned edges.
-      double acc = 0.0;
-      for (const EdgeId e : paths[i].edges) acc += cost[e.index()];
-      EXPECT_LE(acc, constraint.bound + 1e-9);
-    }
-  }
-}
-
-TEST(AStarPruneKsp, AllPathsSimpleAndSorted) {
-  hmn::util::Rng rng(99);
-  TestNet net(9);
-  net.g = topology::random_connected_graph(9, 0.4, rng);
-  for (std::size_t e = 0; e < net.g.edge_count(); ++e) {
-    net.bw.push_back(1.0);
-    net.lat.push_back(rng.uniform(0.5, 2.0));
-  }
-  const auto paths =
-      astar_prune_ksp(net.g, n(0), n(8), 10, net.lat_fn(), {});
-  ASSERT_FALSE(paths.empty());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    EXPECT_TRUE(graph::path_is_simple(net.g, n(0), n(8), paths[i].edges));
-    if (i > 0) {
-      EXPECT_GE(paths[i].total_latency, paths[i - 1].total_latency);
-    }
-  }
-  // Distinct paths.
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    for (std::size_t j = i + 1; j < paths.size(); ++j) {
-      EXPECT_NE(paths[i].edges, paths[j].edges);
     }
   }
 }

@@ -1,4 +1,4 @@
-// Tests for Dijkstra shortest paths and the widest-path variant.
+// Tests for Dijkstra shortest paths.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -130,27 +130,6 @@ TEST(Dijkstra, TorusDistancesMatchManhattanWithWrap) {
       EXPECT_DOUBLE_EQ(sp.dist[4 * r + c], dr + dc) << "node " << 4 * r + c;
     }
   }
-}
-
-TEST(WidestPath, PicksMaxBottleneck) {
-  WeightedGraph wg;  // weights double as capacities here
-  wg.g = Graph(3);
-  wg.edge(0, 2, 1.0);   // direct but narrow
-  wg.edge(0, 1, 10.0);
-  wg.edge(1, 2, 8.0);
-  const auto widths =
-      graph::widest_path_capacities(wg.g, n(0), wg.weight_fn());
-  EXPECT_DOUBLE_EQ(widths[0], kInf);
-  EXPECT_DOUBLE_EQ(widths[1], 10.0);
-  EXPECT_DOUBLE_EQ(widths[2], 8.0);  // via node 1, not the 1.0 direct edge
-}
-
-TEST(WidestPath, UnreachableIsZero) {
-  WeightedGraph wg;
-  wg.g = Graph(2);
-  const auto widths =
-      graph::widest_path_capacities(wg.g, n(0), wg.weight_fn());
-  EXPECT_DOUBLE_EQ(widths[1], 0.0);
 }
 
 // Property: on random graphs, Dijkstra distances satisfy the triangle

@@ -1,7 +1,6 @@
-// Tests for graph structural metrics.
+// Tests for graph::articulation_points.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <set>
 
 #include "graph/metrics.h"
@@ -11,63 +10,6 @@
 namespace {
 
 using namespace hmn;
-using graph::degree_histogram;
-using graph::distance_metrics;
-using graph::shortest_path_edge_load;
-
-TEST(DistanceMetrics, TrivialGraphs) {
-  EXPECT_DOUBLE_EQ(distance_metrics(graph::Graph(0)).diameter, 0.0);
-  EXPECT_DOUBLE_EQ(distance_metrics(graph::Graph(1)).diameter, 0.0);
-}
-
-TEST(DistanceMetrics, LineDiameter) {
-  const auto t = topology::line(5);
-  const auto m = distance_metrics(t.graph);
-  EXPECT_DOUBLE_EQ(m.diameter, 4.0);
-  EXPECT_TRUE(m.connected);
-  // Mean distance over ordered pairs of P5: 2 * (4*1+3*2+2*3+1*4) / 20 = 2.
-  EXPECT_DOUBLE_EQ(m.average_distance, 2.0);
-}
-
-TEST(DistanceMetrics, PaperTorusDiameter) {
-  const auto t = topology::torus_2d(8, 5);
-  EXPECT_DOUBLE_EQ(distance_metrics(t.graph).diameter, 6.0);
-}
-
-TEST(DistanceMetrics, SwitchedClusterDiameter) {
-  const auto t = topology::switched(40, 64);
-  EXPECT_DOUBLE_EQ(distance_metrics(t.graph).diameter, 2.0);
-}
-
-TEST(DistanceMetrics, DisconnectedFlagged) {
-  graph::Graph g(3);
-  g.add_edge(NodeId{0}, NodeId{1});
-  const auto m = distance_metrics(g);
-  EXPECT_FALSE(m.connected);
-  EXPECT_DOUBLE_EQ(m.diameter, 1.0);  // within the reachable component
-}
-
-TEST(EdgeLoad, StarConcentratesOnSpokes) {
-  const auto t = topology::star(4);  // 4 hosts + hub
-  const auto load = shortest_path_edge_load(t.graph);
-  // Every ordered host pair (12) crosses two spokes; plus host<->hub pairs.
-  // Each spoke carries: 2 * 3 ordered pairs through it * 1 + 2 (to/from
-  // hub) = 8.
-  for (const std::size_t l : load) EXPECT_EQ(l, 8u);
-}
-
-TEST(EdgeLoad, LineMiddleEdgeHottest) {
-  const auto t = topology::line(5);
-  const auto load = shortest_path_edge_load(t.graph);
-  // Edges in order: (0,1),(1,2),(2,3),(3,4); middle edges carry the most.
-  EXPECT_GT(load[1], load[0]);
-  EXPECT_GT(load[2], load[3]);
-  EXPECT_EQ(load[1], load[2]);
-  // Total crossings = sum over ordered pairs of distance = n(n-1) * mean.
-  const auto m = distance_metrics(t.graph);
-  const double total = std::accumulate(load.begin(), load.end(), 0.0);
-  EXPECT_DOUBLE_EQ(total, 20.0 * m.average_distance);
-}
 
 TEST(ArticulationPoints, LineInteriorNodesAreCuts) {
   const auto t = topology::line(5);
@@ -135,25 +77,6 @@ TEST(ArticulationPoints, MatchesBruteForceComponentCount) {
           << "node " << v << " trial " << trial;
     }
   }
-}
-
-TEST(DegreeHistogram, TorusAllDegreeFour) {
-  const auto t = topology::torus_2d(4, 4);
-  const auto hist = degree_histogram(t.graph);
-  ASSERT_EQ(hist.size(), 5u);
-  EXPECT_EQ(hist[4], 16u);
-  for (int d = 0; d < 4; ++d) EXPECT_EQ(hist[static_cast<std::size_t>(d)], 0u);
-}
-
-TEST(DegreeHistogram, StarShape) {
-  const auto t = topology::star(6);
-  const auto hist = degree_histogram(t.graph);
-  EXPECT_EQ(hist[1], 6u);  // hosts
-  EXPECT_EQ(hist[6], 1u);  // hub
-}
-
-TEST(DegreeHistogram, EmptyGraph) {
-  EXPECT_TRUE(degree_histogram(graph::Graph(0)).empty());
 }
 
 }  // namespace

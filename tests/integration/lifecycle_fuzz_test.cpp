@@ -30,7 +30,9 @@ TEST_P(SessionFuzz, RandomOperationSequencesKeepInvariants) {
   util::Rng rng(util::derive_seed(31337, seed));
   const auto cluster =
       workload::make_paper_cluster(workload::ClusterKind::kTorus2D, seed);
-  emulator::EmulationSession session(cluster, {.seed = seed});
+  emulator::SessionConfig config;
+  config.seed = seed;
+  emulator::EmulationSession session(cluster, config);
 
   // Seed environment: a small connected core.
   std::vector<GuestId> guests;

@@ -249,6 +249,47 @@ TEST(SpecLoader, RejectsMalformedSpecs) {
             "accepted");
 }
 
+TEST(SpecLoader, IdsMustBeWholeNumbersBelow2To32) {
+  // Every id field is read with io::json_u32: a fraction is refused, not
+  // truncated to a valid id, and 1e300 or 2^32 is refused before a cast
+  // that cannot represent it.  "0" is the control: the same document
+  // loads.
+  auto refused = [](auto&& v) {
+    return std::holds_alternative<io::SpecError>(v);
+  };
+  const std::string host = R"({"proc_mips":1,"mem_mb":1,"stor_gb":1})";
+  const std::string guest = R"({"vproc_mips":1,"vmem_mb":1,"vstor_gb":1})";
+  for (const std::string id : {"0", "0.5", "1e300", "4294967296"}) {
+    SCOPED_TRACE(id);
+    const bool bad = id != "0";
+    const std::string first_node =
+        R"({"id":)" + id + R"(,"proc_mips":1,"mem_mb":1,"stor_gb":1})";
+    EXPECT_EQ(refused(io::load_cluster_json(
+                  R"({"nodes":[)" + first_node + "," + host +
+                  R"(],"links":[]})")),
+              bad);
+    auto cluster = [&](const std::string& a, const std::string& b) {
+      return R"({"nodes":[)" + host + "," + host + R"(],"links":[{"a":)" +
+             a + R"(,"b":)" + b + R"(,"bw_mbps":1,"lat_ms":1}]})";
+    };
+    EXPECT_EQ(refused(io::load_cluster_json(cluster(id, "1"))), bad);
+    EXPECT_EQ(refused(io::load_cluster_json(cluster("1", id))), bad);
+    auto venv = [&](const std::string& src, const std::string& dst) {
+      return R"({"guests":[)" + guest + "," + guest +
+             R"(],"links":[{"src":)" + src + R"(,"dst":)" + dst +
+             R"(,"vbw_mbps":1,"vlat_ms":1}]})";
+    };
+    EXPECT_EQ(refused(io::load_venv_json(venv(id, "1"))), bad);
+    EXPECT_EQ(refused(io::load_venv_json(venv("1", id))), bad);
+    EXPECT_EQ(refused(io::load_mapping_json(
+                  R"({"guest_host":[)" + id + R"(],"link_paths":[]})")),
+              bad);
+    EXPECT_EQ(refused(io::load_mapping_json(
+                  R"({"guest_host":[0],"link_paths":[[)" + id + "]]}")),
+              bad);
+  }
+}
+
 TEST(SpecLoader, MissingFileReported) {
   auto result = io::load_cluster_file("/nonexistent/path.json");
   ASSERT_TRUE(std::holds_alternative<io::SpecError>(result));

@@ -16,7 +16,7 @@ namespace {
 using namespace hmn;
 
 std::string header() {
-  return io::write_trace({workload::high_level_profile(), {}});
+  return io::write_trace({workload::high_level_profile(), {}, {}});
 }
 
 /// Parses `text`, requires a parse error, and returns it for inspection.
@@ -134,7 +134,7 @@ TEST(TraceMalformed, DensityOutsideUnitIntervalIsRejected) {
 
 TEST(TraceMalformed, FailureEventsRoundTripByteIdentical) {
   // The healthy-path counterpart: a merged churn + failure stream survives
-  // write -> read -> write byte-for-byte (current v3 format).
+  // write -> read -> write byte-for-byte.
   workload::ChurnOptions copts;
   copts.arrival_rate = 0.6;
   copts.horizon = 25.0;
@@ -156,7 +156,7 @@ TEST(TraceMalformed, FailureEventsRoundTripByteIdentical) {
   EXPECT_EQ(io::write_trace(parsed), once);
 }
 
-// --- v3 fuzz corpus: blast groups and header tags ------------------------
+// --- Blast groups and header tags ----------------------------------------
 
 std::string blast_line(const std::string& hosts, const std::string& links) {
   return "{\"t\":1,\"ev\":\"blast-fail\",\"element\":9" +
@@ -217,19 +217,25 @@ TEST(TraceMalformed, UnknownMttfDistTagIsRejected) {
 }
 
 TEST(TraceMalformed, UnsupportedVersionIsRejected) {
-  std::string h = header();
-  const auto pos = h.find("\"version\":4");
-  ASSERT_NE(pos, std::string::npos);
-  h.replace(pos, std::string("\"version\":4").size(), "\"version\":5");
-  const auto e = must_fail(h);
-  EXPECT_EQ(e.line, 1u);
-  EXPECT_TRUE(contains(e.message, "unsupported trace version 5"))
-      << e.message;
-  EXPECT_TRUE(contains(e.message, "1-4")) << e.message;
+  // Version 4 is the only version the writer emits and the reader reads;
+  // an older one is refused like a newer one, naming the version.
+  for (const char* version : {"3", "5"}) {
+    std::string h = header();
+    const auto pos = h.find("\"version\":4");
+    ASSERT_NE(pos, std::string::npos);
+    h.replace(pos, std::string("\"version\":4").size(),
+              std::string("\"version\":") + version);
+    const auto e = must_fail(h);
+    EXPECT_EQ(e.line, 1u);
+    EXPECT_TRUE(contains(e.message,
+                         std::string("unsupported trace version ") + version))
+        << e.message;
+    EXPECT_TRUE(contains(e.message, "only version 4")) << e.message;
+  }
 }
 
 TEST(TraceMalformed, BlastStreamRoundTripsByteIdentical) {
-  // Healthy v3 path: a blast-laden trace with a non-default MTTF tag and
+  // Healthy path: a blast-laden trace with a non-default MTTF tag and
   // critical-link fraction survives write -> read -> write bytewise.
   workload::ChurnOptions copts;
   copts.arrival_rate = 0.5;
@@ -260,7 +266,7 @@ TEST(TraceMalformed, BlastStreamRoundTripsByteIdentical) {
   EXPECT_EQ(io::write_trace(parsed), once);
 }
 
-// --- v4 corpus: SLA tiers, replica specs, power-domain events ------------
+// --- SLA tiers, replica specs, power-domain events ------------------------
 
 std::string arrive_line(const std::string& extra) {
   return "{\"t\":0,\"ev\":\"arrive\",\"tenant\":1,\"guests\":4,"
@@ -339,14 +345,6 @@ TEST(TraceMalformed, TierReplicaPowerStreamRoundTripsByteIdentical) {
   EXPECT_EQ(io::write_trace(parsed), once);
 }
 
-std::string v3_header() {
-  std::string h = header();
-  const auto pos = h.find("\"version\":4");
-  EXPECT_NE(pos, std::string::npos);
-  h.replace(pos, std::string("\"version\":4").size(), "\"version\":3");
-  return h;
-}
-
 TEST(TraceMalformed, TierOnNonArriveLineIsRejected) {
   // v4 field discipline: tier/replica declarations belong to arrive lines
   // only.  Anywhere else is a mangled trace and the field is named.
@@ -373,39 +371,6 @@ TEST(TraceMalformed, TierOnNonArriveLineIsRejected) {
   EXPECT_TRUE(contains(on_fail.message, "'replica_k'")) << on_fail.message;
 }
 
-TEST(TraceMalformed, TierFieldsNeedAVersion4Header) {
-  // A v3 trace carrying v4 fields is version skew, not a silent default.
-  const auto e =
-      must_fail(v3_header() + arrive_line(",\"tier\":\"gold\""));
-  EXPECT_EQ(e.line, 2u);
-  EXPECT_TRUE(contains(e.message, "'tier' requires trace version 4"))
-      << e.message;
-  EXPECT_TRUE(contains(e.message, "declares 3")) << e.message;
-
-  const auto r = must_fail(
-      v3_header() + arrive_line(",\"replica_n\":3,\"replica_k\":2"));
-  EXPECT_TRUE(contains(r.message, "'replica_n' requires trace version 4"))
-      << r.message;
-}
-
-TEST(TraceMalformed, PowerEventsNeedAVersion4Header) {
-  const auto e = must_fail(
-      v3_header() +
-      "{\"t\":1,\"ev\":\"power-fail\",\"element\":0,\"hosts\":[0],"
-      "\"links\":[0]}");
-  EXPECT_EQ(e.line, 2u);
-  EXPECT_TRUE(contains(e.message, "power-fail events require trace version 4"))
-      << e.message;
-  EXPECT_TRUE(contains(e.message, "declares 3")) << e.message;
-  // Blast events are v3 vocabulary and stay legal under a v3 header.
-  const auto ok = io::read_trace_or_throw(
-      v3_header() +
-      "{\"t\":1,\"ev\":\"blast-fail\",\"element\":9,\"hosts\":[0],"
-      "\"links\":[0]}");
-  ASSERT_EQ(ok.events.size(), 1u);
-  EXPECT_EQ(ok.events[0].kind, workload::EventKind::kBlastFail);
-}
-
 TEST(TraceMalformed, EmptyPowerGroupIsRejected) {
   // A power domain that feeds nothing cannot exist: both member arrays
   // empty means a truncated writer, not a degenerate-but-valid event.
@@ -422,20 +387,6 @@ TEST(TraceMalformed, EmptyPowerGroupIsRejected) {
       "\"links\":[]}");
   ASSERT_EQ(ok.events.size(), 1u);
   EXPECT_EQ(ok.events[0].group_hosts.size(), 2u);
-}
-
-TEST(TraceMalformed, V3TraceWithoutTierOrReplicasStillParses) {
-  // The v3-reader shim in reverse: a hand-written v3 header + plain arrive
-  // line parses with standard tier and no replica spec.
-  std::string h = header();
-  const auto pos = h.find("\"version\":4");
-  ASSERT_NE(pos, std::string::npos);
-  h.replace(pos, std::string("\"version\":4").size(), "\"version\":3");
-  const auto parsed = io::read_trace_or_throw(h + arrive_line(""));
-  ASSERT_EQ(parsed.events.size(), 1u);
-  EXPECT_EQ(parsed.events[0].sla_tier, model::SlaTier::kStandard);
-  EXPECT_EQ(parsed.events[0].replica_n, 0u);
-  EXPECT_EQ(parsed.events[0].replica_k, 0u);
 }
 
 }  // namespace

@@ -50,7 +50,9 @@ TEST(Trace, SeedsSurvive64Bits) {
 
 TEST(Trace, BlankLinesAreIgnored) {
   const auto trace = sample_trace();
-  const std::string text = "\n" + io::write_trace(trace) + "\n\n";
+  std::string text = "\n";
+  text += io::write_trace(trace);
+  text += "\n\n";
   EXPECT_EQ(io::read_trace_or_throw(text).events, trace.events);
 }
 
@@ -64,7 +66,7 @@ TEST(Trace, ReportsErrorsWithLineNumbers) {
   expect_error("{\"type\":\"other\"}", 1);         // wrong header type
   expect_error("not json", 1);                     // malformed first line
   const std::string header =
-      io::write_trace({workload::high_level_profile(), {}});
+      io::write_trace({workload::high_level_profile(), {}, {}});
   expect_error(header + "{\"t\":0}", 2);           // event missing fields
   expect_error(header + "{\"t\":0,\"ev\":\"warp\",\"tenant\":1}", 2);
   expect_error(

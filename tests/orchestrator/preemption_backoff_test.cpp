@@ -81,7 +81,7 @@ TEST(RetryQueuePreemption, FailedEntriesAreChargedPerAdmission) {
 
   // Drains 2 and 3: one more small admitted each time.  After the third
   // charged passover the giant is preempted, not silently re-queued.
-  for (int round = 0; round < 2; ++round) {
+  for (std::uint32_t round = 0; round < 2; ++round) {
     PendingTenant filler;
     filler.key = 10 + round;
     EXPECT_TRUE(queue.push(filler));

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "io/binfmt.h"
+#include "io/trace.h"
 #include "recovery/checkpoint.h"
 #include "recovery/journal.h"
 #include "recovery/recovery.h"
@@ -205,6 +207,41 @@ TEST(JournalTest, JsonlRendersEveryRecordAndTornTail) {
   EXPECT_TRUE(contains(torn_jsonl, "\"type\":\"torn-tail\"")) << torn_jsonl;
   EXPECT_TRUE(contains(torn_jsonl,
                        "\"valid_bytes\":" + std::to_string(journal.size())));
+}
+
+TEST(JournalTest, EventBeginLinesRebuildTheTrace) {
+  // An EVENT_BEGIN line ends with the event object io::write_trace writes,
+  // so a write_trace header followed by those objects is a trace, and
+  // read_trace returns the journaled events.
+  const auto cluster = recovery_cluster();
+  const auto trace = recovery_trace(cluster, 0xE18u);
+  std::string journal;
+  {
+    Orchestrator orch(cluster, trace.profile, recovery_options());
+    recovery::WalManager wal(orch, journal, {});
+    for (const auto& ev : trace.events) orch.handle(ev);
+  }
+  workload::ChurnTrace header_only;
+  header_only.profile = trace.profile;
+  header_only.mttf_dist = trace.mttf_dist;
+  std::string rebuilt = io::write_trace(header_only);
+  const std::string key = "\"trace_event\":";
+  std::istringstream jsonl(recovery::journal_to_jsonl(journal));
+  for (std::string line; std::getline(jsonl, line);) {
+    if (!contains(line, "\"type\":\"event-begin\"")) continue;
+    const std::size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << line;
+    // The object runs from the key to the line's own closing brace.
+    const std::size_t begin = at + key.size();
+    rebuilt += line.substr(begin, line.size() - 1 - begin) + '\n';
+  }
+  std::vector<workload::TenantEvent> journaled;
+  for (const JournalRecord& rec : recovery::parse_journal(journal).records) {
+    if (rec.type == RecordType::kEventBegin) journaled.push_back(rec.event);
+  }
+  const workload::ChurnTrace read = io::read_trace_or_throw(rebuilt);
+  EXPECT_EQ(read.events, journaled);
+  EXPECT_EQ(read.events, trace.events);
 }
 
 TEST(CheckpointTest, StateRoundTripsBitIdentical) {

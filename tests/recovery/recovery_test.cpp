@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -241,6 +242,49 @@ TEST(RecoveryTest, CheckpointCountBeyondItsBytesIsRefused) {
       EXPECT_TRUE(contains(e.what(), "exceeds the bytes left")) << e.what();
     }
   }
+}
+
+/// The state of an orchestrator stopped mid-trace, with running tenants.
+Orchestrator::State mid_run_state(const model::PhysicalCluster& cluster) {
+  const auto trace = recovery_trace(cluster, 0xC0DEu);
+  Orchestrator orch(cluster, trace.profile, recovery_options());
+  for (std::size_t i = 0; i < trace.events.size() / 2; ++i) {
+    orch.handle(trace.events[i]);
+  }
+  return orch.export_state();
+}
+
+TEST(RecoveryTest, CheckpointNamingAHostTheClusterLacksIsRefused) {
+  // A doctored checkpoint framed with a fresh CRC: the codec decodes it,
+  // and restore must refuse the host id before indexing anything by it.
+  const auto cluster = recovery_cluster();
+  Orchestrator::State state = mid_run_state(cluster);
+  ASSERT_FALSE(state.tenancy.tenants.empty());
+  state.tenancy.tenants[0].mapping.guest_host[0] = NodeId{100000};
+  std::string journal;
+  recovery::JournalWriter w(journal);
+  w.checkpoint(state.events_handled, state.run_fingerprint,
+               recovery::encode_state(state));
+  Orchestrator orch(cluster, workload::high_level_profile(),
+                    recovery_options());
+  try {
+    (void)recovery::recover(orch, journal);
+    FAIL() << "expected RecoveryError";
+  } catch (const RecoveryError& e) {
+    EXPECT_TRUE(contains(e.what(), "checkpoint state rejected")) << e.what();
+    EXPECT_TRUE(contains(e.what(), "node 100000")) << e.what();
+  }
+}
+
+TEST(RecoveryTest, LiveKeyNamingNoTenantIsRefused) {
+  // GROW and DEPART look a live key's tenant up unchecked, so a state
+  // whose `live` map names a tenant it does not hold is refused.
+  const auto cluster = recovery_cluster();
+  Orchestrator::State state = mid_run_state(cluster);
+  state.live[4000000000u] = 4000000000u;
+  Orchestrator orch(cluster, workload::high_level_profile(),
+                    recovery_options());
+  EXPECT_THROW(orch.restore_state(state), std::invalid_argument);
 }
 
 TEST(RecoveryTest, TrailingOpenGroupIsDroppedAsCrashArtifact) {

@@ -243,7 +243,9 @@ TEST(Failures, AlternationHoldsUnderEveryMttfDistribution) {
       EXPECT_EQ(pending[key], is_fail ? 0 : 1)
           << workload::to_string(dist) << " element " << ev.element;
       pending[key] += is_fail ? 1 : -1;
-      if (last_time.count(key)) EXPECT_GE(ev.time, last_time[key]);
+      if (last_time.count(key)) {
+        EXPECT_GE(ev.time, last_time[key]);
+      }
       last_time[key] = ev.time;
     }
     for (const auto& [key, open] : pending) {
