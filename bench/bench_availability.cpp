@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
   Gates gates;
   gates.count("invariant violations", violations);
 
-  // A failure-laden trace must re-run and record -> JSONL -> replay to
+  // A failure-laden trace must re-run and record -> trace -> replay to
   // bit-identical decisions (healing included).
   {
     const auto seed = util::derive_seed(env_seed(), 44);

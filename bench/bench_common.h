@@ -311,9 +311,9 @@ inline model::PhysicalCluster scaled_switch_tree(std::size_t hosts,
 
 // --- the churn benches' determinism gate ----------------------------------
 
-/// A fresh re-run of `trace` and a JSONL record/replay of it must both
-/// reproduce the live run's decision signature.  Prints one line and adds
-/// the "rerun" and "replay" gates.
+/// A fresh re-run of `trace` and a record/replay of it through the binary
+/// trace format must both reproduce the live run's decision signature.
+/// Prints one line and adds the "rerun" and "replay" gates.
 inline void determinism_gate(Gates& gates,
                              const model::PhysicalCluster& cluster,
                              const workload::ChurnTrace& trace,
@@ -330,7 +330,7 @@ inline void determinism_gate(Gates& gates,
                                       opts);
   const bool replay_ok = replayed.run(reloaded).decision_signature() == sig;
 
-  std::printf("\ndeterminism: fresh re-run %s, JSONL record/replay %s "
+  std::printf("\ndeterminism: fresh re-run %s, trace record/replay %s "
               "(%zu decisions)\n",
               rerun_ok ? "identical" : "DIVERGED",
               replay_ok ? "identical" : "DIVERGED",

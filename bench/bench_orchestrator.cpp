@@ -33,8 +33,8 @@
 //
 // Reported per cell: acceptance rate, backfills from the queue, mean
 // time-in-queue, mean memory utilization over time, guests migrated by
-// defrag, and decision latency p50/p99.  Gates: a fresh re-run and a JSONL
-// record/replay of the top-load trace must reproduce its decisions
+// defrag, and decision latency p50/p99.  Gates: a fresh re-run and a binary
+// trace record/replay of the top-load trace must reproduce its decisions
 // bit-for-bit, and defrag must lift acceptance at the top load.
 #include "bench_common.h"
 

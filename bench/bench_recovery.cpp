@@ -15,8 +15,9 @@
 //   corruption      a mid-stream bit flip, two doctored checkpoints (one
 //                   claims aggregates its mappings do not back, one names
 //                   a host the fabric lacks and is re-framed with a valid
-//                   CRC), and a journal truncated inside a frame: the
-//                   first three must fail recovery loudly with
+//                   CRC), an EVENT_BEGIN re-framed with a valid CRC and a
+//                   2^40-guest arrive, and a journal truncated inside a
+//                   frame: the first four must fail recovery loudly with
 //                   descriptive errors; the truncation must recover
 //                   exactly the intact prefix.
 //   overhead        the E12 churn workload runs with and without the
@@ -159,12 +160,13 @@ bool crash_and_recover(const Reference& ref, const workload::CrashPoint& point,
 
 // --- gate 2: corruption canaries -----------------------------------------
 
-/// A bit-flipped journal and two doctored checkpoints must fail recovery
-/// loudly; a truncation inside the final frame must recover exactly the
-/// intact prefix.  Runs standalone under `--canary` so CI has a dedicated
-/// guard against recovery going silently permissive.
+/// A bit-flipped journal, two doctored checkpoints and a doctored event
+/// must fail recovery loudly; a truncation inside the final frame must
+/// recover exactly the intact prefix.  Runs standalone under `--canary` so
+/// CI has a dedicated guard against recovery going silently permissive.
 bool run_corruption_canaries(const Reference& ref) {
   bool flip_loud = false, doctored_loud = false, far_host_loud = false;
+  bool huge_venv_loud = false;
   bool truncation_clean = false;
 
   // Bit flip in an early frame's payload: bytes follow, so this is rot.
@@ -227,6 +229,32 @@ bool run_corruption_canaries(const Reference& ref) {
     break;
   }
 
+  // An arrive asking for 2^40 guests, framed with a valid CRC: the event
+  // decoder must refuse the count before replay sizes a venv from it.
+  for (const auto& rec : parse.records) {
+    if (rec.type != recovery::RecordType::kEventBegin ||
+        rec.event.kind != workload::EventKind::kArrive) {
+      continue;
+    }
+    workload::TenantEvent huge = rec.event;
+    huge.guest_count = std::size_t{1} << 40;
+    std::string journal;
+    recovery::JournalWriter w(journal);
+    w.event_begin(0, huge);
+    w.event_end(0, huge.time, 0);
+    try {
+      orchestrator::Orchestrator orch(ref.cluster, ref.trace.profile,
+                                      recovery_options());
+      (void)recovery::recover(orch, journal);
+      std::printf("2^40-guest arrive: ACCEPTED — the decoder is broken\n");
+    } catch (const recovery::RecoveryError& e) {
+      huge_venv_loud = std::string_view(e.what()).find(
+                           "event.guest_count") != std::string_view::npos;
+      std::printf("2^40-guest arrive: refused (\"%.60s...\")\n", e.what());
+    }
+    break;
+  }
+
   // Truncation inside the final frame: a crash artifact, recovered as the
   // intact prefix with the torn tail reported.
   orchestrator::Orchestrator orch(ref.cluster, ref.trace.profile,
@@ -240,7 +268,8 @@ bool run_corruption_canaries(const Reference& ref) {
   std::printf("truncated tail: recovered prefix through event %llu of %zu\n",
               (unsigned long long)rec.next_event_index,
               ref.trace.events.size());
-  return flip_loud && doctored_loud && far_host_loud && truncation_clean;
+  return flip_loud && doctored_loud && far_host_loud && huge_venv_loud &&
+         truncation_clean;
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 //
 // The failure stream (workload::generate_failures) overlays exponential
 // MTTF/MTTR renewal processes per host and per physical link onto the
-// tenant timeline; everything rides the same JSONL record/replay format,
-// so the printed decision log replays bit-identically from the saved file.
+// tenant timeline; everything rides the same binary trace format, so the
+// printed decision log replays bit-identically from the saved file.
 //
 //   $ ./failure_demo [seed]
 #include <cstdio>
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
       trace,
       workload::generate_failures(fopts, cluster, util::derive_seed(seed, 9)));
 
-  const std::filesystem::path path = "failure_trace.jsonl";
+  const std::filesystem::path path = "failure_trace.bin";
   io::save_trace(path, trace);
   std::printf("recorded %zu events (tenant churn + failures) to %s\n\n",
               trace.events.size(), path.string().c_str());

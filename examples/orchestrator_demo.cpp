@@ -1,11 +1,13 @@
-// Online orchestrator walkthrough: record a churn trace to JSONL, read it
+// Online orchestrator walkthrough: record a churn trace to a file, read it
 // back, and replay it against the paper's switched cluster with background
 // defragmentation off and on.
 //
 // The trace file is the orchestrator's record/replay format (io/trace.h):
-// a header line carrying the guest profile, then one event per line whose
-// seed re-materializes the tenant's virtual environment on consumption —
-// so the same file replays to bit-identical decisions on any machine.
+// a header frame carrying the guest profile, then one binary frame per
+// event whose seed re-materializes the tenant's virtual environment on
+// consumption — so the same file replays to bit-identical decisions on any
+// machine.  The demo prints the first lines of the trace's readable JSONL
+// view.
 //
 //   $ ./orchestrator_demo [seed]
 #include <cstdio>
@@ -59,10 +61,10 @@ int main(int argc, char** argv) {
   const auto trace = workload::generate_churn(opts, seed);
 
   // Record.
-  const std::filesystem::path path = "orchestrator_trace.jsonl";
+  const std::filesystem::path path = "orchestrator_trace.bin";
   io::save_trace(path, trace);
-  const std::string text = io::write_trace(trace);
-  std::printf("recorded %zu events to %s; first lines:\n\n",
+  const std::string text = io::trace_to_jsonl(trace);
+  std::printf("recorded %zu events to %s; its readable view begins:\n\n",
               trace.events.size(), path.string().c_str());
   std::istringstream lines(text);
   std::string line;

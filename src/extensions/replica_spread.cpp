@@ -145,11 +145,10 @@ core::MapOutcome ReplicaSpreadMapper::map(
       core::run_networking(venv, route_state, guest_host);
   if (!net.ok) return base;
 
-  core::MapOutcome out = std::move(base);
-  out.mapping->guest_host = std::move(guest_host);
-  out.mapping->link_paths = std::move(net.link_paths);
-  out.stats.links_routed = net.links_routed;
-  return out;
+  base.mapping->guest_host = std::move(guest_host);
+  base.mapping->link_paths = std::move(net.link_paths);
+  base.stats.links_routed = net.links_routed;
+  return base;
 }
 
 HeuristicPool replica_aware(HeuristicPool pool) {

@@ -1,6 +1,6 @@
-// Compact binary record framing: the on-disk grammar shared by the
-// recovery subsystem's write-ahead journal and checkpoints (and the seed
-// of the ROADMAP's binary-trace direction).
+// Compact binary record framing: the on-disk grammar shared by churn
+// traces (io/trace) and the recovery subsystem's write-ahead journal and
+// checkpoints.
 //
 // A stream is a flat sequence of frames:
 //

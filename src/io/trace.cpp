@@ -1,23 +1,30 @@
 #include "io/trace.h"
 
-#include <cerrno>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "io/json.h"
-#include "io/json_parser.h"
 
 namespace hmn::io {
 namespace {
 
-void write_range(std::ostringstream& out, const char* name,
-                 const workload::Range& r) {
-  out << '"' << name << "\":[" << json_number(r.lo) << ','
-      << json_number(r.hi) << ']';
+constexpr std::string_view kTraceTag = "churn-trace";
+constexpr std::uint32_t kTraceVersion = 4;
+
+constexpr std::array<const char*, 5> kRangeNames = {
+    "proc_mips", "mem_mb", "stor_gb", "link_bw_mbps", "link_lat_ms"};
+
+/// The profile's ranges in kRangeNames order (const or mutable).
+template <typename Profile>
+auto ranges(Profile& p) {
+  return std::array{&p.proc_mips, &p.mem_mb, &p.stor_gb, &p.link_bw_mbps,
+                    &p.link_lat_ms};
 }
 
 void write_ids(std::string& out, const std::vector<std::uint32_t>& ids) {
@@ -29,113 +36,238 @@ void write_ids(std::string& out, const std::vector<std::uint32_t>& ids) {
   out += ']';
 }
 
-TraceParseError err(std::size_t line, std::string message) {
-  return {std::move(message), line};
-}
-
-/// Reads a [lo,hi] member into `range`; false on shape mismatch or a
-/// non-finite / inverted range (a NaN capacity would poison every fit
-/// check downstream).
-bool read_range(const JsonValue& profile, const char* name,
-                workload::Range& range) {
-  const JsonValue* v = profile.find(name);
-  if (v == nullptr || !v->is_array() || v->as_array().size() != 2 ||
-      !v->as_array()[0].is_number() || !v->as_array()[1].is_number()) {
+/// Moves a decoded field into `out`; false, naming the field, when the
+/// payload ran out before it.
+template <typename T>
+bool take(std::optional<T> v, T& out, const char* field, std::string& why) {
+  if (!v.has_value()) {
+    why = std::string("truncated field '") + field + "'";
     return false;
   }
-  const double lo = v->as_array()[0].as_number();
-  const double hi = v->as_array()[1].as_number();
-  if (!std::isfinite(lo) || !std::isfinite(hi) || lo > hi) return false;
-  range.lo = lo;
-  range.hi = hi;
+  out = *std::move(v);
   return true;
 }
 
-/// Reads a required member holding a non-negative 32-bit integer (an id or
-/// a count).  Rejects missing/NaN/infinite/fractional/overflowing values
-/// with a descriptive reason — a 1e300 guest count must not become a
-/// silently wrapped size_t.
-bool read_u32(const JsonValue& obj, const char* name, std::uint32_t& out,
-              std::string& why) {
-  const JsonValue* v = obj.find(name);
-  if (v == nullptr || !v->is_number()) {
-    why = std::string("missing or non-numeric '") + name + "'";
+/// A u64 count, refused from 2^32 up: a count that large is damage, and
+/// sizing a venv from it would ask for terabytes.
+bool take_count(std::optional<std::uint64_t> v, std::size_t& out,
+                const char* field, std::string& why) {
+  std::uint64_t n = 0;
+  if (!take(v, n, field, why)) return false;
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    why = std::string("'") + field + "' " + std::to_string(n) +
+          " is not below 2^32";
     return false;
   }
-  const std::optional<std::uint32_t> id = json_u32(*v);
-  if (!id) {
-    why = std::string("'") + name + "' must be an integer in [0, 2^32)";
-    return false;
-  }
-  out = *id;
+  out = static_cast<std::size_t>(n);
   return true;
 }
 
-/// 64-bit seeds travel as decimal strings; anything else (empty, signs,
-/// trailing garbage, > 2^64-1) is rejected rather than strtoull-truncated.
-bool read_seed(const JsonValue& obj, std::uint64_t& seed, std::string& why) {
-  const JsonValue* v = obj.find("seed");
-  if (v == nullptr || !v->is_string()) {
-    why = "needs a string seed";
-    return false;
-  }
-  const std::string& s = v->as_string();
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    why = "seed must be a decimal digit string";
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(s.c_str(), &end, 10);
-  if (errno == ERANGE || end != s.c_str() + s.size()) {
-    why = "seed overflows 64 bits";
-    return false;
-  }
-  seed = parsed;
-  return true;
+bool is_group_event(workload::EventKind k) {
+  return k == workload::EventKind::kBlastFail ||
+         k == workload::EventKind::kBlastRecover ||
+         k == workload::EventKind::kPowerFail ||
+         k == workload::EventKind::kPowerRecover;
 }
 
-/// Reads an optional blast-group member array ("hosts"/"links"): every
-/// entry a u32, strictly ascending (sorted, duplicate-free).  Descriptive
-/// reasons carry the offending member offset within the array.
-bool read_group(const JsonValue& obj, const char* name,
-                std::vector<std::uint32_t>& out, std::string& why) {
-  const JsonValue* v = obj.find(name);
-  if (v == nullptr || !v->is_array()) {
-    why = std::string("truncated blast group: missing or non-array '") + name +
-          "'";
-    return false;
+/// The first field `ev` sets that its kind does not use, or nullptr.  The
+/// readable view omits such fields, so an event carrying one is refused
+/// rather than replayed with state nobody can see.
+const char* stray_field(const workload::TenantEvent& ev) {
+  const bool arrive = ev.kind == workload::EventKind::kArrive;
+  const bool grow = ev.kind == workload::EventKind::kGrow;
+  const bool failure = workload::is_failure_event(ev.kind);
+  if (failure && ev.tenant != 0) return "event.tenant";
+  if (!arrive && ev.guest_count != 0) return "event.guest_count";
+  // Bit pattern, not value: -0.0 is not the default either.
+  if (!arrive && std::bit_cast<std::uint64_t>(ev.density) != 0) {
+    return "event.density";
   }
-  const auto& arr = v->as_array();
-  out.clear();
-  out.reserve(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    const std::optional<std::uint32_t> member = json_u32(arr[i]);
-    if (!member) {
-      why = std::string("'") + name + "' member at offset " +
-            std::to_string(i) + " must be an integer in [0, 2^32)";
+  if (!grow && ev.add_guests != 0) return "event.add_guests";
+  if (!grow && ev.add_links != 0) return "event.add_links";
+  if (!arrive && !grow && ev.seed != 0) return "event.seed";
+  if (!failure && ev.element != 0) return "event.element";
+  if (!arrive && ev.sla_tier != model::SlaTier::kStandard) {
+    return "event.sla_tier";
+  }
+  if (!arrive && ev.replica_n != 0) return "event.replica_n";
+  if (!arrive && ev.replica_k != 0) return "event.replica_k";
+  if (!is_group_event(ev.kind) && !ev.group_hosts.empty()) {
+    return "event.group_hosts";
+  }
+  if (!is_group_event(ev.kind) && !ev.group_links.empty()) {
+    return "event.group_links";
+  }
+  return nullptr;
+}
+
+bool strictly_ascending(const std::vector<std::uint32_t>& ids,
+                        const char* field, std::string& why) {
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    if (ids[i] <= ids[i - 1]) {
+      why = "duplicate or unsorted member " + std::to_string(ids[i]) +
+            " in '" + field + "' at offset " + std::to_string(i);
       return false;
     }
-    const std::uint32_t id = *member;
-    if (!out.empty() && id <= out.back()) {
-      why = std::string("duplicate or unsorted member ") + std::to_string(id) +
-            " in '" + name + "' at offset " + std::to_string(i);
+  }
+  return true;
+}
+
+void put_header(std::string& out, const workload::ChurnTrace& trace) {
+  put_bytes(out, kTraceTag);
+  put_u32(out, kTraceVersion);
+  put_u8(out, static_cast<std::uint8_t>(trace.mttf_dist));
+  for (const workload::Range* r : ranges(trace.profile)) {
+    put_f64(out, r->lo);
+    put_f64(out, r->hi);
+  }
+  put_f64(out, trace.profile.critical_link_fraction);
+}
+
+/// Decodes the header frame into `trace`'s profile and MTTF tag.
+bool take_header(std::string_view payload, workload::ChurnTrace& trace,
+                 std::string& why) {
+  BinReader r(payload);
+  const std::optional<std::string_view> tag = r.take_bytes();
+  if (!tag || *tag != kTraceTag) {
+    why = "missing churn-trace header";
+    return false;
+  }
+  std::uint32_t version = 0;
+  if (!take(r.take_u32(), version, "header.version", why)) return false;
+  if (version != kTraceVersion) {
+    why = "unsupported trace version " + std::to_string(version) +
+          " (this reader reads only version " +
+          std::to_string(kTraceVersion) + ")";
+    return false;
+  }
+  std::uint8_t dist = 0;
+  if (!take(r.take_u8(), dist, "header.mttf_dist", why)) return false;
+  if (dist >
+      static_cast<std::uint8_t>(workload::MttfDistribution::kLognormal)) {
+    why = "unknown mttf_dist tag " + std::to_string(dist);
+    return false;
+  }
+  trace.mttf_dist = static_cast<workload::MttfDistribution>(dist);
+  const auto profile = ranges(trace.profile);
+  for (std::size_t i = 0; i < profile.size(); ++i) {
+    workload::Range& range = *profile[i];
+    if (!take(r.take_f64(), range.lo, kRangeNames[i], why) ||
+        !take(r.take_f64(), range.hi, kRangeNames[i], why)) {
       return false;
     }
-    out.push_back(id);
+    // A NaN capacity would poison every fit check downstream.
+    if (!std::isfinite(range.lo) || !std::isfinite(range.hi) ||
+        range.lo > range.hi) {
+      why = std::string("profile range '") + kRangeNames[i] +
+            "' must be finite with lo <= hi";
+      return false;
+    }
+  }
+  double& fraction = trace.profile.critical_link_fraction;
+  if (!take(r.take_f64(), fraction, "critical_link_fraction", why)) {
+    return false;
+  }
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {
+    why = "critical_link_fraction must be in [0, 1]";
+    return false;
+  }
+  if (!r.exhausted()) {
+    why = "trailing bytes after a complete header";
+    return false;
   }
   return true;
 }
 
 }  // namespace
 
+void put_event(std::string& out, const workload::TenantEvent& ev) {
+  put_f64(out, ev.time);
+  put_u8(out, static_cast<std::uint8_t>(ev.kind));
+  put_u32(out, ev.tenant);
+  put_u64(out, ev.guest_count);
+  put_f64(out, ev.density);
+  put_u64(out, ev.add_guests);
+  put_u64(out, ev.add_links);
+  put_u64(out, ev.seed);
+  put_u32(out, ev.element);
+  put_u8(out, static_cast<std::uint8_t>(ev.sla_tier));
+  put_u32(out, ev.replica_n);
+  put_u32(out, ev.replica_k);
+  put_u32_vec(out, ev.group_hosts);
+  put_u32_vec(out, ev.group_links);
+}
+
+std::optional<workload::TenantEvent> take_event(BinReader& r,
+                                                std::string& why) {
+  workload::TenantEvent ev;
+  std::uint8_t kind = 0;
+  std::uint8_t tier = 0;
+  if (!take(r.take_f64(), ev.time, "event.time", why) ||
+      !take(r.take_u8(), kind, "event.kind", why) ||
+      !take(r.take_u32(), ev.tenant, "event.tenant", why) ||
+      !take_count(r.take_u64(), ev.guest_count, "event.guest_count", why) ||
+      !take(r.take_f64(), ev.density, "event.density", why) ||
+      !take_count(r.take_u64(), ev.add_guests, "event.add_guests", why) ||
+      !take_count(r.take_u64(), ev.add_links, "event.add_links", why) ||
+      !take(r.take_u64(), ev.seed, "event.seed", why) ||
+      !take(r.take_u32(), ev.element, "event.element", why) ||
+      !take(r.take_u8(), tier, "event.sla_tier", why) ||
+      !take(r.take_u32(), ev.replica_n, "event.replica_n", why) ||
+      !take(r.take_u32(), ev.replica_k, "event.replica_k", why) ||
+      !take(r.take_u32_vec(), ev.group_hosts, "event.group_hosts", why) ||
+      !take(r.take_u32_vec(), ev.group_links, "event.group_links", why)) {
+    return std::nullopt;
+  }
+  if (kind > static_cast<std::uint8_t>(workload::EventKind::kPowerRecover)) {
+    why = "event kind " + std::to_string(kind) + " out of range";
+    return std::nullopt;
+  }
+  ev.kind = static_cast<workload::EventKind>(kind);
+  if (tier > static_cast<std::uint8_t>(model::SlaTier::kBestEffort)) {
+    why = "event sla tier " + std::to_string(tier) + " out of range";
+    return std::nullopt;
+  }
+  ev.sla_tier = static_cast<model::SlaTier>(tier);
+  if (!std::isfinite(ev.time) || ev.time < 0.0) {
+    why = "event time must be finite and non-negative";
+    return std::nullopt;
+  }
+  if (ev.kind == workload::EventKind::kArrive &&
+      !(ev.density >= 0.0 && ev.density <= 1.0)) {
+    why = "arrive density must be in [0, 1]";
+    return std::nullopt;
+  }
+  if ((ev.replica_n != 0 || ev.replica_k != 0) &&
+      (ev.replica_n < 2 || ev.replica_k < 1 || ev.replica_k > ev.replica_n)) {
+    why = "replica spec needs 0/0, or n >= 2 and 1 <= k <= n";
+    return std::nullopt;
+  }
+  if (const char* field = stray_field(ev)) {
+    why = std::string("'") + field + "' is not used by " +
+          workload::to_string(ev.kind) + " events but is set";
+    return std::nullopt;
+  }
+  if (!strictly_ascending(ev.group_hosts, "event.group_hosts", why) ||
+      !strictly_ascending(ev.group_links, "event.group_links", why)) {
+    return std::nullopt;
+  }
+  // A power domain that feeds nothing cannot exist; an empty group is a
+  // truncated writer, not a degenerate-but-valid event.
+  if ((ev.kind == workload::EventKind::kPowerFail ||
+       ev.kind == workload::EventKind::kPowerRecover) &&
+      ev.group_hosts.empty() && ev.group_links.empty()) {
+    why = std::string(workload::to_string(ev.kind)) +
+          " event: empty correlated group (no hosts, no links)";
+    return std::nullopt;
+  }
+  return ev;
+}
+
 std::string event_json(const workload::TenantEvent& ev) {
   std::string out = "{\"t\":" + json_number(ev.time) + ",\"ev\":\"" +
                     workload::to_string(ev.kind) + '"';
-  if (ev.kind == workload::EventKind::kBlastFail ||
-      ev.kind == workload::EventKind::kBlastRecover ||
-      ev.kind == workload::EventKind::kPowerFail ||
-      ev.kind == workload::EventKind::kPowerRecover) {
+  if (is_group_event(ev.kind)) {
     out += ",\"element\":" + std::to_string(ev.element) + ",\"hosts\":";
     write_ids(out, ev.group_hosts);
     out += ",\"links\":";
@@ -168,262 +300,94 @@ std::string event_json(const workload::TenantEvent& ev) {
   return out + '}';
 }
 
-std::string write_trace(const workload::ChurnTrace& trace) {
+std::string trace_to_jsonl(const workload::ChurnTrace& trace) {
   std::ostringstream out;
-  out << "{\"type\":\"churn-trace\",\"version\":4,\"mttf_dist\":\""
-      << workload::to_string(trace.mttf_dist) << "\",\"profile\":{";
-  write_range(out, "proc_mips", trace.profile.proc_mips);
-  out << ',';
-  write_range(out, "mem_mb", trace.profile.mem_mb);
-  out << ',';
-  write_range(out, "stor_gb", trace.profile.stor_gb);
-  out << ',';
-  write_range(out, "link_bw_mbps", trace.profile.link_bw_mbps);
-  out << ',';
-  write_range(out, "link_lat_ms", trace.profile.link_lat_ms);
-  out << ",\"critical_link_fraction\":"
-      << json_number(trace.profile.critical_link_fraction);
-  out << "}}\n";
-
+  out << "{\"type\":\"churn-trace\",\"version\":" << kTraceVersion
+      << ",\"mttf_dist\":\"" << workload::to_string(trace.mttf_dist)
+      << "\",\"profile\":{";
+  const auto profile = ranges(trace.profile);
+  for (std::size_t i = 0; i < profile.size(); ++i) {
+    out << '"' << kRangeNames[i] << "\":[" << json_number(profile[i]->lo)
+        << ',' << json_number(profile[i]->hi) << "],";
+  }
+  out << "\"critical_link_fraction\":"
+      << json_number(trace.profile.critical_link_fraction) << "}}\n";
   for (const workload::TenantEvent& ev : trace.events) {
     out << event_json(ev) << '\n';
   }
   return out.str();
 }
 
-std::variant<workload::ChurnTrace, TraceParseError> read_trace(
-    std::string_view text) {
-  workload::ChurnTrace trace;
-  bool saw_header = false;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  std::unordered_set<std::uint32_t> arrived;  // tenant keys seen arriving
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, nl == std::string_view::npos ? nl : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    ++line_no;
-    if (line.empty()) continue;
-
-    auto parsed = parse_json(line);
-    if (std::holds_alternative<JsonParseError>(parsed)) {
-      const auto& e = std::get<JsonParseError>(parsed);
-      return err(line_no, e.message + " (line offset " +
-                              std::to_string(e.offset) + ")");
-    }
-    const JsonValue& obj = std::get<JsonValue>(parsed);
-    if (!obj.is_object()) return err(line_no, "expected a JSON object");
-
-    if (!saw_header) {
-      const JsonValue* type = obj.find("type");
-      if (type == nullptr || !type->is_string() ||
-          type->as_string() != "churn-trace") {
-        return err(line_no, "missing churn-trace header");
-      }
-      std::uint32_t version = 0;
-      std::string vwhy;
-      if (!read_u32(obj, "version", version, vwhy)) {
-        return err(line_no, "header: " + vwhy);
-      }
-      if (version != 4) {
-        return err(line_no, "unsupported trace version " +
-                                std::to_string(version) +
-                                " (this reader reads only version 4)");
-      }
-      const JsonValue* profile = obj.find("profile");
-      if (profile == nullptr || !profile->is_object() ||
-          !read_range(*profile, "proc_mips", trace.profile.proc_mips) ||
-          !read_range(*profile, "mem_mb", trace.profile.mem_mb) ||
-          !read_range(*profile, "stor_gb", trace.profile.stor_gb) ||
-          !read_range(*profile, "link_bw_mbps", trace.profile.link_bw_mbps) ||
-          !read_range(*profile, "link_lat_ms", trace.profile.link_lat_ms)) {
-        return err(line_no, "malformed profile in header");
-      }
-      // Optional (exponential MTTF and no critical links when absent);
-      // when present they must be well-formed.
-      if (const JsonValue* dist = obj.find("mttf_dist"); dist != nullptr) {
-        if (!dist->is_string()) {
-          return err(line_no, "header: mttf_dist must be a string");
-        }
-        const std::string& tag = dist->as_string();
-        if (tag == "exponential") {
-          trace.mttf_dist = workload::MttfDistribution::kExponential;
-        } else if (tag == "weibull") {
-          trace.mttf_dist = workload::MttfDistribution::kWeibull;
-        } else if (tag == "lognormal") {
-          trace.mttf_dist = workload::MttfDistribution::kLognormal;
-        } else {
-          return err(line_no, "header: unknown mttf_dist tag '" + tag + "'");
-        }
-      }
-      if (const JsonValue* frac = profile->find("critical_link_fraction");
-          frac != nullptr) {
-        if (!frac->is_number() || !std::isfinite(frac->as_number()) ||
-            frac->as_number() < 0.0 || frac->as_number() > 1.0) {
-          return err(line_no,
-                     "header: critical_link_fraction must be in [0, 1]");
-        }
-        trace.profile.critical_link_fraction = frac->as_number();
-      }
-      saw_header = true;
-      continue;
-    }
-
-    workload::TenantEvent ev;
-    const JsonValue* t = obj.find("t");
-    const JsonValue* kind = obj.find("ev");
-    if (t == nullptr || !t->is_number() || kind == nullptr ||
-        !kind->is_string()) {
-      return err(line_no, "event line needs t and ev");
-    }
-    ev.time = t->as_number();
-    if (!std::isfinite(ev.time) || ev.time < 0.0) {
-      return err(line_no, "event time must be finite and non-negative");
-    }
-    const std::string& k = kind->as_string();
-    std::string why;
-    // Nothing malformed skips quietly: tier / replica declarations belong
-    // to arrive lines only; anywhere else they signal a corrupted or
-    // hand-mangled trace and are rejected with the field named, not
-    // silently ignored.
-    for (const char* name : {"tier", "replica_n", "replica_k"}) {
-      if (obj.find(name) != nullptr && k != "arrive") {
-        return err(line_no, "'" + std::string(name) +
-                                "' is only valid on arrive events (found on "
-                                "a " +
-                                k + " line)");
-      }
-    }
-    if (k == "blast-fail" || k == "blast-recover" || k == "power-fail" ||
-        k == "power-recover") {
-      const bool power = k == "power-fail" || k == "power-recover";
-      ev.kind = k == "blast-fail"      ? workload::EventKind::kBlastFail
-                : k == "blast-recover" ? workload::EventKind::kBlastRecover
-                : k == "power-fail"    ? workload::EventKind::kPowerFail
-                                       : workload::EventKind::kPowerRecover;
-      if (!read_u32(obj, "element", ev.element, why) ||
-          !read_group(obj, "hosts", ev.group_hosts, why) ||
-          !read_group(obj, "links", ev.group_links, why)) {
-        return err(line_no, k + " event: " + why);
-      }
-      // A power domain that feeds nothing cannot exist; an empty group is
-      // a truncated writer, not a degenerate-but-valid event.
-      if (power && ev.group_hosts.empty() && ev.group_links.empty()) {
-        return err(line_no,
-                   k + " event: empty correlated group (no hosts, no links)");
-      }
-      trace.events.push_back(std::move(ev));
-      continue;
-    }
-    if (k == "host-fail" || k == "link-fail" || k == "host-recover" ||
-        k == "link-recover") {
-      ev.kind = k == "host-fail"      ? workload::EventKind::kHostFail
-                : k == "link-fail"    ? workload::EventKind::kLinkFail
-                : k == "host-recover" ? workload::EventKind::kHostRecover
-                                      : workload::EventKind::kLinkRecover;
-      if (!read_u32(obj, "element", ev.element, why)) {
-        return err(line_no, k + " event: " + why);
-      }
-      trace.events.push_back(ev);
-      continue;
-    }
-    if (!read_u32(obj, "tenant", ev.tenant, why)) {
-      return err(line_no, k + " event: " + why);
-    }
-    if (k == "arrive") {
-      ev.kind = workload::EventKind::kArrive;
-      std::uint32_t guests = 0;
-      if (!read_u32(obj, "guests", guests, why)) {
-        return err(line_no, "arrive event: " + why);
-      }
-      ev.guest_count = guests;
-      const JsonValue* density = obj.find("density");
-      if (density == nullptr || !density->is_number() ||
-          !std::isfinite(density->as_number()) ||
-          density->as_number() < 0.0 || density->as_number() > 1.0) {
-        return err(line_no, "arrive event: density must be in [0, 1]");
-      }
-      ev.density = density->as_number();
-      if (!read_seed(obj, ev.seed, why)) {
-        return err(line_no, "arrive event: " + why);
-      }
-      if (!arrived.insert(ev.tenant).second) {
-        return err(line_no, "duplicate arrive for tenant " +
-                                std::to_string(ev.tenant));
-      }
-      // Optional: standard tier and no replicas when absent.
-      if (const JsonValue* tier = obj.find("tier"); tier != nullptr) {
-        if (!tier->is_string()) {
-          return err(line_no, "arrive event: tier must be a string");
-        }
-        const std::string& tag = tier->as_string();
-        if (tag == "gold") {
-          ev.sla_tier = model::SlaTier::kGold;
-        } else if (tag == "standard") {
-          ev.sla_tier = model::SlaTier::kStandard;
-        } else if (tag == "best-effort") {
-          ev.sla_tier = model::SlaTier::kBestEffort;
-        } else {
-          return err(line_no,
-                     "arrive event: unknown tier tag '" + tag + "'");
-        }
-      }
-      const bool has_n = obj.find("replica_n") != nullptr;
-      const bool has_k = obj.find("replica_k") != nullptr;
-      if (has_n != has_k) {
-        return err(line_no,
-                   "arrive event: replica_n and replica_k must appear "
-                   "together");
-      }
-      if (has_n) {
-        if (!read_u32(obj, "replica_n", ev.replica_n, why) ||
-            !read_u32(obj, "replica_k", ev.replica_k, why)) {
-          return err(line_no, "arrive event: " + why);
-        }
-        if (ev.replica_n < 2 || ev.replica_k < 1 ||
-            ev.replica_k > ev.replica_n) {
-          return err(line_no,
-                     "arrive event: replica spec needs n >= 2 and "
-                     "1 <= k <= n");
-        }
-      }
-    } else if (k == "grow") {
-      ev.kind = workload::EventKind::kGrow;
-      std::uint32_t add_guests = 0, add_links = 0;
-      if (!read_u32(obj, "add_guests", add_guests, why) ||
-          !read_u32(obj, "add_links", add_links, why)) {
-        return err(line_no, "grow event: " + why);
-      }
-      ev.add_guests = add_guests;
-      ev.add_links = add_links;
-      if (!read_seed(obj, ev.seed, why)) {
-        return err(line_no, "grow event: " + why);
-      }
-    } else if (k == "depart") {
-      ev.kind = workload::EventKind::kDepart;
-    } else {
-      return err(line_no, "unknown event kind '" + k + "'");
-    }
-    trace.events.push_back(ev);
+std::string write_trace(const workload::ChurnTrace& trace) {
+  std::string out;
+  std::string payload;
+  put_header(payload, trace);
+  append_frame(out, payload);
+  for (const workload::TenantEvent& ev : trace.events) {
+    payload.clear();
+    put_event(payload, ev);
+    append_frame(out, payload);
   }
-  if (!saw_header) return err(0, "empty trace: no header line");
+  return out;
+}
+
+std::variant<workload::ChurnTrace, TraceParseError> read_trace(
+    std::string_view bytes) {
+  FrameScan scan;
+  if (const auto err = scan_frames(bytes, scan)) {
+    return TraceParseError{"trace corrupted: " + err->message};
+  }
+  // A journal's torn tail is a crash artifact; a trace is written whole,
+  // so a cut one is damage.
+  if (scan.torn_tail) {
+    return TraceParseError{"trace ends in a torn frame at byte offset " +
+                           std::to_string(scan.valid_bytes)};
+  }
+  if (scan.frames.empty()) {
+    return TraceParseError{"empty trace: no header frame"};
+  }
+  const auto fail = [](std::size_t frame, const std::string& why) {
+    return TraceParseError{"trace frame " + std::to_string(frame) + ": " +
+                           why};
+  };
+  workload::ChurnTrace trace;
+  std::string why;
+  if (!take_header(scan.frames[0], trace, why)) return fail(0, why);
+  std::unordered_set<std::uint32_t> arrived;  // tenant keys seen arriving
+  trace.events.reserve(scan.frames.size() - 1);
+  for (std::size_t i = 1; i < scan.frames.size(); ++i) {
+    BinReader r(scan.frames[i]);
+    std::optional<workload::TenantEvent> ev = take_event(r, why);
+    if (!ev) return fail(i, why);
+    if (!r.exhausted()) return fail(i, "trailing bytes after a complete event");
+    // Equal times are legal: merge_events emits ties.
+    if (!trace.events.empty() && ev->time < trace.events.back().time) {
+      return fail(i, "event time " + json_number(ev->time) +
+                         " precedes the previous event's " +
+                         json_number(trace.events.back().time));
+    }
+    if (ev->kind == workload::EventKind::kArrive &&
+        !arrived.insert(ev->tenant).second) {
+      return fail(i, "duplicate arrive for tenant " +
+                         std::to_string(ev->tenant));
+    }
+    trace.events.push_back(*std::move(ev));
+  }
   return trace;
 }
 
-workload::ChurnTrace read_trace_or_throw(std::string_view text) {
-  auto parsed = read_trace(text);
+workload::ChurnTrace read_trace_or_throw(std::string_view bytes) {
+  auto parsed = read_trace(bytes);
   if (std::holds_alternative<TraceParseError>(parsed)) {
-    const auto& e = std::get<TraceParseError>(parsed);
-    throw std::runtime_error("trace parse error at line " +
-                             std::to_string(e.line) + ": " + e.message);
+    throw std::runtime_error("trace parse error: " +
+                             std::get<TraceParseError>(parsed).message);
   }
   return std::get<workload::ChurnTrace>(std::move(parsed));
 }
 
 bool save_trace(const std::filesystem::path& path,
                 const workload::ChurnTrace& trace) {
-  std::ofstream out(path);
+  std::ofstream out(path, std::ios::binary);
   if (!out) return false;
   out << write_trace(trace);
   return static_cast<bool>(out);
@@ -431,7 +395,7 @@ bool save_trace(const std::filesystem::path& path,
 
 std::optional<workload::ChurnTrace> load_trace(
     const std::filesystem::path& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream buf;
   buf << in.rdbuf();

@@ -25,60 +25,20 @@ T need(std::optional<T> v, std::size_t index, const char* field) {
   return *std::move(v);
 }
 
-void put_event(std::string& out, const workload::TenantEvent& ev) {
-  io::put_f64(out, ev.time);
-  io::put_u8(out, static_cast<std::uint8_t>(ev.kind));
-  io::put_u32(out, ev.tenant);
-  io::put_u64(out, ev.guest_count);
-  io::put_f64(out, ev.density);
-  io::put_u64(out, ev.add_guests);
-  io::put_u64(out, ev.add_links);
-  io::put_u64(out, ev.seed);
-  io::put_u32(out, ev.element);
-  io::put_u8(out, static_cast<std::uint8_t>(ev.sla_tier));
-  io::put_u32(out, ev.replica_n);
-  io::put_u32(out, ev.replica_k);
-  io::put_u32_vec(out, ev.group_hosts);
-  io::put_u32_vec(out, ev.group_links);
-}
-
-workload::TenantEvent take_event(io::BinReader& r, std::size_t index) {
-  workload::TenantEvent ev;
-  ev.time = need(r.take_f64(), index, "event.time");
-  const std::uint8_t kind = need(r.take_u8(), index, "event.kind");
-  if (kind > static_cast<std::uint8_t>(workload::EventKind::kPowerRecover)) {
-    fail_record(index, "event kind " + std::to_string(kind) + " out of range");
-  }
-  ev.kind = static_cast<workload::EventKind>(kind);
-  ev.tenant = need(r.take_u32(), index, "event.tenant");
-  ev.guest_count = need(r.take_u64(), index, "event.guest_count");
-  ev.density = need(r.take_f64(), index, "event.density");
-  ev.add_guests = need(r.take_u64(), index, "event.add_guests");
-  ev.add_links = need(r.take_u64(), index, "event.add_links");
-  ev.seed = need(r.take_u64(), index, "event.seed");
-  ev.element = need(r.take_u32(), index, "event.element");
-  const std::uint8_t tier = need(r.take_u8(), index, "event.sla_tier");
-  if (tier > static_cast<std::uint8_t>(model::SlaTier::kBestEffort)) {
-    fail_record(index, "event sla tier out of range");
-  }
-  ev.sla_tier = static_cast<model::SlaTier>(tier);
-  ev.replica_n = need(r.take_u32(), index, "event.replica_n");
-  ev.replica_k = need(r.take_u32(), index, "event.replica_k");
-  ev.group_hosts = need(r.take_u32_vec(), index, "event.group_hosts");
-  ev.group_links = need(r.take_u32_vec(), index, "event.group_links");
-  return ev;
-}
-
 JournalRecord decode_record(std::string_view payload, std::size_t index) {
   io::BinReader r(payload);
   JournalRecord rec;
   const std::uint8_t type = need(r.take_u8(), index, "type");
   switch (type) {
-    case static_cast<std::uint8_t>(RecordType::kEventBegin):
+    case static_cast<std::uint8_t>(RecordType::kEventBegin): {
       rec.type = RecordType::kEventBegin;
       rec.event_index = need(r.take_u64(), index, "event_index");
-      rec.event = take_event(r, index);
+      std::string why;
+      std::optional<workload::TenantEvent> ev = io::take_event(r, why);
+      if (!ev) fail_record(index, why);
+      rec.event = *std::move(ev);
       break;
+    }
     case static_cast<std::uint8_t>(RecordType::kTxn): {
       rec.type = RecordType::kTxn;
       const std::uint8_t kind = need(r.take_u8(), index, "txn.kind");
@@ -140,7 +100,7 @@ void JournalWriter::event_begin(std::uint64_t event_index,
   std::string payload;
   io::put_u8(payload, static_cast<std::uint8_t>(RecordType::kEventBegin));
   io::put_u64(payload, event_index);
-  put_event(payload, ev);
+  io::put_event(payload, ev);
   append(payload);
 }
 

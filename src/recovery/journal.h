@@ -11,11 +11,13 @@
 //
 // plus, every checkpoint_every_events events, a CHECKPOINT record carrying
 // the complete serialized orchestrator state (recovery/checkpoint.h).
-// EVENT_BEGIN embeds the whole TenantEvent, so recovery needs no external
-// trace: restore the newest intact checkpoint, then re-handle the event of
-// every *complete* group after it.  A group without its END marker is a
-// crash artifact and is discarded — its in-memory mutations died with the
-// process, so dropping it is exactly consistent.
+// EVENT_BEGIN embeds the whole TenantEvent in the bytes of a trace's event
+// frame (io::put_event), and decodes it with the trace reader's rules
+// (io::take_event), so recovery needs no external trace and refuses every
+// event a trace refuses: restore the newest intact checkpoint, then
+// re-handle the event of every *complete* group after it.  A group without
+// its END marker is a crash artifact and is discarded — its in-memory
+// mutations died with the process, so dropping it is exactly consistent.
 //
 // Crash injection is built into the writer, not bolted on: arm_crash(seq,
 // torn_seed) makes the append of record `seq` persist only a torn prefix
@@ -160,11 +162,10 @@ struct JournalParse {
 
 /// Renders a journal as JSONL for humans — one object per record, with a
 /// final {"type":"torn-tail",...} line when the tail was torn.  An
-/// EVENT_BEGIN line ends with "trace_event", the event's full object as
-/// io::write_trace writes it, so a write_trace header followed by those
-/// objects reads back as the journaled events.  Checkpoint records render
-/// as size + metadata, not the full state.  Throws RecoveryError exactly
-/// where parse_journal would.
+/// EVENT_BEGIN line ends with "trace_event", the event's object as
+/// io::event_json writes it on a trace's readable view.  Checkpoint
+/// records render as size + metadata, not the full state.  Throws
+/// RecoveryError exactly where parse_journal would.
 [[nodiscard]] std::string journal_to_jsonl(std::string_view data);
 
 struct WalOptions {

@@ -160,7 +160,7 @@ TEST(DeterminismRegression, CorrelatedBlastRunsAreByteIdentical) {
   EXPECT_GT(first.report().blast_failures, 0u);
   EXPECT_TRUE(first.report().invariant_violations.empty());
 
-  // And the v3 record/replay loop reproduces the live decisions: blast
+  // And the trace record/replay loop reproduces the live decisions: blast
   // group lists, the MTTF tag, and the profile all survive serialization.
   const auto reloaded =
       hmn::io::read_trace_or_throw(hmn::io::write_trace(trace));
@@ -172,7 +172,7 @@ TEST(DeterminismRegression, CorrelatedBlastRunsAreByteIdentical) {
 TEST(DeterminismRegression, TraceGenerationItselfIsByteStable) {
   const auto cluster = hmn::workload::make_paper_cluster(
       hmn::workload::ClusterKind::kSwitched, 7);
-  // Two independent generator invocations, same seed: the serialized JSONL
+  // Two independent generator invocations, same seed: the encoded trace
   // must be byte-identical — any unordered iteration inside generation or
   // serialization shows up as a diff here.
   const std::string a =

@@ -229,6 +229,14 @@ TEST(FloatEq, LiteralsTrackedVarsAndNullptrEscape) {
   EXPECT_EQ(count_rule(all, "float-eq"), 3u);
 }
 
+TEST(FloatEq, QualifiedDeclaratorDoesNotHideLaterDoubles) {
+  // `double Foo::bar(...)` is a function, not a variable `Foo` whose
+  // initializer runs to the comma inside `std::variant<int, long>`.
+  const auto all = analyze_fixture("io/qualified_double.cpp");
+  EXPECT_TRUE(has_finding(all, "float-eq", 16)) << "d != std::floor(d)";
+  EXPECT_EQ(count_rule(all, "float-eq"), 1u);
+}
+
 // ---- R4: raw-output ------------------------------------------------------
 
 TEST(RawOutput, CatchesStdioButNotBufferFormatting) {

@@ -376,7 +376,7 @@ TEST(OrchestratorFailureTest, FailureLadenReplayIsDeterministicAndAudited) {
   EXPECT_GE(report.tenant_minutes_lost, 0.0);
   EXPECT_GE(report.degraded_minutes, 0.0);
 
-  // Record -> JSONL -> replay, failures included.
+  // Record -> trace -> replay, failures included.
   const auto reloaded = io::read_trace_or_throw(io::write_trace(trace));
   orchestrator::Orchestrator replayed(cluster, reloaded.profile);
   EXPECT_EQ(replayed.run(reloaded).decision_signature(), sig);

@@ -294,7 +294,7 @@ TEST(OrchestratorTest, ReplayIsDeterministic) {
   EXPECT_EQ(sig_first, sig_second);
   EXPECT_GT(first.report().arrivals, 10u);
 
-  // Record -> replay through the JSONL trace format.
+  // Record -> replay through the binary trace format.
   const auto reloaded = io::read_trace_or_throw(io::write_trace(trace));
   Orchestrator replayed(cluster, reloaded.profile);
   EXPECT_EQ(replayed.run(reloaded).decision_signature(), sig_first);

@@ -210,9 +210,9 @@ TEST(JournalTest, JsonlRendersEveryRecordAndTornTail) {
 }
 
 TEST(JournalTest, EventBeginLinesRebuildTheTrace) {
-  // An EVENT_BEGIN line ends with the event object io::write_trace writes,
-  // so a write_trace header followed by those objects is a trace, and
-  // read_trace returns the journaled events.
+  // A trace is the EVENT_BEGIN subsequence of a journal: a header frame
+  // plus the journal's decoded EVENT_BEGIN events is the journaled trace,
+  // and each EVENT_BEGIN carries its trace event frame's bytes.
   const auto cluster = recovery_cluster();
   const auto trace = recovery_trace(cluster, 0xE18u);
   std::string journal;
@@ -221,27 +221,50 @@ TEST(JournalTest, EventBeginLinesRebuildTheTrace) {
     recovery::WalManager wal(orch, journal, {});
     for (const auto& ev : trace.events) orch.handle(ev);
   }
-  workload::ChurnTrace header_only;
-  header_only.profile = trace.profile;
-  header_only.mttf_dist = trace.mttf_dist;
-  std::string rebuilt = io::write_trace(header_only);
+  std::string rebuilt = io::write_trace({trace.profile, trace.mttf_dist, {}});
+  for (const JournalRecord& rec : recovery::parse_journal(journal).records) {
+    if (rec.type != RecordType::kEventBegin) continue;
+    std::string payload;
+    io::put_event(payload, rec.event);
+    io::append_frame(rebuilt, payload);
+  }
+  const std::string recorded = io::write_trace(trace);
+  EXPECT_EQ(rebuilt, recorded);
+  const workload::ChurnTrace read = io::read_trace_or_throw(rebuilt);
+  EXPECT_EQ(read.events, trace.events);
+  EXPECT_EQ(read.mttf_dist, trace.mttf_dist);
+
+  // Byte for byte: an EVENT_BEGIN payload past its type byte and u64
+  // index is the matching trace frame's payload.
+  io::FrameScan trace_frames;
+  io::FrameScan journal_frames;
+  ASSERT_FALSE(io::scan_frames(recorded, trace_frames).has_value());
+  ASSERT_FALSE(io::scan_frames(journal, journal_frames).has_value());
+  std::size_t next = 1;  // frame 0 is the header
+  for (const std::string_view payload : journal_frames.frames) {
+    if (payload[0] != static_cast<char>(RecordType::kEventBegin)) continue;
+    ASSERT_LT(next, trace_frames.frames.size());
+    EXPECT_EQ(payload.substr(9), trace_frames.frames[next++]);
+  }
+  EXPECT_EQ(next, trace_frames.frames.size());
+
+  // The readable views agree: each EVENT_BEGIN line's "trace_event" object
+  // is the matching line of the trace's JSONL view.
+  std::istringstream view(io::trace_to_jsonl(trace));
+  std::string line;
+  std::getline(view, line);  // the header line
   const std::string key = "\"trace_event\":";
   std::istringstream jsonl(recovery::journal_to_jsonl(journal));
-  for (std::string line; std::getline(jsonl, line);) {
-    if (!contains(line, "\"type\":\"event-begin\"")) continue;
-    const std::size_t at = line.find(key);
-    ASSERT_NE(at, std::string::npos) << line;
-    // The object runs from the key to the line's own closing brace.
+  for (std::string record; std::getline(jsonl, record);) {
+    if (!contains(record, "\"type\":\"event-begin\"")) continue;
+    const std::size_t at = record.find(key);
+    ASSERT_NE(at, std::string::npos) << record;
+    ASSERT_TRUE(std::getline(view, line));
+    // The object runs from the key to the record's own closing brace.
     const std::size_t begin = at + key.size();
-    rebuilt += line.substr(begin, line.size() - 1 - begin) + '\n';
+    EXPECT_EQ(record.substr(begin, record.size() - 1 - begin), line);
   }
-  std::vector<workload::TenantEvent> journaled;
-  for (const JournalRecord& rec : recovery::parse_journal(journal).records) {
-    if (rec.type == RecordType::kEventBegin) journaled.push_back(rec.event);
-  }
-  const workload::ChurnTrace read = io::read_trace_or_throw(rebuilt);
-  EXPECT_EQ(read.events, journaled);
-  EXPECT_EQ(read.events, trace.events);
+  EXPECT_FALSE(std::getline(view, line)) << "unjournaled event: " << line;
 }
 
 TEST(CheckpointTest, StateRoundTripsBitIdentical) {

@@ -356,6 +356,12 @@ class Analyzer {
       if (!is_ident(T[i], "double") && !is_ident(T[i], "float")) continue;
       std::size_t j = skip_declarator_noise(i + 1);
       while (true) {
+        // `double Foo::bar(...)` or `double Foo::x = ...`: the declarator
+        // is the name after the qualifiers, not `Foo`.
+        while (at(j) != nullptr && at(j)->kind == TokenKind::kIdentifier &&
+               at(j + 1) != nullptr && is_punct(*at(j + 1), "::")) {
+          j += 2;
+        }
         const Token* name = at(j);
         if (name == nullptr || name->kind != TokenKind::kIdentifier) break;
         const Token* after = at(j + 1);
