@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -660,6 +661,91 @@ TEST(PinnedDecisions, StagesOnLargeFabrics) {
     migrations += d.migrations;
   }
   EXPECT_GT(migrations, 0u);
+}
+
+// The torus value below was captured from the code as it stood before the
+// multilevel refiner's regions became views of their level.  Like the
+// values above, it holds for x86-64 builds without -ffast-math.
+
+/// Ten tenants of 16-40 guests (768-2048 MB) admitted one after another by
+/// the multilevel mapper onto a 16x16 torus (256 hosts, no switches)
+/// through one shared hierarchy, each admission's load deducted before the
+/// next.  Other tenants' load leaves each host a seeded 5-100 % of its
+/// memory and a quarter of the links at most 1.2 Mbps, so groups often
+/// cannot carry their share and regions cannot carry their links: the
+/// refiner widens and re-routes over regions with cycles, where the router
+/// searches instead of walking a tree.
+LargeFabricDigest torus_multilevel_digest() {
+  namespace core = hmn::core;
+  hmn::util::Rng rng(hmn::util::derive_seed(41, 16, 16));
+  const hmn::topology::Topology topo = hmn::topology::torus_2d(16, 16);
+  std::vector<hmn::model::HostCapacity> caps(256, {1000.0, 4096, 4096});
+  for (hmn::model::HostCapacity& c : caps) c.mem_mb *= rng.uniform(0.05, 1.0);
+  hmn::model::LinkProps link = hmn::workload::paper_link_props();
+  link.latency_ms = 1.0;  // a 16-hop torus path stays inside 30 ms
+  std::vector<hmn::model::LinkProps> links(topo.graph.edge_count(), link);
+  for (hmn::model::LinkProps& l : links) {
+    if (rng.index(4) == 0) l.bandwidth_mbps = rng.uniform(0.0, 1.2);
+  }
+  const auto base = hmn::model::PhysicalCluster::build(topo, caps, links);
+  const hmn::multilevel::MultilevelMapper ml(
+      {}, std::make_shared<const hmn::multilevel::PhysicalHierarchy>(
+              hmn::multilevel::build_hierarchy(base, {})));
+
+  LargeFabricDigest d;
+  for (std::uint64_t rep = 0; rep < 10; ++rep) {
+    std::vector<hmn::model::HostCapacity> node_caps(base.node_count());
+    for (std::size_t h = 0; h < caps.size(); ++h) {
+      node_caps[base.hosts()[h].index()] = caps[h];
+    }
+    const auto fabric =
+        hmn::model::PhysicalCluster::with_resources(base, node_caps, links);
+    hmn::workload::VenvGenOptions vopts;
+    vopts.guest_count = 16 + rng.index(25);
+    vopts.density = 0.2;
+    vopts.profile = hmn::workload::high_level_profile();
+    vopts.profile.mem_mb = {768.0, 2048.0};
+    vopts.normalize_to = &fabric;
+    const auto venv = hmn::workload::generate_venv(vopts, rng);
+
+    const core::MapOutcome out = ml.map(fabric, venv, rep + 1);
+    d.mix(out.ok() ? core::fingerprint(*out.mapping)
+                   : static_cast<std::uint64_t>(out.error));
+    d.mix(out.stats.levels_used);
+    d.mix(out.stats.migrations);
+    d.migrations += out.stats.migrations;
+    if (!out.ok()) continue;
+    ++d.hosted;
+    if (out.stats.levels_used > 0) ++d.pyramid;
+    const std::vector<hmn::NodeId>& order = base.hosts();
+    for (std::size_t g = 0; g < venv.guest_count(); ++g) {
+      const auto& req = venv.guest(
+          hmn::GuestId{static_cast<hmn::GuestId::underlying_type>(g)});
+      const hmn::NodeId at = out.mapping->guest_host[g];
+      hmn::model::HostCapacity& c = caps[static_cast<std::size_t>(
+          std::lower_bound(order.begin(), order.end(), at) - order.begin())];
+      c.proc_mips -= req.proc_mips;
+      c.mem_mb -= req.mem_mb;
+      c.stor_gb -= req.stor_gb;
+    }
+    for (std::size_t l = 0; l < venv.link_count(); ++l) {
+      const double bw =
+          venv.link(hmn::VirtLinkId{
+                        static_cast<hmn::VirtLinkId::underlying_type>(l)})
+              .bandwidth_mbps;
+      for (const hmn::EdgeId e : out.mapping->link_paths[l]) {
+        links[e.index()].bandwidth_mbps -= bw;
+      }
+    }
+  }
+  return d;
+}
+
+TEST(PinnedDecisions, MultilevelOnATorus) {
+  const LargeFabricDigest d = torus_multilevel_digest();
+  EXPECT_GT(d.pyramid, 0u);
+  EXPECT_GT(d.migrations, 0u);
+  EXPECT_EQ(d.hash, 0x9943edaaa0f24641ULL);
 }
 
 // The defrag values below were captured from the code as it stood before
