@@ -4,9 +4,10 @@
 // DFS variants, generators, and the three HMN stages in isolation — the
 // Hosting and Migration stages also at E16's 1000-host size, empty and
 // loaded — plus the Eqs. 2-3 certificate and the RA fallback on churn's
-// loaded 40-host view, one defrag pass over churn's running tenants, and
-// the two per-admission copies of a fixed fabric: a loaded shard's residual
-// view and the multilevel pyramid's coarse levels.
+// loaded 40-host view, one defrag pass over churn's running tenants, the
+// two per-admission copies of a fixed fabric: a loaded shard's residual
+// view and the multilevel pyramid's coarse levels, and one multilevel
+// admission on a loaded shard.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -20,6 +21,7 @@
 #include "graph/astar_prune.h"
 #include "graph/dfs_path.h"
 #include "graph/dijkstra.h"
+#include "multilevel/multilevel_mapper.h"
 #include "multilevel/physical_coarsener.h"
 #include "orchestrator/defrag.h"
 #include "orchestrator/orchestrator.h"
@@ -482,6 +484,67 @@ void BM_MaterializeLevels_Tree1280(benchmark::State& state) {
   state.counters["levels"] = static_cast<double>(hier.contractions.size());
 }
 BENCHMARK(BM_MaterializeLevels_Tree1280);
+
+// One multilevel admission on the sharded workload's largest shard, with
+// the pyramid built once and shared, as the router shares it.  HMN has
+// admitted seeded tenants of the workload's shape (4-10 guests of
+// 512-1536 MB) until 85 % of the shard's memory is reserved, so racks
+// rarely carry a group's guests on their own hosts: the refiner widens its
+// regions, spills to a whole-level pass and re-routes over regions of
+// each level, as it does on perfbench sharded.
+struct LoadedShard {
+  std::shared_ptr<const multilevel::PhysicalHierarchy> hier;
+  model::PhysicalCluster view;
+};
+
+const LoadedShard& shard768_loaded() {
+  static const LoadedShard shard = [] {
+    const auto part = topology::partition_cluster(tree1280_cluster(), 4);
+    const topology::ClusterShard* big = &part.shards[0];
+    for (const auto& sh : part.shards) {
+      if (sh.cluster.host_count() > big->cluster.host_count()) big = &sh;
+    }
+    extensions::HeuristicPool pool;
+    pool.add(std::make_unique<core::HmnMapper>());
+    emulator::TenancyManager mgr(big->cluster, std::move(pool));
+    util::Rng rng(5);
+    for (std::uint64_t t = 0;
+         t < 4096 && mgr.utilization().mem_fraction < 0.85; ++t) {
+      workload::VenvGenOptions vopts;
+      vopts.guest_count = 4 + rng.index(7);
+      vopts.density = 0.2;
+      vopts.profile = workload::high_level_profile();
+      vopts.profile.mem_mb = {512.0, 1536.0};
+      (void)mgr.admit("t", workload::generate_venv(vopts, rng), t);
+    }
+    auto hier = std::make_shared<const multilevel::PhysicalHierarchy>(
+        multilevel::build_hierarchy(big->cluster,
+                                    multilevel::MultilevelOptions{}.phys));
+    return LoadedShard{std::move(hier), mgr.residual_cluster()};
+  }();
+  return shard;
+}
+
+void BM_MultilevelAdmit_LoadedShard768(benchmark::State& state) {
+  const LoadedShard& shard = shard768_loaded();
+  const multilevel::MultilevelMapper mapper({}, shard.hier);
+  util::Rng rng(1);
+  workload::VenvGenOptions vopts;
+  vopts.guest_count = 4 + rng.index(7);
+  vopts.density = 0.2;
+  vopts.profile = workload::high_level_profile();
+  vopts.profile.mem_mb = {512.0, 1536.0};
+  const model::VirtualEnvironment venv = workload::generate_venv(vopts, rng);
+  std::size_t levels = 0;
+  for (auto _ : state) {
+    const core::MapOutcome out = mapper.map(shard.view, venv, 1);
+    levels = out.stats.levels_used;
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["hosts"] = static_cast<double>(shard.view.host_count());
+  state.counters["levels_used"] = static_cast<double>(levels);
+}
+BENCHMARK(BM_MultilevelAdmit_LoadedShard768);
 
 void BM_NetworkingStage(benchmark::State& state) {
   const auto ratio = static_cast<double>(state.range(0));

@@ -5,7 +5,7 @@ namespace hmn::baselines {
 std::optional<std::vector<NodeId>> random_placement(
     const model::VirtualEnvironment& venv, core::ResidualState& state,
     util::Rng& rng) {
-  const auto& hosts = state.cluster().hosts();
+  const auto& hosts = state.hosts();
   std::vector<NodeId> placement(venv.guest_count(), NodeId::invalid());
 
   std::vector<GuestId> order;

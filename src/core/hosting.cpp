@@ -9,18 +9,19 @@
 namespace hmn::core {
 namespace {
 
-/// The host with the most residual CPU among those `accept` admits, the
-/// lowest NodeId on ties; invalid() when it admits none.  The paper
-/// re-sorts its host list by residual CPU after every assignment and takes
-/// the first host that fits; (residual CPU descending, NodeId ascending)
-/// is a strict total order, so that host is exactly this one-pass pick.
-/// cluster.hosts() ascends by NodeId, so the first maximum seen wins ties.
+/// The host of state.hosts() with the most residual CPU among those
+/// `accept` admits, the lowest NodeId on ties; invalid() when it admits
+/// none.  The paper re-sorts its host list by residual CPU after every
+/// assignment and takes the first host that fits; (residual CPU
+/// descending, NodeId ascending) is a strict total order, so that host is
+/// exactly this one-pass pick.  state.hosts() ascends by NodeId, so the
+/// first maximum seen wins ties.
 // hmn-lint: hot-path
 template <typename Accept>
 NodeId most_residual_cpu(const ResidualState& state, Accept accept) {
   NodeId best = NodeId::invalid();
   double best_proc = 0.0;
-  for (const NodeId h : state.cluster().hosts()) {
+  for (const NodeId h : state.hosts()) {
     const double r = state.residual_proc(h);
     if (best.valid() && !(r > best_proc)) continue;
     if (!accept(h)) continue;
@@ -95,7 +96,7 @@ HostingResult run_hosting(const model::VirtualEnvironment& venv,
                           ResidualState& state, const HostingOptions& opts) {
   HostingResult result;
   result.guest_host.assign(venv.guest_count(), NodeId::invalid());
-  if (state.cluster().host_count() == 0) {
+  if (state.hosts().empty()) {
     result.detail = "cluster has no hosts";
     return result;
   }

@@ -60,7 +60,8 @@ struct HostingResult {
   std::vector<NodeId> guest_host;    // complete placement when ok
 };
 
-/// Runs the Hosting stage, mutating `state` to reflect placements.
+/// Runs the Hosting stage over state.hosts(), mutating `state` to reflect
+/// placements.
 /// On failure (`some guest fits on no host`, Section 4.1) the state is left
 /// with the partial placements applied; callers discard it.
 [[nodiscard]] HostingResult run_hosting(const model::VirtualEnvironment& venv,
@@ -116,8 +117,8 @@ struct PlacedNeighbor {
 /// The Hosting stage's affinity rule for one guest placed alone next to an
 /// existing placement (mapping growth and repair): the host of its
 /// heaviest-bandwidth placed neighbour when that host is up and fits;
-/// otherwise the up host with the most residual CPU that fits, first in
-/// cluster.hosts() order on ties.  `down`, when non-null, is indexed by
+/// otherwise the up host of state.hosts() with the most residual CPU that
+/// fits, first in NodeId order on ties.  `down`, when non-null, is indexed by
 /// NodeId and flags dead nodes.  Returns invalid() when no up host fits.
 [[nodiscard]] NodeId affinity_host(const model::VirtualEnvironment& venv,
                                    const ResidualState& state,

@@ -1,6 +1,7 @@
 #include "core/migration.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -130,7 +131,7 @@ std::size_t first_improving_target(const ResidualState& state,
                                    double current_lbf,
                                    std::vector<std::size_t>& candidates,
                                    double& lbf_after) {
-  const auto& hosts = state.cluster().hosts();
+  const auto& hosts = state.hosts();
   const double p = req.proc_mips;
   const MoveFilter filter(rproc, origin, std::abs(p));
   candidates.clear();
@@ -184,7 +185,7 @@ void best_improving_move(const model::VirtualEnvironment& venv,
                          std::span<const GuestId> guests,
                          std::vector<Move>& moves, GuestId& victim,
                          std::size_t& target, double& lbf_after) {
-  const auto& hosts = state.cluster().hosts();
+  const auto& hosts = state.hosts();
   double max_demand = 0.0;
   for (const GuestId g : guests) {
     max_demand = std::max(max_demand, std::abs(venv.guest(g).proc_mips));
@@ -227,22 +228,23 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
                               std::vector<NodeId>& guest_host,
                               const MigrationOptions& opts) {
   MigrationResult result;
-  const auto& hosts = state.cluster().hosts();
-  result.initial_lbf = load_balance_factor(state);
+  const auto& hosts = state.hosts();
+  // Residual CPU per host position, the vector Eq. 10 runs over; a move
+  // changes only its two entries.
+  std::vector<double> rproc = state.residual_proc_of_hosts();
+  result.initial_lbf = load_balance_factor(rproc);
   result.final_lbf = result.initial_lbf;
   if (hosts.size() < 2) return result;
 
-  // host_index[node] = position of the node in the hosts() vector, which is
-  // also its index in the rproc vector the objective runs over.
-  std::vector<std::size_t> host_index(state.cluster().node_count(), 0);
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    host_index[hosts[i].index()] = i;
-  }
-
-  // guests_on[host position] = guests currently assigned there.
+  // guests_on[host position] = guests currently assigned there.  hosts()
+  // ascends, so a binary search finds each guest's position without a
+  // table sized by the cluster.
   std::vector<std::vector<GuestId>> guests_on(hosts.size());
   for (std::size_t gi = 0; gi < guest_host.size(); ++gi) {
-    guests_on[host_index[guest_host[gi].index()]].push_back(
+    const auto at =
+        std::lower_bound(hosts.begin(), hosts.end(), guest_host[gi]);
+    assert(at != hosts.end() && *at == guest_host[gi]);
+    guests_on[static_cast<std::size_t>(at - hosts.begin())].push_back(
         GuestId{static_cast<GuestId::underlying_type>(gi)});
   }
 
@@ -250,8 +252,6 @@ MigrationResult run_migration(const model::VirtualEnvironment& venv,
   std::vector<std::size_t> candidates;
   candidates.reserve(hosts.size());
   std::vector<Move> moves;
-  // Residual CPU per host position; a move changes only its two entries.
-  std::vector<double> rproc = state.residual_proc_of_hosts();
   for (;;) {
     if (opts.max_migrations != 0 && result.migrations >= opts.max_migrations) {
       break;

@@ -46,7 +46,8 @@ struct MigrationResult {
   double final_lbf = 0.0;            // Eq. 10 after the stage
 };
 
-/// Runs the Migration stage, updating `guest_host` and `state` in place.
+/// Runs the Migration stage over state.hosts(), updating `guest_host` and
+/// `state` in place.  Every guest must sit on a host of state.hosts().
 MigrationResult run_migration(const model::VirtualEnvironment& venv,
                               ResidualState& state,
                               std::vector<NodeId>& guest_host,

@@ -1,5 +1,6 @@
 #include "core/networking.h"
 
+#include <cassert>
 #include <limits>
 
 #include "graph/dfs_path.h"
@@ -14,9 +15,18 @@ LinkRouter::LinkRouter(const ResidualState& state,
 }
 
 LinkRouter::LinkRouter(const ResidualState& state, LatencyTables& tables)
-    : state_(&state), dead_edges_(nullptr), tables_(&tables) {
-  const std::size_t nodes = state.cluster().graph().node_count();
-  if (tables_->to_dest.size() != nodes) tables_->to_dest.assign(nodes, {});
+    : state_(&state), dead_edges_(nullptr), tables_(&tables) {}
+
+void LinkRouter::restrict_to(const std::vector<char>* region) {
+  assert(tables_ == &own_tables_ && "a restricted router owns its tables");
+  region_ = region;
+  own_tables_.to_dest.clear();  // refilled on the next search
+}
+
+bool LinkRouter::present(EdgeId e) const {
+  if (region_ == nullptr) return true;
+  const graph::EdgeEndpoints ends = state_->cluster().graph().endpoints(e);
+  return (*region_)[ends.a.index()] != 0 && (*region_)[ends.b.index()] != 0;
 }
 
 double LinkRouter::residual_bw(EdgeId e) const {
@@ -30,21 +40,28 @@ double LinkRouter::latency(EdgeId e) const {
 
 // hmn-lint: hot-path
 const std::vector<double>& LinkRouter::lat_to_dest(NodeId dest) {
-  // Physical latencies (and the dead-edge mask) never change during the
-  // router's life, so the Dijkstra latency-to-destination arrays
-  // (Algorithm 1's ar[]) are computed once per distinct destination host
-  // and reused across virtual links — and, through borrowed tables, across
-  // routers.  The table is a flat vector indexed by destination node id:
-  // destination lookup is the innermost per-virtual-link operation, and
-  // hashing NodeIds dominated the stage on large fabrics.  One Dijkstra
-  // result/heap scratch is shared by every run so the per-link allocation
-  // churn disappears.
+  // Physical latencies, the dead-edge mask and the region never change
+  // while a table lives (restrict_to drops the tables), so the Dijkstra
+  // latency-to-destination arrays (Algorithm 1's ar[]) are computed once
+  // per distinct destination host and reused across virtual links — and,
+  // through borrowed tables, across routers.  The table is a flat vector
+  // indexed by destination node id: destination lookup is the innermost
+  // per-virtual-link operation, and hashing NodeIds dominated the stage on
+  // large fabrics.  One Dijkstra result/heap scratch is shared by every
+  // run so the per-link allocation churn disappears.  An absent edge
+  // weighs +inf, which Dijkstra skips as if it were not in the graph.
   LatencyTables& t = *tables_;
+  const graph::Graph& g = state_->cluster().graph();
+  if (t.to_dest.size() != g.node_count()) t.to_dest.assign(g.node_count(), {});
   std::vector<double>& slot = t.to_dest[dest.index()];
   if (slot.empty()) {
     graph::dijkstra_into(
-        state_->cluster().graph(), dest,
-        [this](EdgeId e) { return latency(e); }, t.sp, t.heap);
+        g, dest,
+        [this](EdgeId e) {
+          return present(e) ? latency(e)
+                            : std::numeric_limits<double>::infinity();
+        },
+        t.sp, t.heap);
     slot = t.sp.dist;
   }
   return slot;
@@ -66,17 +83,18 @@ std::optional<graph::ConstrainedPath> LinkRouter::route(
   }
   auto bw = [this](EdgeId e) { return residual_bw(e); };
   auto lat = [this](EdgeId e) { return latency(e); };
+  auto present = [this](EdgeId e) { return this->present(e); };
   if (forest_ != nullptr) {
     return graph::astar_prune_on_forest(*forest_, src, dst,
                                         demand.bandwidth_mbps,
                                         demand.max_latency_ms, bw, lat,
-                                        scratch_);
+                                        scratch_, present);
   }
   graph::AStarPruneOptions ap;
   ap.lat_to_dest = &lat_to_dest(dst);
   return graph::astar_prune_bottleneck(g, src, dst, demand.bandwidth_mbps,
                                        demand.max_latency_ms, bw, lat, ap,
-                                       scratch_);
+                                       scratch_, present);
 }
 
 NetworkingResult run_networking(const model::VirtualEnvironment& venv,

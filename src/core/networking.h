@@ -103,6 +103,11 @@ struct LatencyTables {
 /// keeps a 0-Mbps virtual link, which passes any bandwidth test, off a dead
 /// edge.  The mask and `state` must outlive the router, and the mask must
 /// not change while it lives.
+///
+/// restrict_to() confines the router to a region of the cluster: the edges
+/// with an endpoint outside it are absent, as if the router ran on the
+/// subcluster the region induces (topology::induced_subcluster), which
+/// returns the same paths in its own edge ids.
 class LinkRouter {
  public:
   /// Owns its ar[] tables.
@@ -117,6 +122,16 @@ class LinkRouter {
   LinkRouter(const LinkRouter&) = delete;
   LinkRouter& operator=(const LinkRouter&) = delete;
 
+  /// Routes inside the region `region` flags (indexed by NodeId) from now
+  /// on; null lifts the restriction.  An edge with an endpoint outside the
+  /// region is absent: on no path, whatever the demand and the latency
+  /// bound (unlike a dead edge, which a 0-Mbps link with an infinite bound
+  /// may cross), and skipped by the ar[] Dijkstra.  The ar[] tables depend
+  /// on the region, so the call drops those filled so far; only a router
+  /// that owns its tables may be restricted.  The mask must outlive the
+  /// router and must not change until the next call.
+  void restrict_to(const std::vector<char>* region);
+
   /// A feasible path from host `src` to host `dst` (src != dst) for
   /// `demand`, maximizing bottleneck residual bandwidth under the latency
   /// bound; nullopt when none exists.  Reserves nothing: the caller
@@ -128,6 +143,7 @@ class LinkRouter {
   [[nodiscard]] bool dead(EdgeId e) const {
     return dead_edges_ != nullptr && (*dead_edges_)[e.index()];
   }
+  [[nodiscard]] bool present(EdgeId e) const;
   [[nodiscard]] double residual_bw(EdgeId e) const;
   [[nodiscard]] double latency(EdgeId e) const;
   /// Algorithm 1's ar[] for `dest`, computed on first use.
@@ -135,6 +151,7 @@ class LinkRouter {
 
   const ResidualState* state_;
   const std::vector<bool>* dead_edges_;
+  const std::vector<char>* region_ = nullptr;  // null: the whole cluster
   LatencyTables own_tables_;  // unused while borrowing
   LatencyTables* tables_;     // &own_tables_ or the borrowed tables
   graph::AStarPruneScratch scratch_;

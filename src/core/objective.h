@@ -17,7 +17,7 @@ namespace hmn::core {
 /// Eq. 10 over an explicit residual-CPU vector (one entry per host).
 [[nodiscard]] double load_balance_factor(std::span<const double> rproc);
 
-/// Eq. 10 for a residual state.
+/// Eq. 10 for a residual state, over state.hosts().
 [[nodiscard]] double load_balance_factor(const ResidualState& state);
 
 /// Eq. 10 for a complete mapping: recomputes rproc(c_i) = proc(c_i) -

@@ -1,5 +1,6 @@
 #include "core/residual.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace hmn::core {
@@ -66,8 +67,34 @@ void ResidualState::remove(const model::GuestRequirements& req, NodeId host) {
   stor_[host.index()] += req.stor_gb;
 }
 
+// The multilevel refiner calls these before every group try and after
+// every failed re-route.
+// hmn-lint: hot-path
+void ResidualState::restrict_hosts(std::span<const NodeId> hosts) {
+  assert(std::is_sorted(hosts.begin(), hosts.end()));
+  own_hosts_.assign(hosts.begin(), hosts.end());
+  restricted_ = true;
+}
+
+// hmn-lint: hot-path
+void ResidualState::restore_hosts(std::span<const NodeId> hosts) {
+  for (const NodeId h : hosts) {
+    const model::HostCapacity& cap = cluster_->capacity(h);
+    proc_[h.index()] = cap.proc_mips;
+    mem_[h.index()] = cap.mem_mb;
+    stor_[h.index()] = cap.stor_gb;
+  }
+}
+
+// hmn-lint: hot-path
+void ResidualState::restore_links(std::span<const EdgeId> links) {
+  for (const EdgeId e : links) {
+    bw_[e.index()] = cluster_->link(e).bandwidth_mbps;
+  }
+}
+
 std::vector<double> ResidualState::residual_proc_of_hosts() const {
-  const auto& hosts = cluster_->hosts();
+  const auto& hosts = this->hosts();
   std::vector<double> out;
   out.reserve(hosts.size());
   for (const NodeId h : hosts) out.push_back(proc_[h.index()]);

@@ -3,7 +3,9 @@
 // Mapping stages place and move guests and reserve bandwidth along paths;
 // this object tracks what remains.  Memory and storage are hard constraints
 // (Eqs. 2-3); CPU may go negative — it is the optimization variable, not a
-// constraint (Section 3.2).
+// constraint (Section 3.2).  The stages work over the state's host list,
+// hosts(): the cluster's hosts, or the hosts of one region of it once
+// restrict_hosts() narrows the list (the multilevel refiner's regions).
 #pragma once
 
 #include <span>
@@ -26,6 +28,24 @@ class ResidualState {
   [[nodiscard]] const model::PhysicalCluster& cluster() const {
     return *cluster_;
   }
+
+  /// The hosts the mapping stages work over, ascending by NodeId: Hosting
+  /// picks among them, Migration moves guests between them, and Eq. 10 is
+  /// computed over them.  cluster().hosts() unless restrict_hosts()
+  /// narrowed the list.
+  [[nodiscard]] const std::vector<NodeId>& hosts() const {
+    return restricted_ ? own_hosts_ : cluster_->hosts();
+  }
+  /// Narrows hosts() to `hosts`: ascending host ids of the cluster, no
+  /// duplicates.  Residuals stay as they are; the stages then read and
+  /// change only those of the listed hosts (and of the links they route
+  /// over).  Allocates nothing once the list has held as many hosts.
+  void restrict_hosts(std::span<const NodeId> hosts);
+  /// Resets the CPU, memory and storage residuals of `hosts` to the
+  /// cluster's capacities: what a fresh state holds.
+  void restore_hosts(std::span<const NodeId> hosts);
+  /// Resets the residual bandwidth of `links` to the cluster's.
+  void restore_links(std::span<const EdgeId> links);
 
   /// Hard-constraint fit check (memory + storage, Eqs. 2-3).  Inline:
   /// random placement calls it once per host per guest per try.
@@ -53,7 +73,7 @@ class ResidualState {
     return stor_[n.index()];
   }
 
-  /// Residual CPU of every host, in cluster.hosts() order — the vector the
+  /// Residual CPU of every host, in hosts() order — the vector the
   /// objective function (Eq. 10) is computed over.
   [[nodiscard]] std::vector<double> residual_proc_of_hosts() const;
 
@@ -68,6 +88,8 @@ class ResidualState {
 
  private:
   const model::PhysicalCluster* cluster_ = nullptr;
+  bool restricted_ = false;       // hosts() is own_hosts_
+  std::vector<NodeId> own_hosts_;  // the restricted host list
   std::vector<double> proc_;  // per node
   std::vector<double> mem_;
   std::vector<double> stor_;

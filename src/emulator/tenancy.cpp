@@ -471,6 +471,14 @@ std::vector<double> TenancyManager::residual_host_proc() const {
   return rproc;
 }
 
+double TenancyManager::residual_host_proc_sum() const {
+  double sum = 0.0;
+  for (const NodeId h : cluster_.hosts()) {
+    sum += cluster_.capacity(h).proc_mips - used_proc_[h.index()];
+  }
+  return sum;
+}
+
 const Tenant* TenancyManager::tenant(TenantId id) const {
   const auto it = tenants_.find(id);
   return it == tenants_.end() ? nullptr : &it->second;

@@ -182,6 +182,9 @@ class TenancyManager {
   /// vector the cluster-wide load-balance factor (Eq. 10) is computed
   /// over.  May contain negative entries: CPU is not a hard constraint.
   [[nodiscard]] std::vector<double> residual_host_proc() const;
+  /// The sum of residual_host_proc(), added up in the same order, without
+  /// building the vector.
+  [[nodiscard]] double residual_host_proc_sum() const;
 
   [[nodiscard]] TenancyUtilization utilization() const;
 

@@ -93,6 +93,12 @@ struct AStarPruneOptions {
   const std::vector<double>* lat_to_dest = nullptr;
 };
 
+/// The `present` argument of the searches below that admits every edge:
+/// they search the whole graph.
+struct EveryEdge {
+  constexpr bool operator()(EdgeId /*edge*/) const { return true; }
+};
+
 /// Caller-owned working memory of `astar_prune_bottleneck`: the chain
 /// arena, the frontier heap, the per-node Pareto labels, and the ar[]
 /// Dijkstra buffers used when the caller passes no `lat_to_dest`; and of
@@ -126,20 +132,34 @@ struct AStarPruneScratch {
 /// Returns nullopt when no feasible path exists.  origin == destination
 /// yields the empty path (infinite bottleneck, zero latency) — virtual links
 /// between co-located guests are handled inside the host (Section 5.2).
-/// Works in `scratch`; only the returned path allocates.
-template <typename BwFn, typename LatFn>
+///
+/// `present(EdgeId)` restricts the search to a subgraph: an edge it
+/// rejects is absent, skipped before any other test and by the ar[]
+/// Dijkstra, so the search returns what it returns on a copy of the graph
+/// without those edges (whose adjacency lists keep their order), whatever
+/// the demand and the latency bound.  A caller-supplied `lat_to_dest` must
+/// have been computed without them too.  Works in `scratch`; only the
+/// returned path allocates.
+template <typename BwFn, typename LatFn, typename PresentFn = EveryEdge>
 // hmn-lint: hot-path
 [[nodiscard]] std::optional<ConstrainedPath> astar_prune_bottleneck(
     const Graph& g, NodeId origin, NodeId destination, double demand_bw,
     double max_latency, BwFn&& residual_bw, LatFn&& latency,
-    const AStarPruneOptions& opts, AStarPruneScratch& scratch) {
+    const AStarPruneOptions& opts, AStarPruneScratch& scratch,
+    PresentFn&& present = PresentFn{}) {
   if (origin == destination) return ConstrainedPath{};
 
   // ar[c] = shortest achievable latency from c to destination (undirected
   // graph: Dijkstra from the destination gives distance-to-destination).
+  // Dijkstra skips an edge of infinite weight, as if it were absent.
   if (opts.lat_to_dest == nullptr) {
-    dijkstra_into(g, destination, [&](EdgeId e) { return latency(e); },
-                  scratch.ar, scratch.ar_heap);
+    dijkstra_into(
+        g, destination,
+        [&](EdgeId e) {
+          return present(e) ? latency(e)
+                            : std::numeric_limits<double>::infinity();
+        },
+        scratch.ar, scratch.ar_heap);
   }
   const std::vector<double>& ar =
       opts.lat_to_dest != nullptr ? *opts.lat_to_dest : scratch.ar.dist;
@@ -202,6 +222,7 @@ template <typename BwFn, typename LatFn>
       return out;
     }
     for (const Adjacency& adj : g.neighbors(best.last)) {
+      if (!present(adj.edge)) continue;
       if (on_path(best.chain, adj.neighbor)) continue;  // loop-free (Eq. 7)
       const double bw = residual_bw(adj.edge);
       if (bw < demand_bw) continue;  // bandwidth pruning (Eq. 9)
@@ -269,18 +290,25 @@ template <typename BwFn, typename LatFn>
 ///   * Nodes in different components give nullopt, as A*Prune does: its
 ///     Dijkstra leaves ar[origin] = +inf and its search never reaches the
 ///     destination.
+///   * An edge `present` rejects is absent, as in the search: the subgraph
+///     without it is a forest too, in which the two nodes are connected
+///     only if the path avoids every absent edge.  Otherwise they lie in
+///     different components of it, which gives nullopt.
 ///
 /// Only the returned path allocates once `scratch` has grown to the
 /// longest path.
-template <typename BwFn, typename LatFn>
+template <typename BwFn, typename LatFn, typename PresentFn = EveryEdge>
 // hmn-lint: hot-path
 [[nodiscard]] std::optional<ConstrainedPath> astar_prune_on_forest(
     const Forest& forest, NodeId origin, NodeId destination, double demand_bw,
     double max_latency, BwFn&& residual_bw, LatFn&& latency,
-    AStarPruneScratch& scratch) {
+    AStarPruneScratch& scratch, PresentFn&& present = PresentFn{}) {
   if (origin == destination) return ConstrainedPath{};
   const Path& walk = scratch.walk;
   if (!forest.path(origin, destination, scratch.walk)) return std::nullopt;
+  for (const EdgeId e : walk) {
+    if (!present(e)) return std::nullopt;
+  }
 
   // ar[i] of the path's i-th node: 0 at the destination, then Dijkstra's
   // d + w toward the origin.

@@ -1,6 +1,8 @@
 #include "multilevel/multilevel_mapper.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "core/validator.h"
@@ -24,148 +26,85 @@ struct LevelMapping {
   std::vector<graph::Path> link_paths;
 };
 
-/// Every node of a level, ascending: the region of a whole-level pass.
-std::vector<NodeId> every_node(const model::PhysicalCluster& level) {
-  std::vector<NodeId> nodes(level.node_count());
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
-    nodes[n] = NodeId{static_cast<NodeId::underlying_type>(n)};
+/// Merges the hosts among `nodes` (ascending) into `hosts` (ascending, none
+/// of `nodes`), keeping it ascending.  `merged` is scratch space.
+void merge_hosts(const model::PhysicalCluster& level,
+                 std::span<const NodeId> nodes, std::vector<NodeId>& hosts,
+                 std::vector<NodeId>& merged) {
+  merged.clear();
+  auto old = hosts.begin();
+  for (const NodeId n : nodes) {
+    if (!level.is_host(n)) continue;
+    for (; old != hosts.end() && *old < n; ++old) merged.push_back(*old);
+    merged.push_back(n);
   }
-  return nodes;
+  merged.insert(merged.end(), old, hosts.end());
+  hosts.swap(merged);
 }
 
-/// A refinement region of one level as a cluster of its own, with the maps
-/// between region-local and level ids.  `nodes` are ascending level ids
-/// without duplicates.  A region that covers every node of the level is
-/// the level itself — the subcluster induced by every node has the same
-/// ids, adjacency order, capacities and link properties — so it borrows
-/// the level instead of copying it.
-class Region {
- public:
-  Region(const model::PhysicalCluster& level, const std::vector<NodeId>& nodes)
-      : whole_(nodes.size() == level.node_count()) {
-    if (whole_) {
-      cluster_ = &level;
-      return;
-    }
-    sub_ = topology::induced_subcluster(level, nodes);
-    cluster_ = &sub_.cluster;
-    local_of_.assign(level.node_count(), NodeId::invalid());
-    for (std::size_t i = 0; i < sub_.to_parent_node.size(); ++i) {
-      local_of_[sub_.to_parent_node[i].index()] =
-          NodeId{static_cast<NodeId::underlying_type>(i)};
-    }
+/// The environment of `guests` alone: their requirements in `guests` order
+/// and the links of `venv` between two of them, in link order.
+model::VirtualEnvironment sub_venv(const model::VirtualEnvironment& venv,
+                                   std::span<const GuestId> guests) {
+  model::VirtualEnvironment sub;
+  std::vector<std::size_t> local(venv.guest_count(), guests.size());
+  for (std::size_t i = 0; i < guests.size(); ++i) {
+    local[guests[i].index()] = i;
+    (void)sub.add_guest(venv.guest(guests[i]));
   }
-  Region(const Region&) = delete;
-  Region& operator=(const Region&) = delete;
+  for (std::size_t l = 0; l < venv.link_count(); ++l) {
+    const auto ep = venv.endpoints(lid(l));
+    const std::size_t src = local[ep.src.index()];
+    const std::size_t dst = local[ep.dst.index()];
+    if (src == guests.size() || dst == guests.size()) continue;
+    (void)sub.add_link(gid(src), gid(dst), venv.link(lid(l)));
+  }
+  return sub;
+}
 
-  [[nodiscard]] const model::PhysicalCluster& cluster() const {
-    return *cluster_;
-  }
-  /// The region-local id of a level node; invalid() outside the region.
-  [[nodiscard]] NodeId local(NodeId n) const {
-    return whole_ ? n : local_of_[n.index()];
-  }
-  [[nodiscard]] NodeId level_node(NodeId n) const {
-    return whole_ ? n : sub_.to_parent_node[n.index()];
-  }
-  [[nodiscard]] EdgeId level_edge(EdgeId e) const {
-    return whole_ ? e : sub_.to_parent_edge[e.index()];
-  }
-
- private:
-  bool whole_;
-  topology::SubCluster sub_;
-  std::vector<NodeId> local_of_;  // level node -> region node
-  const model::PhysicalCluster* cluster_ = nullptr;
-};
-
-/// Routes every venv link over the region `region_nodes` of `fine`,
-/// writing level-local paths into `m.link_paths` on success.
+/// Routes every venv link over the region of the level `region` flags (the
+/// whole level when null), writing level paths into `m.link_paths` on
+/// success.  `router` routes over `state`, whose links in the region hold
+/// the level's capacities on entry: a failed route restores the links it
+/// reserved, so the next one starts from them too.
 // Refinement's inner re-route: called up to three times per descent level.
 // hmn-lint: hot-path
-bool route_region(const model::PhysicalCluster& fine,
-                  const std::vector<NodeId>& region_nodes,
+bool route_region(core::ResidualState& state, core::LinkRouter& router,
+                  const std::vector<char>* region,
                   const model::VirtualEnvironment& venv,
-                  const std::vector<NodeId>& fine_guest_host,
-                  LevelMapping& m) {
-  const Region region(fine, region_nodes);
-  std::vector<NodeId> local_gh(fine_guest_host.size());
-  for (std::size_t g = 0; g < fine_guest_host.size(); ++g) {
-    local_gh[g] = region.local(fine_guest_host[g]);
-    if (!local_gh[g].valid()) return false;  // guest outside the region
-  }
-  core::ResidualState state(region.cluster());
-  core::NetworkingResult routed = core::run_networking(venv, state, local_gh);
-  if (!routed.ok) return false;
-  m.link_paths.assign(venv.link_count(), {});
-  for (std::size_t l = 0; l < venv.link_count(); ++l) {
-    graph::Path& path = m.link_paths[l];
-    path.reserve(routed.link_paths[l].size());
-    for (const EdgeId e : routed.link_paths[l]) {
-      path.push_back(region.level_edge(e));
+                  const std::vector<NodeId>& guest_host, LevelMapping& m) {
+  if (region != nullptr) {
+    for (const NodeId h : guest_host) {
+      if ((*region)[h.index()] == 0) return false;  // guest outside the region
     }
   }
+  router.restrict_to(region);
+  core::NetworkingResult routed =
+      core::run_networking(venv, state, guest_host, {}, &router);
+  if (!routed.ok) {
+    for (const graph::Path& p : routed.link_paths) state.restore_links(p);
+    return false;
+  }
+  m.link_paths = std::move(routed.link_paths);
   return true;
 }
 
 }  // namespace
 
-GuestId unhostable_guest(const model::PhysicalCluster& level,
-                         const std::vector<NodeId>& region,
+GuestId unhostable_guest(const core::ResidualState& state,
                          const model::VirtualEnvironment& venv,
-                         const std::vector<NodeId>& placed,
-                         const std::vector<GuestId>& group) {
+                         std::span<const GuestId> group) {
   for (const GuestId g : group) {
     const model::GuestRequirements& req = venv.guest(g);
     if (!(req.mem_mb >= 0.0 && req.stor_gb >= 0.0)) return GuestId::invalid();
   }
-  // Residuals of the region hosts that hold placed guests, each charged by
-  // the subtractions ResidualState::place makes, in ascending guest order;
-  // then ordered by node, as the region is.
-  struct Charged {
-    NodeId host;
-    double mem_mb;
-    double stor_gb;
-  };
-  std::vector<Charged> charged;
-  for (std::size_t g = 0; g < placed.size(); ++g) {
-    const NodeId h = placed[g];
-    if (!h.valid() || !std::binary_search(region.begin(), region.end(), h)) {
-      continue;
-    }
-    auto at = std::find_if(charged.begin(), charged.end(),
-                           [&](const Charged& c) { return c.host == h; });
-    if (at == charged.end()) {
-      charged.push_back(
-          {h, level.capacity(h).mem_mb, level.capacity(h).stor_gb});
-      at = charged.end() - 1;
-    }
-    const model::GuestRequirements& req = venv.guest(gid(g));
-    at->mem_mb -= req.mem_mb;
-    at->stor_gb -= req.stor_gb;
-  }
-  std::sort(charged.begin(), charged.end(),
-            [](const Charged& a, const Charged& b) { return a.host < b.host; });
-
+  const std::vector<NodeId>& hosts = state.hosts();
   for (const GuestId g : group) {
     const model::GuestRequirements& req = venv.guest(g);
-    auto next = charged.begin();
-    bool fits = false;
-    for (const NodeId h : region) {
-      if (!level.is_host(h)) continue;
-      double mem = level.capacity(h).mem_mb;
-      double stor = level.capacity(h).stor_gb;
-      while (next != charged.end() && next->host < h) ++next;
-      if (next != charged.end() && next->host == h) {
-        mem = next->mem_mb;
-        stor = next->stor_gb;
-      }
-      if (mem >= req.mem_mb && stor >= req.stor_gb) {
-        fits = true;
-        break;
-      }
+    if (std::none_of(hosts.begin(), hosts.end(),
+                     [&](NodeId h) { return state.fits(req, h); })) {
+      return g;
     }
-    if (!fits) return g;
   }
   return GuestId::invalid();
 }
@@ -287,8 +226,8 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
     }
 
     // Expand each occupied super-node: Hosting + Migration restricted to
-    // the group's member subcluster.  The coarse solve admitted the group
-    // on *aggregate* capacity, but Eqs. 2-3 are per-host, so the group's
+    // the group's member hosts.  The coarse solve admitted the group on
+    // *aggregate* capacity, but Eqs. 2-3 are per-host, so the group's
     // individual hosts may not carry the bin-packing; in that case widen
     // the region by BFS over the group adjacency (radius 1 may add only a
     // bare switch group; radius 2 reaches the sibling racks behind it),
@@ -297,88 +236,85 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
     // retry already placed inside a region are charged into the residual
     // state, so capacity is never double-booked across groups.
     std::vector<NodeId> fine_gh(venv.guest_count(), NodeId::invalid());
+    // One state serves every region of the level (DESIGN §8): a try
+    // restricts it to the region's hosts, resets them to the level's
+    // capacities and charges the guests placed on them so far, in
+    // ascending guest order — the doubles a state built on the region's
+    // induced subcluster would hold.
+    core::ResidualState state(fine);
 
-    // Hosts `guests` (with their induced internal links) on the subcluster
-    // of `region`, charging prior placements; writes fine_gh on success.
-    // A guest that fits on no region host once those placements are
-    // charged would fail Hosting, so such a try builds nothing.
-    auto try_host = [&](const std::vector<GuestId>& guests,
-                        const std::vector<NodeId>& region) {
+    // Hosts `guests`, whose environment with the links among them is
+    // `sub` (built on first use), on the region with ascending hosts
+    // `hosts` and node test `inside`; writes fine_gh on success.  A guest
+    // that fits on no region host once the earlier placements are charged
+    // would fail Hosting, so such a try stops before the stages run.
+    auto try_host = [&](std::span<const GuestId> guests,
+                        std::span<const NodeId> hosts, auto inside,
+                        std::optional<model::VirtualEnvironment>& sub) {
       stage.restart();
-      const bool hostable =
-          !unhostable_guest(fine, region, venv, fine_gh, guests).valid();
+      state.restore_hosts(hosts);
+      state.restrict_hosts(hosts);
+      for (std::size_t g = 0; g < fine_gh.size(); ++g) {
+        if (fine_gh[g].valid() && inside(fine_gh[g])) {
+          state.place(venv.guest(gid(g)), fine_gh[g]);
+        }
+      }
+      const bool hostable = !unhostable_guest(state, venv, guests).valid();
       outcome.stats.hosting_seconds += stage.elapsed_seconds();
       if (!hostable) return false;
-      model::VirtualEnvironment sub_venv;
-      std::vector<std::size_t> local_guest(venv.guest_count(), 0);
-      std::vector<char> in_set(venv.guest_count(), 0);
-      for (std::size_t i = 0; i < guests.size(); ++i) {
-        local_guest[guests[i].index()] = i;
-        in_set[guests[i].index()] = 1;
-        (void)sub_venv.add_guest(venv.guest(guests[i]));
-      }
-      for (std::size_t l = 0; l < venv.link_count(); ++l) {
-        const auto ep = venv.endpoints(lid(l));
-        if (!in_set[ep.src.index()] || !in_set[ep.dst.index()]) continue;
-        (void)sub_venv.add_link(gid(local_guest[ep.src.index()]),
-                                gid(local_guest[ep.dst.index()]),
-                                venv.link(lid(l)));
-      }
-      const Region sub(fine, region);
+      if (!sub.has_value()) sub = sub_venv(venv, guests);
       stage.restart();
-      core::ResidualState st(sub.cluster());
-      for (std::size_t g = 0; g < fine_gh.size(); ++g) {
-        if (!fine_gh[g].valid()) continue;
-        const NodeId at = sub.local(fine_gh[g]);
-        if (at.valid()) st.place(venv.guest(gid(g)), at);
-      }
-      core::HostingResult sub_hosted = core::run_hosting(sub_venv, st);
+      core::HostingResult sub_hosted = core::run_hosting(*sub, state);
       outcome.stats.hosting_seconds += stage.elapsed_seconds();
       if (!sub_hosted.ok) return false;
       stage.restart();
       outcome.stats.migrations +=
-          core::run_migration(sub_venv, st, sub_hosted.guest_host).migrations;
+          core::run_migration(*sub, state, sub_hosted.guest_host).migrations;
       outcome.stats.migration_seconds += stage.elapsed_seconds();
       for (std::size_t i = 0; i < guests.size(); ++i) {
-        fine_gh[guests[i].index()] =
-            sub.level_node(sub_hosted.guest_host[i]);
+        fine_gh[guests[i].index()] = sub_hosted.guest_host[i];
       }
       return true;
     };
 
     constexpr std::size_t kMaxRadius = 3;
     std::vector<GuestId> spilled;
+    std::vector<char> in_set(c.group_count(), 0);
+    auto inside = [&](NodeId n) {
+      return in_set[c.group_of_node[n.index()]] != 0;
+    };
+    std::vector<std::size_t> frontier;
+    std::vector<std::size_t> next;
+    std::vector<NodeId> hosts;
+    std::vector<NodeId> merged;
     for (std::size_t grp = 0; grp < c.group_count(); ++grp) {
       if (by_group[grp].empty()) continue;
-      std::vector<char> in_set(c.group_count(), 0);
-      std::vector<std::size_t> frontier = {grp};
+      std::fill(in_set.begin(), in_set.end(), 0);
       in_set[grp] = 1;
-      std::vector<NodeId> region = c.members[grp];
+      frontier.assign(1, grp);
+      hosts.clear();
+      merge_hosts(fine, c.members[grp], hosts, merged);
+      std::optional<model::VirtualEnvironment> sub;
       bool placed = false;
       for (std::size_t radius = 0; radius <= kMaxRadius; ++radius) {
         if (radius > 0) {
-          std::vector<std::size_t> next;
-          bool adds_hosts = false;
+          next.clear();
+          const std::size_t had = hosts.size();
           for (const std::size_t g : frontier) {
             for (const std::size_t nb : c.adjacency[g]) {
               if (in_set[nb]) continue;
               in_set[nb] = 1;
               next.push_back(nb);
-              for (const NodeId n : c.members[nb]) {
-                region.push_back(n);
-                adds_hosts = adds_hosts || fine.is_host(n);
-              }
+              merge_hosts(fine, c.members[nb], hosts, merged);
             }
           }
           if (next.empty()) break;  // whole component already covered
-          std::sort(next.begin(), next.end());
-          std::sort(region.begin(), region.end());
-          frontier = std::move(next);
+          frontier.swap(next);
           // Host-less groups leave try_host the same guests, hosts and
           // charged placements as the radius that just failed.
-          if (!adds_hosts) continue;
+          if (hosts.size() == had) continue;
         }
-        if (try_host(by_group[grp], region)) {
+        if (try_host(by_group[grp], hosts, inside, sub)) {
           for (std::size_t g = 0; g < c.group_count(); ++g) {
             if (in_set[g]) in_region[g] = 1;
           }
@@ -392,7 +328,9 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
       }
     }
     if (!spilled.empty()) {
-      if (!try_host(spilled, every_node(fine))) {
+      std::optional<model::VirtualEnvironment> sub;
+      if (!try_host(spilled, fine.hosts(), [](NodeId) { return true; },
+                    sub)) {
         return fallback("level hosting");
       }
       std::fill(in_region.begin(), in_region.end(), 1);
@@ -400,20 +338,21 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
 
     // Re-route over the region; widen by one ring of adjacent groups, then
     // to the whole level, before giving up.  A widening that adds no node
-    // would repeat the failed route, so it is skipped.
-    auto region_nodes = [&]() {
-      std::vector<NodeId> nodes;
-      for (std::size_t grp = 0; grp < c.group_count(); ++grp) {
-        if (!in_region[grp]) continue;
-        nodes.insert(nodes.end(), c.members[grp].begin(),
-                     c.members[grp].end());
+    // would repeat the failed route, so it is skipped.  The region's nodes
+    // are marked in one pass over the level.
+    std::vector<char> region(fine.node_count(), 0);
+    auto mark_region = [&] {
+      std::size_t marked = 0;
+      for (std::size_t n = 0; n < region.size(); ++n) {
+        region[n] = in_region[c.group_of_node[n]];
+        if (region[n] != 0) ++marked;
       }
-      std::sort(nodes.begin(), nodes.end());
-      return nodes;
+      return marked;
     };
+    core::LinkRouter router(state);
     stage.restart();
-    std::vector<NodeId> nodes = region_nodes();
-    bool routed_ok = route_region(fine, nodes, venv, fine_gh, m);
+    std::size_t marked = mark_region();
+    bool routed_ok = route_region(state, router, &region, venv, fine_gh, m);
     if (!routed_ok) {
       std::vector<char> widened = in_region;
       for (std::size_t grp = 0; grp < c.group_count(); ++grp) {
@@ -421,14 +360,14 @@ core::MapOutcome MultilevelMapper::map(const model::PhysicalCluster& cluster,
         for (const std::size_t nb : c.adjacency[grp]) widened[nb] = 1;
       }
       in_region = std::move(widened);
-      const std::size_t tried = nodes.size();
-      nodes = region_nodes();
-      if (nodes.size() > tried) {
-        routed_ok = route_region(fine, nodes, venv, fine_gh, m);
+      const std::size_t tried = marked;
+      marked = mark_region();
+      if (marked > tried) {
+        routed_ok = route_region(state, router, &region, venv, fine_gh, m);
       }
     }
-    if (!routed_ok && nodes.size() < fine.node_count()) {
-      routed_ok = route_region(fine, every_node(fine), venv, fine_gh, m);
+    if (!routed_ok && marked < fine.node_count()) {
+      routed_ok = route_region(state, router, nullptr, venv, fine_gh, m);
     }
     outcome.stats.networking_seconds += stage.elapsed_seconds();
     if (!routed_ok) return fallback("level networking");

@@ -11,13 +11,15 @@
 //   3. expand the virtual merge history exactly (members co-locate on their
 //      super-guest's coarse node, member links inherit coarse paths);
 //   4. uncoarsen one physical level at a time: each occupied coarse node
-//      expands into its member subcluster where Hosting + Migration re-run
+//      expands into its member hosts where Hosting + Migration re-run
 //      locally (the refinement frontier) — widening to the adjacent ring
 //      and then the whole level when the group's hosts cannot carry the
 //      per-host bin-packing — then Networking re-routes over
 //      the region induced by the occupied groups plus the groups under the
 //      previous level's paths — widening once, then to the full level, if
-//      the region cannot carry the links;
+//      the region cannot carry the links.  A region is a view of its level
+//      (a host list and a node mask over one residual state and one link
+//      router per level), never a copy;
 //   5. core::validate_mapping checks every level; any violation or stage
 //      failure falls back to the flat HMN mapper, so the multilevel path
 //      can only lose time, never admissions.
@@ -31,11 +33,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/hmn_mapper.h"
 #include "core/mapper.h"
+#include "core/residual.h"
 #include "multilevel/physical_coarsener.h"
 #include "multilevel/virtual_coarsener.h"
 
@@ -66,21 +70,17 @@ struct MultilevelOptions {
 };
 
 /// The refiner's check before it hosts a group of guests on a region of a
-/// level (DESIGN §8): the first guest of `group` that fits (Eqs. 2-3) on no
-/// host of `region` once the guests `placed` puts inside the region are
-/// charged, in ascending guest order — the residuals core::ResidualState
-/// holds for the region when its Hosting stage starts.  Hosting only
-/// shrinks memory and storage residuals, so when this names a guest,
-/// core::run_hosting fails on the region.  invalid() when every guest of
-/// the group fits some host, or when one has a negative (or NaN) memory
-/// or storage demand, whose placement could grow a residual.  `region`
-/// holds ascending level node ids; `placed` maps every guest of `venv` to
-/// its level host, invalid() when not placed yet.
-[[nodiscard]] GuestId unhostable_guest(const model::PhysicalCluster& level,
-                                       const std::vector<NodeId>& region,
+/// level (DESIGN §8): the first guest of `group` that fits (Eqs. 2-3) on
+/// no host of state.hosts().  The refiner asks it of the state its Hosting
+/// stage is about to start from: restricted to the region's hosts, with
+/// the guests placed inside the region so far charged in ascending guest
+/// order.  Hosting only shrinks memory and storage residuals, so when this
+/// names a guest, core::run_hosting fails on that state.  invalid() when
+/// every guest of the group fits some host, or when one has a negative (or
+/// NaN) memory or storage demand, whose placement could grow a residual.
+[[nodiscard]] GuestId unhostable_guest(const core::ResidualState& state,
                                        const model::VirtualEnvironment& venv,
-                                       const std::vector<NodeId>& placed,
-                                       const std::vector<GuestId>& group);
+                                       std::span<const GuestId> group);
 
 class MultilevelMapper final : public core::Mapper {
  public:

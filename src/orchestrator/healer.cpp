@@ -403,6 +403,11 @@ std::optional<ParkedTenant> Healer::abandon_parked(std::uint32_t key) {
   return parked;
 }
 
+bool Healer::is_parked(std::uint32_t key) const {
+  return std::any_of(parked_.begin(), parked_.end(),
+                     [key](const ParkedTenant& p) { return p.key == key; });
+}
+
 std::vector<std::string> Healer::audit(const emulator::TenancyManager& mgr,
                                        const LiveMap& live) const {
   std::vector<std::string> violations;

@@ -153,6 +153,8 @@ class Healer {
   /// A parked tenant departed before re-admission; removes and returns its
   /// parked entry when it was indeed parked.
   std::optional<ParkedTenant> abandon_parked(std::uint32_t key);
+  /// Whether a tenant with this key is parked.
+  [[nodiscard]] bool is_parked(std::uint32_t key) const;
 
   [[nodiscard]] bool is_degraded(std::uint32_t key) const {
     return degraded_.count(key) != 0;

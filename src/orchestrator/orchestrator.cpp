@@ -320,6 +320,21 @@ void Orchestrator::run_audit(double now) {
 }
 
 EventDecision Orchestrator::handle(const workload::TenantEvent& ev) {
+  // A second arrive for a key the orchestrator still holds would overwrite
+  // its live entry (or queue or park the key twice), and the first tenant
+  // would never be released.  Refused before anything changes or is
+  // journaled.
+  if (ev.kind == workload::EventKind::kArrive) {
+    const char* held = live_.contains(ev.tenant) ? "live"
+                       : queue_.contains(ev.tenant) ? "queued"
+                       : healer_.is_parked(ev.tenant) ? "parked"
+                                                      : nullptr;
+    if (held != nullptr) {
+      throw std::invalid_argument("arrive for tenant key " +
+                                  std::to_string(ev.tenant) +
+                                  ", which is already " + held);
+    }
+  }
   if (observer_ != nullptr) observer_->on_event_begin(event_index_, ev);
   const util::Timer timer;
   EventDecision d;

@@ -318,6 +318,8 @@ class Orchestrator {
   /// Feeds one event; returns the primary decision.  Secondary decisions a
   /// departure triggers (backfill admissions, drops) are appended to the
   /// report only.  Events must be fed in non-decreasing time order.
+  /// Throws std::invalid_argument, before changing any state or notifying
+  /// the observer, for an arrive whose key is live, queued or parked.
   EventDecision handle(const workload::TenantEvent& ev);
 
   /// Convenience: feeds every event of a trace built with this

@@ -20,6 +20,11 @@ std::optional<PendingTenant> RetryQueue::erase(std::uint32_t key) {
   return out;
 }
 
+bool RetryQueue::contains(std::uint32_t key) const {
+  return std::any_of(entries_.begin(), entries_.end(),
+                     [key](const PendingTenant& t) { return t.key == key; });
+}
+
 std::vector<PendingTenant> RetryQueue::export_entries() const {
   return {entries_.begin(), entries_.end()};
 }

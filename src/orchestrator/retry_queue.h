@@ -94,6 +94,8 @@ class RetryQueue {
   /// Removes a tenant that departed before ever being admitted.  Returns
   /// the entry when present (for time-in-queue accounting).
   [[nodiscard]] std::optional<PendingTenant> erase(std::uint32_t key);
+  /// Whether a tenant with this key waits in the queue.
+  [[nodiscard]] bool contains(std::uint32_t key) const;
 
   struct DrainResult {
     std::vector<PendingTenant> admitted;   // entries `try_admit` accepted

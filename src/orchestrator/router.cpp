@@ -106,9 +106,7 @@ double PlacementRouter::headroom(std::size_t s) const {
 void PlacementRouter::refresh_headroom(std::size_t s) {
   ShardState& st = *shards_[s];
   std::lock_guard lock(st.mutex);
-  double sum = 0.0;
-  for (const double r : st.mgr.residual_host_proc()) sum += r;
-  st.headroom = sum;
+  st.headroom = st.mgr.residual_host_proc_sum();
 }
 
 // Scoring runs once per admission batch entry; probe vectors stay reserved.

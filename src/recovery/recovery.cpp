@@ -56,6 +56,8 @@ RecoveredRun recover(orchestrator::Orchestrator& orch,
   // end vouches for every decision the re-handled event produced.
   std::optional<workload::TenantEvent> pending_event;
   std::uint64_t pending_index = 0;
+  std::size_t pending_record = 0;
+  std::optional<double> previous_time;  // of the last EVENT_BEGIN
   for (std::size_t i = 0; i < parse.records.size(); ++i) {
     const JournalRecord& rec = parse.records[i];
     switch (rec.type) {
@@ -68,8 +70,19 @@ RecoveredRun recover(orchestrator::Orchestrator& orch,
               " was never closed before group " +
               std::to_string(rec.event_index) + " began");
         }
+        // Events are handled in time order, as read_trace demands of a
+        // trace; equal times stay legal.
+        if (previous_time.has_value() && rec.event.time < *previous_time) {
+          throw RecoveryError(
+              "journal record " + std::to_string(i) + ": event time " +
+              std::to_string(rec.event.time) +
+              " is earlier than the previous event's " +
+              std::to_string(*previous_time));
+        }
+        previous_time = rec.event.time;
         pending_event = rec.event;
         pending_index = rec.event_index;
+        pending_record = i;
         break;
       case RecordType::kEventEnd: {
         if (rec.event_index < orch.events_handled()) {
@@ -90,7 +103,13 @@ RecoveredRun recover(orchestrator::Orchestrator& orch,
               " does not follow the recovered state (expected group " +
               std::to_string(orch.events_handled()) + ")");
         }
-        orch.handle(*pending_event);
+        try {
+          orch.handle(*pending_event);
+        } catch (const std::invalid_argument& e) {
+          throw RecoveryError("journal record " +
+                              std::to_string(pending_record) +
+                              ": event refused: " + e.what());
+        }
         pending_event.reset();
         ++out.replayed_events;
         if (orch.run_fingerprint() != rec.fingerprint) {

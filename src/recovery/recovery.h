@@ -46,8 +46,10 @@ struct RecoveredRun {
 };
 
 /// Recovers `orch` (freshly constructed, nothing handled yet) from
-/// `journal`.  Throws RecoveryError on corruption, malformed records, or
-/// replay divergence; on return the orchestrator is byte-equivalent to the
+/// `journal`.  Throws RecoveryError on corruption, malformed records, an
+/// EVENT_BEGIN earlier in time than the one before it, an event the
+/// orchestrator refuses (an arrive for a key it still holds), or replay
+/// divergence; on return the orchestrator is byte-equivalent to the
 /// uninterrupted run through `next_event_index` events.
 [[nodiscard]] RecoveredRun recover(orchestrator::Orchestrator& orch,
                                    std::string_view journal);

@@ -311,6 +311,28 @@ TEST(MultilevelMapperTest, RouterDelegationStaysThreadCountInvariant) {
 
 // ---- The refiner's check before a group try.
 
+/// The state the refiner checks a group try on: `level`'s residuals
+/// restricted to the hosts of `region`, with every guest `placed` puts
+/// inside the region charged first, in ascending order.
+core::ResidualState region_state(const model::PhysicalCluster& level,
+                                 const std::vector<NodeId>& region,
+                                 const model::VirtualEnvironment& venv,
+                                 const std::vector<NodeId>& placed) {
+  core::ResidualState state(level);
+  std::vector<NodeId> hosts;
+  for (const NodeId n : region) {
+    if (level.is_host(n)) hosts.push_back(n);
+  }
+  state.restrict_hosts(hosts);
+  for (std::size_t g = 0; g < placed.size(); ++g) {
+    if (placed[g].valid() &&
+        std::binary_search(region.begin(), region.end(), placed[g])) {
+      state.place(venv.guest(GuestId{static_cast<unsigned>(g)}), placed[g]);
+    }
+  }
+  return state;
+}
+
 /// Runs what the refiner's try_host runs on a region: Hosting of `group`
 /// (with its internal links) on the subcluster `region` induces, with every
 /// guest `placed` puts inside the region charged first, in ascending order.
@@ -410,8 +432,8 @@ TEST(UnhostableGuest, FiresOnlyWhereHostingFails) {
     if (group.empty()) continue;
 
     const bool ok = hosting_succeeds(level, region, venv, placed, group);
-    const GuestId unhostable =
-        multilevel::unhostable_guest(level, region, venv, placed, group);
+    const GuestId unhostable = multilevel::unhostable_guest(
+        region_state(level, region, venv, placed), venv, group);
     if (unhostable.valid()) {
       ++fired;
       EXPECT_FALSE(ok) << "trial " << trial << ": guest "
@@ -440,15 +462,10 @@ TEST(UnhostableGuest, NegativeDemandsNeverFire) {
   model::VirtualEnvironment venv;
   const GuestId big = venv.add_guest({10.0, 700.0, 10.0});
   const GuestId frees = venv.add_guest({10.0, -600.0, 10.0});
-  std::vector<NodeId> region(level.node_count());
-  for (std::size_t n = 0; n < region.size(); ++n) {
-    region[n] = NodeId{static_cast<unsigned>(n)};
-  }
-  const std::vector<NodeId> placed(2, NodeId::invalid());
-  EXPECT_EQ(multilevel::unhostable_guest(level, region, venv, placed, {big}),
-            big);
+  const core::ResidualState state(level);
+  EXPECT_EQ(multilevel::unhostable_guest(state, venv, std::vector{big}), big);
   EXPECT_FALSE(
-      multilevel::unhostable_guest(level, region, venv, placed, {big, frees})
+      multilevel::unhostable_guest(state, venv, std::vector{big, frees})
           .valid());
 }
 

@@ -3,6 +3,11 @@
 // replay determinism.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/validator.h"
 #include "io/trace.h"
 #include "orchestrator/defrag.h"
@@ -177,6 +182,76 @@ TEST(OrchestratorTest, QueueFullRejectsOutright) {
   EXPECT_EQ(orch.handle(arrive(1.0, 1, 2, 2)).decision, Decision::kQueued);
   EXPECT_EQ(orch.handle(arrive(2.0, 2, 2, 3)).decision, Decision::kRejected);
   EXPECT_EQ(orch.report().rejected, 1u);
+}
+
+/// Feeds `ev`, an arrive for a key the orchestrator still holds, and
+/// checks that it is refused without a trace in the run.
+void expect_refused(Orchestrator& orch, const TenantEvent& ev,
+                    const std::string& held) {
+  const auto& report = orch.report();
+  const std::size_t decisions = report.decisions.size();
+  const std::size_t arrivals = report.arrivals;
+  const std::size_t tenants = orch.tenancy().tenant_count();
+  const std::vector<double> residual = orch.tenancy().residual_host_proc();
+  const std::uint64_t fingerprint = orch.run_fingerprint();
+  const std::uint64_t handled = orch.events_handled();
+  try {
+    (void)orch.handle(ev);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tenant key " + std::to_string(ev.tenant)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(held), std::string::npos) << what;
+  }
+  EXPECT_EQ(report.decisions.size(), decisions);
+  EXPECT_EQ(report.arrivals, arrivals);
+  EXPECT_EQ(orch.tenancy().tenant_count(), tenants);
+  EXPECT_EQ(orch.tenancy().residual_host_proc(), residual);
+  EXPECT_EQ(orch.run_fingerprint(), fingerprint);
+  EXPECT_EQ(orch.events_handled(), handled);
+}
+
+TEST(OrchestratorTest, ReArriveOfAHeldKeyIsRefused) {
+  // Two hosts x 4096 MB; tenant 0 (2 guests x 3000 MB) needs both, so
+  // tenant 1 waits in the queue.
+  Orchestrator orch(line_cluster(2, {1000, 4096, 4096}),
+                    fixed_profile(3000.0));
+  EXPECT_EQ(orch.handle(arrive(5.0, 0, 2, 1)).decision, Decision::kAdmitted);
+  EXPECT_EQ(orch.handle(arrive(5.0, 1, 2, 2)).decision, Decision::kQueued);
+  expect_refused(orch, arrive(6.0, 0, 1, 3), "live");
+  expect_refused(orch, arrive(6.0, 1, 1, 4), "queued");
+
+  // The refusals left nothing behind: the departure releases the one
+  // tenant 0 holds and backfills tenant 1.
+  EXPECT_EQ(orch.handle(depart(7.0, 0)).decision, Decision::kDeparted);
+  EXPECT_EQ(orch.report().admitted_from_queue, 1u);
+  EXPECT_EQ(orch.tenancy().tenant_count(), 1u);
+  EXPECT_EQ(orch.handle(depart(8.0, 1)).decision, Decision::kDeparted);
+  EXPECT_EQ(orch.tenancy().tenant_count(), 0u);
+  // A key that departed may arrive again.
+  EXPECT_EQ(orch.handle(arrive(9.0, 0, 1, 5)).decision, Decision::kAdmitted);
+}
+
+TEST(OrchestratorTest, ReArriveOfAParkedKeyIsRefused) {
+  // Each host fits one 3000 MB guest: when a tenant's host dies it cannot
+  // be re-placed and is parked.
+  Orchestrator orch(line_cluster(2, {1000, 4096, 4096}),
+                    fixed_profile(3000.0));
+  EXPECT_EQ(orch.handle(arrive(0.0, 0, 1, 1)).decision, Decision::kAdmitted);
+  EXPECT_EQ(orch.handle(arrive(1.0, 1, 1, 2)).decision, Decision::kAdmitted);
+  TenantEvent fail;
+  fail.time = 2.0;
+  fail.kind = EventKind::kHostFail;
+  fail.element = 1;
+  (void)orch.handle(fail);
+  std::optional<std::uint32_t> parked;
+  for (const auto& d : orch.report().decisions) {
+    if (d.decision == Decision::kParked) parked = d.tenant;
+  }
+  ASSERT_TRUE(parked.has_value());
+  expect_refused(orch, arrive(3.0, *parked, 1, 3), "parked");
 }
 
 TEST(OrchestratorTest, GrowthExtendsInPlace) {

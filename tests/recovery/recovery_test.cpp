@@ -310,4 +310,106 @@ TEST(RecoveryTest, TrailingOpenGroupIsDroppedAsCrashArtifact) {
   EXPECT_EQ(orch.run_fingerprint(), fingerprint_before_last);
 }
 
+workload::TenantEvent key_event(workload::EventKind kind, double time,
+                                std::uint32_t key) {
+  workload::TenantEvent ev;
+  ev.time = time;
+  ev.kind = kind;
+  ev.tenant = key;
+  if (kind == workload::EventKind::kArrive) {
+    ev.guest_count = 2;
+    ev.seed = 1;
+  }
+  return ev;
+}
+
+/// A genuine journal of one arrive for key 1 at time 5, followed by
+/// EVENT_BEGIN/EVENT_END groups for `doctored`, framed with valid CRCs.
+/// Returns the journal and the record index of the first doctored group's
+/// EVENT_BEGIN.
+std::pair<std::string, std::size_t> doctored_journal(
+    const std::vector<workload::TenantEvent>& doctored) {
+  const auto cluster = recovery_cluster();
+  std::string journal;
+  {
+    Orchestrator orch(cluster, workload::high_level_profile(),
+                      recovery_options());
+    recovery::WalManager wal(orch, journal, {});
+    (void)orch.handle(key_event(workload::EventKind::kArrive, 5.0, 1));
+  }
+  const std::size_t first = recovery::parse_journal(journal).records.size();
+  recovery::JournalWriter w(journal, first);
+  for (std::size_t i = 0; i < doctored.size(); ++i) {
+    w.event_begin(1 + i, doctored[i]);
+    w.event_end(1 + i, doctored[i].time, 0);
+  }
+  return {std::move(journal), first};
+}
+
+TEST(RecoveryTest, ReArriveOfALiveKeyIsRefused) {
+  // Arrive key 1 at t 5 and t 6, depart key 1 at t 3: replayed as it
+  // stands, the second arrive would overwrite the first tenant's live
+  // entry and the depart would release only the second.
+  const auto [journal, second_arrive] = doctored_journal(
+      {key_event(workload::EventKind::kArrive, 6.0, 1),
+       key_event(workload::EventKind::kDepart, 3.0, 1)});
+  Orchestrator orch(recovery_cluster(), workload::high_level_profile(),
+                    recovery_options());
+  try {
+    (void)recovery::recover(orch, journal);
+    FAIL() << "expected RecoveryError";
+  } catch (const RecoveryError& e) {
+    EXPECT_TRUE(contains(e.what(), "journal record " +
+                                       std::to_string(second_arrive) + ":"))
+        << e.what();
+    EXPECT_TRUE(contains(e.what(), "tenant key 1, which is already live"))
+        << e.what();
+  }
+}
+
+TEST(RecoveryTest, EventEarlierThanTheOneBeforeIsRefused) {
+  const auto [journal, depart] =
+      doctored_journal({key_event(workload::EventKind::kDepart, 3.0, 1)});
+  Orchestrator orch(recovery_cluster(), workload::high_level_profile(),
+                    recovery_options());
+  try {
+    (void)recovery::recover(orch, journal);
+    FAIL() << "expected RecoveryError";
+  } catch (const RecoveryError& e) {
+    EXPECT_TRUE(
+        contains(e.what(), "journal record " + std::to_string(depart) + ":"))
+        << e.what();
+    EXPECT_TRUE(contains(e.what(), "earlier than the previous event"))
+        << e.what();
+  }
+  // Equal times stay legal.
+  const auto [same_time, unused] =
+      doctored_journal({key_event(workload::EventKind::kDepart, 5.0, 1)});
+  (void)unused;
+  Orchestrator again(recovery_cluster(), workload::high_level_profile(),
+                     recovery_options());
+  try {
+    (void)recovery::recover(again, same_time);
+    FAIL() << "expected the doctored fingerprint to diverge";
+  } catch (const RecoveryError& e) {
+    EXPECT_TRUE(contains(e.what(), "replay diverged")) << e.what();
+  }
+}
+
+TEST(RecoveryTest, RefusedReArriveLeavesStateAndJournalUnchanged) {
+  const auto cluster = recovery_cluster();
+  std::string journal;
+  Orchestrator orch(cluster, workload::high_level_profile(),
+                    recovery_options());
+  recovery::WalManager wal(orch, journal, {});
+  (void)orch.handle(key_event(workload::EventKind::kArrive, 5.0, 1));
+  const std::string state = recovery::encode_state(orch.export_state());
+  const std::string bytes = journal;
+  EXPECT_THROW(
+      (void)orch.handle(key_event(workload::EventKind::kArrive, 6.0, 1)),
+      std::invalid_argument);
+  EXPECT_EQ(recovery::encode_state(orch.export_state()), state);
+  EXPECT_EQ(journal, bytes);
+}
+
 }  // namespace
